@@ -1,20 +1,22 @@
-"""Seeded Monte Carlo engine: trial-parallel block simulation and B sweeps."""
+"""Seeded Monte Carlo engine: per-trial streams, chunked ZF batches and B sweeps."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelModelConfig, draw_block
 from .numerics import RngStream
-from .quantization import CqiQuantizerSpec, QuantizerSpec
-from .schemes import pu2rc_block, rbf_block, subf_block, zf_block
+from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec
+from .schemes import SELECTIONS, ZF_CQI_KINDS, pu2rc_block, rbf_block, subf_block, zf_block, zf_blocks
 
 SCHEMES = ("zf", "rbf", "pu2rc", "subf")
+
+# run_point stacks ZF trials into chunks of about this many user rows
+# (trials x users), which bounds the batched engine's working set.
+CHUNK_ROWS = 1024
 
 
 class FeedbackBudgetError(ValueError):
@@ -43,6 +45,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.nt < 1:
+            raise ValueError(f"nt must be >= 1, got {self.nt}")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if self.quantizer not in QUANTIZER_KINDS:
+            raise ValueError(f"unknown quantizer {self.quantizer!r}; known: {QUANTIZER_KINDS}")
+        if self.selection not in SELECTIONS:
+            raise ValueError(f"unknown selection {self.selection!r}; known: {SELECTIONS}")
+        if self.scheme == "zf" and self.cqi_kind not in ZF_CQI_KINDS:
+            raise ValueError(f"unsupported CQI kind for ZF {self.cqi_kind!r}; known: {ZF_CQI_KINDS}")
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError(f"r must be in [0, 1], got {self.r}")
+        if self.beta is not None and not self.beta >= 0.0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
 
     @property
     def snr(self) -> float:
@@ -96,11 +112,14 @@ def feasible_b_values(cfg: ExperimentConfig) -> list[int]:
     return out
 
 
-def _worker_count() -> int:
-    env = os.environ.get("FBSIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+def _zf_specs(cfg: ExperimentConfig, b: int) -> tuple[QuantizerSpec, CqiQuantizerSpec | None]:
+    qspec = QuantizerSpec(kind=cfg.quantizer, bits=b, nt=cfg.nt)
+    cqi_q = None
+    if cfg.cqi_bits:
+        # E[norm2 CQI] = nt; E[expected-SINR CQI] ~ (snr/nt)*E||h||^2 = snr
+        mean_cqi = cfg.nt if cfg.cqi_kind == "norm2" else cfg.snr
+        cqi_q = CqiQuantizerSpec.around_mean(cfg.cqi_bits, mean_cqi)
+    return qspec, cqi_q
 
 
 def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
@@ -109,12 +128,7 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     users = cfg.users_for(b)
     realization = draw_block(cfg.channel_config(users), rng)
     if cfg.scheme == "zf":
-        qspec = QuantizerSpec(kind=cfg.quantizer, bits=b, nt=cfg.nt)
-        cqi_q = None
-        if cfg.cqi_bits:
-            # E[norm2 CQI] = nt; E[expected-SINR CQI] ~ (snr/nt)*E||h||^2 = snr
-            mean_cqi = cfg.nt if cfg.cqi_kind == "norm2" else cfg.snr
-            cqi_q = CqiQuantizerSpec.around_mean(cfg.cqi_bits, mean_cqi)
+        qspec, cqi_q = _zf_specs(cfg, b)
         out = zf_block(realization, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
                        selection=cfg.selection, rng=rng, cqi_quantizer=cqi_q)
     elif cfg.scheme == "rbf":
@@ -127,28 +141,36 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     return out.sum_rate
 
 
+def _zf_chunk(cfg: ExperimentConfig, b: int, streams: list[RngStream]) -> np.ndarray:
+    """Sum rates of the ZF trials on `streams`, run as one batch.
+
+    Each trial draws its block from its own stream, as run_trial does; the
+    rest of the trial runs on the stacked blocks.
+    """
+    channel = cfg.channel_config(cfg.users_for(b))
+    rngs = [s.generator() for s in streams]
+    blocks = [draw_block(channel, rng) for rng in rngs]
+    qspec, cqi_q = _zf_specs(cfg, b)
+    out = zf_blocks(np.stack([x.h_est for x in blocks]), np.stack([x.h_delayed for x in blocks]),
+                    qspec, cfg.cqi_kind, cfg.snr, cfg.nt, cfg.selection, rngs, cqi_q)
+    return out.sum_rates
+
+
 def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEstimate:
     """Monte Carlo estimate at one B value, with one RNG stream per trial.
 
-    Trial t uses stream (seed, stream_offset + t), so aggregates are identical
-    for any worker count or execution order.
+    Trial t uses stream (seed, stream_offset + t), so each trial's result is
+    the same however the trials are chunked. ZF trials run in chunks of about
+    CHUNK_ROWS user rows; the other schemes run trial by trial.
     """
     users = cfg.users_for(b)
-    results = np.empty(cfg.trials)
-
-    def run_range(lo: int, hi: int):
-        for t in range(lo, hi):
-            results[t] = run_trial(cfg, b, RngStream(cfg.seed, stream_offset + t))
-
-    workers = _worker_count()
-    if workers == 1 or cfg.trials < 4:
-        run_range(0, cfg.trials)
+    streams = [RngStream(cfg.seed, stream_offset + t) for t in range(cfg.trials)]
+    if cfg.scheme == "zf":
+        step = max(1, CHUNK_ROWS // users)
+        results = np.concatenate([_zf_chunk(cfg, b, streams[i : i + step])
+                                  for i in range(0, cfg.trials, step)])
     else:
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_range, bounds[i], bounds[i + 1]) for i in range(workers)]
-            for f in futures:
-                f.result()
+        results = np.array([run_trial(cfg, b, s) for s in streams])
     mean = float(results.mean())
     se = float(results.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     return RateEstimate(mean=mean, std_error=se, trials=cfg.trials, b=b, users=users)

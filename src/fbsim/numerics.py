@@ -60,25 +60,37 @@ def haar_orthonormal_set(rng: np.random.Generator, n: int) -> np.ndarray:
     return haar_orthonormal_sets(rng, n, 1)[0]
 
 
-def zf_directions(quantized_channels: np.ndarray) -> np.ndarray:
-    """Zero-forcing beamforming directions for a stack of quantized channels.
+def zf_directions_batch(quantized_channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing directions for a stack of channel sets, shape (..., n, nt).
 
-    `quantized_channels` holds one channel per row (n, nt).  Row k of the
-    result is the unit-norm vector orthogonal to every other row's channel,
-    obtained from the pseudo-inverse of the conjugated channel matrix.
-    Raises SingularSetError if the rows are (numerically) dependent.
+    Row k of each set's result is the unit-norm vector orthogonal to every
+    other row's channel, obtained from the pseudo-inverse of the conjugated
+    channel matrix. Also returns a boolean mask, False where a set is
+    (numerically) rank deficient; the directions of such a set are meaningless.
+    """
+    a = np.conj(quantized_channels)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    ok = ~(s[..., -1] < RANK_RTOL * s[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pinv = (np.swapaxes(vh, -1, -2).conj() / s[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
+        v = pinv / np.linalg.norm(pinv, axis=-2, keepdims=True)
+    return np.swapaxes(v, -1, -2), ok
+
+
+def zf_directions(quantized_channels: np.ndarray) -> np.ndarray:
+    """Zero-forcing directions for one set of quantized channels, (n, nt).
+
+    The single-set case of zf_directions_batch; raises SingularSetError if the
+    rows are (numerically) dependent.
     """
     h = np.atleast_2d(np.asarray(quantized_channels))
     n, nt = h.shape
     if not 1 <= n <= nt:
         raise ValueError(f"need 1 <= count <= {nt}, got {n} channels")
-    a = h.conj()
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[-1] < RANK_RTOL * s[0]:
+    v, ok = zf_directions_batch(h)
+    if not ok:
         raise SingularSetError("quantized channel set is rank deficient")
-    pinv = (vh.conj().T / s) @ u.conj().T  # (nt, n)
-    v = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
-    return v.T
+    return v
 
 
 def lambert_w_m1(x: float) -> float:

@@ -223,14 +223,21 @@ def quantize_to_orthosets(h: np.ndarray, codebook: np.ndarray) -> DirectionQuant
     )
 
 
-def quantize_cqi(value: float, spec: CqiQuantizerSpec) -> float:
-    """Uniform quantization of 10*log10(value) over [lo, hi] dB, midpoint reconstruction."""
-    db = 10.0 * math.log10(value) if value > 0.0 else -math.inf
+def quantize_cqi(value: float | np.ndarray, spec: CqiQuantizerSpec) -> float | np.ndarray:
+    """Uniform quantization of 10*log10(value) over [lo, hi] dB, midpoint reconstruction.
+
+    Works elementwise on arrays; a scalar in gives a float out. Values <= 0 and
+    non-finite values map to the lowest level.
+    """
+    v = np.asarray(value, dtype=float)
     levels = 2**spec.bits
     width = (spec.hi_db - spec.lo_db) / levels
-    idx = min(max(int(math.floor((db - spec.lo_db) / width)) if math.isfinite(db) else 0, 0), levels - 1)
-    rec_db = spec.lo_db + (idx + 0.5) * width
-    return 10.0 ** (rec_db / 10.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = 10.0 * np.log10(v)
+        idx = np.clip(np.floor((db - spec.lo_db) / width), 0, levels - 1)
+    idx = np.where((v > 0.0) & np.isfinite(db), idx, 0.0)
+    rec = 10.0 ** ((spec.lo_db + (idx + 0.5) * width) / 10.0)
+    return float(rec) if rec.ndim == 0 else rec
 
 
 def quantize_directions(

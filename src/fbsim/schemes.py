@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .numerics import SingularSetError, haar_orthonormal_sets, zf_directions
+from .numerics import haar_orthonormal_sets, zf_directions_batch
+from .numerics import zf_directions  # noqa: F401  (the single-set beams, part of this interface)
 from .quantization import (
     CqiQuantizerSpec,
     QuantizerSpec,
@@ -18,6 +19,19 @@ from .quantization import (
 )
 
 CQI_KINDS = ("norm2", "expected_sinr", "rbf_sinr", "subf_snr")
+ZF_CQI_KINDS = ("norm2", "expected_sinr")
+SELECTIONS = ("greedy", "simplified")
+
+# Greedy candidates whose estimated rates are this close (relative) to the
+# best count as tied, and the lowest user index wins. Coarse codebooks with
+# quantized CQI give exact ties, which rounding must not decide.
+TIE_RTOL = 1e-12
+
+# A candidate whose Schur complement s_c is at most this fraction of its own
+# squared norm (for unit-norm reports: the squared sine of its angle to the
+# span of the selected users) is linearly dependent on them. Coarse codebooks
+# give exactly dependent sets, for which rounding leaves |s_c| ~ 1e-16.
+DEPENDENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,39 +66,6 @@ def zf_realized_sinr(h_true, own_bf, other_bfs, snr: float, n: int) -> float:
     return sig / (1.0 + interf)
 
 
-def _estimated_rates_batched(gram, cand_sets, gains, scale_num, size):
-    """Estimated ZF sum rate for each candidate user set.
-
-    For unit-norm quantized channels the post-ZF gain of user k in set S is
-    1 / [(G_S)^{-1}]_{kk} with G_S the Gram matrix, so only small-matrix
-    inverses are needed per candidate.
-    """
-    idx = np.asarray(cand_sets)
-    sub = gram[idx[:, :, None], idx[:, None, :]]
-    rates = np.full(len(cand_sets), -np.inf)
-    try:
-        inv_diag = np.diagonal(np.linalg.inv(sub), axis1=-2, axis2=-1).real
-        ok = np.all(inv_diag > 0, axis=-1)
-    except np.linalg.LinAlgError:
-        inv_diag = np.empty((len(cand_sets), size))
-        ok = np.zeros(len(cand_sets), dtype=bool)
-        for i, g in enumerate(sub):
-            try:
-                d = np.diagonal(np.linalg.inv(g)).real
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(d > 0):
-                inv_diag[i] = d
-                ok[i] = True
-    with np.errstate(all="ignore"):
-        proj = 1.0 / inv_diag
-        sinr = (scale_num / size) * gains[idx] * proj
-        r = np.sum(np.log2(1.0 + sinr), axis=-1)
-    good = ok & np.isfinite(r)
-    rates[good] = r[good]
-    return rates
-
-
 def _cqi_scale(cqi_kind: str, snr: float, nt: int) -> float:
     # norm2 CQI is an effective channel gain (estimated SINR uses power snr/|S|);
     # expected-SINR CQI already folds in power snr/nt, so rescale by nt/|S|.
@@ -95,62 +76,165 @@ def _cqi_scale(cqi_kind: str, snr: float, nt: int) -> float:
     raise ValueError(f"unsupported CQI kind for ZF selection: {cqi_kind!r}")
 
 
-def zf_greedy_select(reports: list[FeedbackReport], snr: float, nt: int) -> TransmissionPlan:
-    """Greedy user selection on quantized channels, maximizing estimated sum rate."""
+def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_num):
+    """Estimated ZF sum rates of the candidate sets S_t + {c}, one per row (t, c) of cand_sets.
+
+    Trial t has selected the j users selected[t], with Gram columns
+    cols[t] = G[:, S] and inverse Gram matrix inv[t] = A = G_S^{-1}. User k's
+    post-ZF gain in S is 1 / A_kk. Adding candidate c with b = G[S, c] leaves
+    the Schur complement s = G_cc - b^H A b, the squared norm of d_c projected
+    orthogonal to S; the gains become 1 / (A_kk + |(Ab)_k|^2 / s) for k in S
+    and s for c. Returns each set's rate (-inf if invalid, or dependent on S
+    by DEPENDENT_RTOL), s and Ab.
+    """
+    t, c = cand_sets[:, 0], cand_sets[:, 1]
+    j = selected.shape[1]
+    a = inv[t]
+    b = cols[t, c]  # G[S, c], (P, j)
+    ab = np.einsum("pik,pk->pi", a, b)
+    g_cc = g_diag[t, c]
+    s = g_cc - np.einsum("pk,pk->p", b.conj(), ab).real
+    inv_diag = np.diagonal(a, axis1=1, axis2=2).real + np.abs(ab) ** 2 / s[:, None]  # new A_kk, k in S
+    w = scale_num / (j + 1)
+    gains = np.take_along_axis(cqi, selected, axis=1)[t]
+    rate = np.sum(np.log2(1.0 + w * gains / inv_diag), axis=1)
+    rate = rate + np.log2(1.0 + w * cqi[t, c] * s)
+    ok = (s > DEPENDENT_RTOL * g_cc) & np.all(inv_diag > 0, axis=1) & np.isfinite(rate)
+    return np.where(ok, rate, -np.inf), s, ab
+
+
+def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
+               greedy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """ZF user selection on quantized channels for a stack of T trials.
+
+    `dirs` (T, K, nt) holds unit-norm quantized channels d_k and `cqi` (T, K)
+    their CQI. Each step scores the candidate sets of the trials still
+    running with _estimated_rates_batched and grows the chosen set's inverse
+    Gram matrix A by the block-inverse update; only the columns G[:, S] of
+    the Gram matrix are formed.
+
+    Greedy starts from the largest CQI and adds the candidate with the best
+    estimated sum rate (ties: see TIE_RTOL) while that rate improves.
+    Simplified (greedy=False) tries the top-j users by CQI for j = 1..nt and
+    keeps the best prefix, the smaller one on ties. Returns (selected,
+    counts): trial t serves users selected[t, :counts[t]], in selection order.
+    """
+    n_trials, n_users, _ = dirs.shape
+    steps = min(nt, n_users)
+    t = np.arange(n_trials)
+    conj = dirs.conj()
+    g_diag = np.einsum("tkn,tkn->tk", dirs, conj).real
+    inv = np.zeros((n_trials, steps, steps), dtype=complex)  # A, grown block by block
+    cols = np.zeros((n_trials, n_users, steps), dtype=complex)  # G[:, S]
+    selected = np.zeros((n_trials, steps), dtype=int)
+    taken = np.zeros((n_trials, n_users), dtype=bool)
+    best = np.full(n_trials, -np.inf)
+    # simplified serves the top user when no prefix has a valid rate
+    counts = np.zeros(n_trials, dtype=int) if greedy else np.ones(n_trials, dtype=int)
+    active = np.ones(n_trials, dtype=bool)
+    order = None if greedy else np.argsort(-cqi, axis=1, kind="stable")
+    with np.errstate(all="ignore"):
+        for j in range(steps):
+            if greedy and j == 0:
+                c = np.argmax(cqi, axis=1)
+                new = np.log2(1.0 + scale_num * cqi[t, c])
+                u, s_c = np.zeros((n_trials, 0), dtype=complex), g_diag[t, c]
+            else:
+                if greedy:
+                    cand = active[:, None] & ~taken  # every user not yet selected
+                else:
+                    cand = np.zeros((n_trials, n_users), dtype=bool)
+                    cand[t, order[:, j]] = active  # the next user by CQI is forced
+                flat = np.flatnonzero(cand)
+                pairs = np.stack(np.divmod(flat, n_users), axis=1)
+                rate_p, s_p, ab_p = _estimated_rates_batched(
+                    cols[:, :, :j], pairs, inv[:, :j, :j], selected[:, :j], g_diag, cqi, scale_num)
+                rate = np.full(n_trials * n_users, -np.inf)
+                rate[flat] = rate_p
+                rate = rate.reshape(n_trials, n_users)
+                if greedy:
+                    top = rate.max(axis=1, keepdims=True)
+                    c = np.argmax(rate >= top - TIE_RTOL * np.abs(top), axis=1)
+                else:
+                    c = order[:, j]
+                new = rate[t, c]
+                # Ab and s of each trial's chosen set; trials no longer active are never read again
+                at = np.minimum(np.searchsorted(flat, t * n_users + c), len(flat) - 1)
+                u, s_c = ab_p[at], s_p[at]
+            if greedy:
+                active &= new > best
+                best = np.where(active, new, best)
+                counts += active
+            else:
+                active &= new > -np.inf
+                better = active & (new > best)
+                best = np.where(better, new, best)
+                counts = np.where(better, j + 1, counts)
+            selected[:, j] = c
+            if j == steps - 1 or not active.any():
+                break
+            inv[:, :j, :j] += u[:, :, None] * u.conj()[:, None, :] / s_c[:, None, None]
+            inv[:, :j, j] = -u / s_c[:, None]
+            inv[:, j, :j] = -u.conj() / s_c[:, None]
+            inv[:, j, j] = 1.0 / s_c
+            cols[:, :, j] = np.einsum("tn,tkn->tk", dirs[t, c], conj)
+            taken[t, c] = True
+    return selected, counts
+
+
+def _zf_beams(dirs: np.ndarray, selected: np.ndarray,
+              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ZF beams of each trial's selected set, zero-padded to (T, m, nt).
+
+    A rank-deficient set (degenerate feedback) falls back to its first user,
+    so the returned counts can be smaller than the ones passed in.
+    """
+    n_trials, m = selected.shape
+    counts = counts.copy()
+    beams = np.zeros((n_trials, m, dirs.shape[2]), dtype=complex)
+    for n in range(m, 0, -1):  # fallbacks to one user are done last
+        idx = np.flatnonzero(counts == n)
+        if idx.size:
+            v, ok = zf_directions_batch(dirs[idx[:, None], selected[idx, :n]])
+            beams[idx[ok], :n] = v[ok]
+            counts[idx[~ok]] = 1
+    return beams, counts
+
+
+def _realized_zf_rates(h_true_sel: np.ndarray, bfs: np.ndarray, snr: float) -> np.ndarray:
+    """Realized rates of n users under ZF beams bfs (..., n, nt) and power snr/n each."""
+    n = bfs.shape[-2]
+    p = np.abs(h_true_sel.conj() @ np.swapaxes(bfs, -1, -2)) ** 2  # p[k, j] = |h_k^H v_j|^2
+    s = snr / n
+    diag = np.diagonal(p, axis1=-2, axis2=-1)
+    sig = s * diag
+    interf = s * (p.sum(axis=-1) - diag)
+    return np.log2(1.0 + sig / (1.0 + interf))
+
+
+def _select_plan(reports: list[FeedbackReport], snr: float, nt: int, greedy: bool) -> TransmissionPlan:
     if not reports:
         raise ValueError("need at least one feedback report")
-    dirs = np.array([r.direction for r in reports])
-    cqi = np.array([r.cqi for r in reports])
-    gram = dirs @ dirs.conj().T
-    scale_num = _cqi_scale(reports[0].cqi_kind, snr, nt)
+    dirs = np.array([r.direction for r in reports])[None]
+    cqi = np.array([r.cqi for r in reports])[None]
+    selected, counts = _zf_select(dirs, cqi, _cqi_scale(reports[0].cqi_kind, snr, nt), nt, greedy)
+    beams, counts = _zf_beams(dirs, selected, counts)
+    n = int(counts[0])
+    return TransmissionPlan(
+        selected=[reports[k].user_id for k in selected[0, :n]],
+        beamformers=beams[0, :n],
+        power_per_user=snr / n,
+    )
 
-    selected = [int(np.argmax(cqi))]
-    best_rate = math.log2(1.0 + scale_num * cqi[selected[0]])
-    while len(selected) < min(nt, len(reports)):
-        cands = [k for k in range(len(reports)) if k not in selected]
-        cand_sets = [selected + [c] for c in cands]
-        rates = _estimated_rates_batched(gram, cand_sets, cqi, scale_num, len(selected) + 1)
-        i = int(np.argmax(rates))
-        if not (rates[i] > best_rate):
-            break
-        selected.append(cands[i])
-        best_rate = float(rates[i])
-    return _plan_from_selection(reports, dirs, selected, snr)
+
+def zf_greedy_select(reports: list[FeedbackReport], snr: float, nt: int) -> TransmissionPlan:
+    """Greedy user selection on quantized channels, maximizing estimated sum rate."""
+    return _select_plan(reports, snr, nt, greedy=True)
 
 
 def zf_simplified_select(reports: list[FeedbackReport], snr: float, nt: int) -> TransmissionPlan:
     """Low-complexity selection: try only the top-j users by CQI, j = 1..nt."""
-    if not reports:
-        raise ValueError("need at least one feedback report")
-    dirs = np.array([r.direction for r in reports])
-    cqi = np.array([r.cqi for r in reports])
-    gram = dirs @ dirs.conj().T
-    scale_num = _cqi_scale(reports[0].cqi_kind, snr, nt)
-    order = np.argsort(-cqi, kind="stable")
-
-    best_rate, best_set = -np.inf, [int(order[0])]
-    for j in range(1, min(nt, len(reports)) + 1):
-        s = [int(k) for k in order[:j]]
-        rate = _estimated_rates_batched(gram, [s], cqi, scale_num, j)[0]
-        if rate > best_rate:
-            best_rate, best_set = float(rate), s
-    return _plan_from_selection(reports, dirs, best_set, snr)
-
-
-def _plan_from_selection(reports, dirs, selected, snr) -> TransmissionPlan:
-    n = len(selected)
-    try:
-        bfs = zf_directions(dirs[selected])
-    except SingularSetError:
-        # degenerate feedback; serve the best single user
-        selected = selected[:1]
-        n = 1
-        bfs = zf_directions(dirs[selected])
-    return TransmissionPlan(
-        selected=[reports[k].user_id for k in selected],
-        beamformers=bfs,
-        power_per_user=snr / n,
-    )
+    return _select_plan(reports, snr, nt, greedy=False)
 
 
 def estimated_plan_rate(reports: list[FeedbackReport], plan: TransmissionPlan, snr: float, nt: int) -> float:
@@ -166,13 +250,70 @@ def estimated_plan_rate(reports: list[FeedbackReport], plan: TransmissionPlan, s
     return total
 
 
-def _realized_zf_rates(h_true_sel: np.ndarray, bfs: np.ndarray, snr: float) -> np.ndarray:
-    n = len(bfs)
-    p = np.abs(h_true_sel.conj() @ bfs.T) ** 2  # p[k, j] = |h_k^H v_j|^2
-    s = snr / n
-    sig = s * np.diagonal(p)
-    interf = s * (p.sum(axis=1) - np.diagonal(p))
-    return np.log2(1.0 + sig / (1.0 + interf))
+@dataclass(frozen=True)
+class ZfBlocks:
+    """Outcome of T ZF blocks; trial t serves selected[t, :counts[t]]."""
+
+    selected: np.ndarray  # (T, m) user indices
+    counts: np.ndarray  # (T,)
+    beamformers: np.ndarray  # (T, m, nt), zero rows past counts[t]
+    realized_rates: np.ndarray  # (T, m), zero past counts[t]
+
+    @property
+    def sum_rates(self) -> np.ndarray:
+        return self.realized_rates.sum(axis=1)
+
+
+def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
+    """Quantized directions, their sin^2 errors and the CQI of T blocks' estimates (T, K, nt).
+
+    Block t quantizes its directions with rngs[t].
+    """
+    dirs = np.empty_like(h_est)
+    sin2 = np.empty(h_est.shape[:2])
+    for i, rng in enumerate(rngs):
+        dirs[i], sin2[i] = quantize_directions(h_est[i], quantizer, rng)
+    norms2 = np.linalg.norm(h_est, axis=-1) ** 2
+    if cqi_kind == "norm2":
+        cqi = norms2
+    elif cqi_kind == "expected_sinr":
+        cos2 = 1.0 - sin2
+        cqi = norms2 * cos2 / (nt / snr + norms2 * sin2)
+    else:
+        raise ValueError(f"unsupported CQI kind for ZF: {cqi_kind!r}")
+    if cqi_quantizer is not None:
+        cqi = quantize_cqi(cqi, cqi_quantizer)
+    return dirs, sin2, cqi
+
+
+def zf_blocks(
+    h_est: np.ndarray,
+    h_delayed: np.ndarray,
+    quantizer: QuantizerSpec,
+    cqi_kind: str,
+    snr: float,
+    nt: int,
+    selection: str,
+    rngs: list[np.random.Generator | None],
+    cqi_quantizer: CqiQuantizerSpec | None = None,
+) -> ZfBlocks:
+    """ZF downlink for T coherence blocks at once, channels (T, K, nt).
+
+    Block t quantizes its channel estimates with rngs[t]; CQI, selection,
+    beams and realized rates (on h_delayed) then run on the whole stack.
+    """
+    if selection not in SELECTIONS:
+        raise ValueError(f"unknown selection {selection!r}")
+    dirs, _, cqi = _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer)
+    selected, counts = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt, selection == "greedy")
+    beams, counts = _zf_beams(dirs, selected, counts)
+    rates = np.zeros(selected.shape)
+    for n in range(1, selected.shape[1] + 1):
+        idx = np.flatnonzero(counts == n)
+        if idx.size:
+            h_sel = h_delayed[idx[:, None], selected[idx, :n]]
+            rates[idx, :n] = _realized_zf_rates(h_sel, beams[idx, :n], snr)
+    return ZfBlocks(selected, counts, beams, rates)
 
 
 def zf_block(
@@ -185,31 +326,23 @@ def zf_block(
     rng: np.random.Generator | None = None,
     cqi_quantizer: CqiQuantizerSpec | None = None,
 ) -> BlockOutcome:
-    """ZF downlink block: quantize estimates, select users, transmit on h_delayed."""
-    h_est = realization.h_est
-    dirs, sin2 = quantize_directions(h_est, quantizer, rng)
-    norms2 = np.linalg.norm(h_est, axis=1) ** 2
-    if cqi_kind == "norm2":
-        cqi = norms2
-    elif cqi_kind == "expected_sinr":
-        cos2 = 1.0 - sin2
-        cqi = norms2 * cos2 / (nt / snr + norms2 * sin2)
-    else:
-        raise ValueError(f"unsupported CQI kind for ZF: {cqi_kind!r}")
-    if cqi_quantizer is not None:
-        cqi = np.array([quantize_cqi(v, cqi_quantizer) for v in cqi])
-    reports = [
-        FeedbackReport(user_id=k, direction=dirs[k], sin2_error=float(sin2[k]),
-                       cqi=float(cqi[k]), cqi_kind=cqi_kind)
-        for k in range(len(h_est))
-    ]
-    if selection == "greedy":
-        plan = zf_greedy_select(reports, snr, nt)
-    elif selection == "simplified":
-        plan = zf_simplified_select(reports, snr, nt)
-    else:
+    """ZF downlink block: quantize estimates, select users, transmit on h_delayed.
+
+    One block of zf_blocks, with selection through the FeedbackReport interface.
+    """
+    if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    rates = _realized_zf_rates(realization.h_delayed[plan.selected], plan.beamformers, snr)
+    dirs, sin2, cqi = _zf_feedback(realization.h_est[None], quantizer, cqi_kind, snr, nt, [rng],
+                                   cqi_quantizer)
+    reports = [
+        FeedbackReport(user_id=k, direction=dirs[0, k], sin2_error=float(sin2[0, k]),
+                       cqi=float(cqi[0, k]), cqi_kind=cqi_kind)
+        for k in range(dirs.shape[1])
+    ]
+    select = zf_greedy_select if selection == "greedy" else zf_simplified_select
+    plan = select(reports, snr, nt)
+    h_sel = realization.h_delayed[plan.selected]
+    rates = _realized_zf_rates(h_sel[None], plan.beamformers[None], snr)[0]
     return BlockOutcome(plan=plan, realized_rates=rates, sum_rate=float(rates.sum()))
 
 

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 
+from fbsim.numerics import SingularSetError, zf_directions
+from fbsim.quantization import quantize_directions
+from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
+
 # One line per end-to-end criterion, filled in by test_acceptance.py and echoed
 # at the end of the run so the verdicts are visible even when output is captured.
 ACCEPTANCE_REPORT = []
@@ -56,3 +60,185 @@ def explicit_rvq_sin2_batch(rng: np.random.Generator, bits: int, nt: int, count:
         out[done : done + c] = 1.0 - cos2.max(axis=1)
         done += c
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-trial ZF reference: one trial at a time, a fresh Gram sub-block inverse
+# per candidate set, and a scalar CQI quantizer. The bare_* functions are the
+# per-trial path fbsim ran before the batched engine, verbatim: a plain argmax
+# over the candidate sets' rates. The oracle_* functions add the engine's two
+# rules, with the engine's measures: greedy candidates tied within TIE_RTOL go
+# to the lowest user index, and a candidate whose Schur complement against the
+# selected users is at most DEPENDENT_RTOL of its own squared norm is not
+# added. Coarse codebooks with quantized CQI give exact ties and exactly
+# dependent sets; rounding must decide neither. Each oracle also reports
+# whether a rule changed a step's outcome from the bare path's; on every other
+# trial the engine must agree with the bare path too.
+
+def oracle_quantize_cqi(value: float, spec) -> float:
+    """Uniform quantization of 10*log10(value) over [lo, hi] dB, midpoint reconstruction."""
+    db = 10.0 * math.log10(value) if value > 0.0 else -math.inf
+    levels = 2**spec.bits
+    width = (spec.hi_db - spec.lo_db) / levels
+    idx = min(max(int(math.floor((db - spec.lo_db) / width)) if math.isfinite(db) else 0, 0), levels - 1)
+    rec_db = spec.lo_db + (idx + 0.5) * width
+    return 10.0 ** (rec_db / 10.0)
+
+
+def _bare_set_rates(gram, cand_sets, gains, scale_num, size):
+    """Estimated ZF sum rate for each candidate user set.
+
+    For unit-norm quantized channels the post-ZF gain of user k in set S is
+    1 / [(G_S)^{-1}]_{kk} with G_S the Gram matrix, so only small-matrix
+    inverses are needed per candidate.
+    """
+    idx = np.asarray(cand_sets)
+    sub = gram[idx[:, :, None], idx[:, None, :]]
+    rates = np.full(len(cand_sets), -np.inf)
+    try:
+        inv_diag = np.diagonal(np.linalg.inv(sub), axis1=-2, axis2=-1).real
+        ok = np.all(inv_diag > 0, axis=-1)
+    except np.linalg.LinAlgError:
+        inv_diag = np.empty((len(cand_sets), size))
+        ok = np.zeros(len(cand_sets), dtype=bool)
+        for i, g in enumerate(sub):
+            try:
+                d = np.diagonal(np.linalg.inv(g)).real
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(d > 0):
+                inv_diag[i] = d
+                ok[i] = True
+    with np.errstate(all="ignore"):
+        proj = 1.0 / inv_diag
+        sinr = (scale_num / size) * gains[idx] * proj
+        r = np.sum(np.log2(1.0 + sinr), axis=-1)
+    good = ok & np.isfinite(r)
+    rates[good] = r[good]
+    return rates
+
+
+def bare_greedy(dirs, cqi, scale_num, nt):
+    gram = dirs @ dirs.conj().T
+    selected = [int(np.argmax(cqi))]
+    best_rate = math.log2(1.0 + scale_num * cqi[selected[0]])
+    while len(selected) < min(nt, len(dirs)):
+        cands = [k for k in range(len(dirs)) if k not in selected]
+        cand_sets = [selected + [c] for c in cands]
+        rates = _bare_set_rates(gram, cand_sets, cqi, scale_num, len(selected) + 1)
+        i = int(np.argmax(rates))
+        if not (rates[i] > best_rate):
+            break
+        selected.append(cands[i])
+        best_rate = float(rates[i])
+    return selected
+
+
+def bare_simplified(dirs, cqi, scale_num, nt):
+    gram = dirs @ dirs.conj().T
+    order = np.argsort(-cqi, kind="stable")
+    best_rate, best_set = -np.inf, [int(order[0])]
+    for j in range(1, min(nt, len(dirs)) + 1):
+        s = [int(k) for k in order[:j]]
+        rate = _bare_set_rates(gram, [s], cqi, scale_num, j)[0]
+        if rate > best_rate:
+            best_rate, best_set = float(rate), s
+    return best_set
+
+
+def _dependent(gram, selected, c) -> bool:
+    """Whether s_c = G_cc - b^H G_S^{-1} b, b = G[S, c], is at most DEPENDENT_RTOL * G_cc."""
+    if not selected:
+        return False
+    b = gram[selected, c]
+    g_cc = gram[c, c].real
+    s_c = g_cc - (b.conj() @ np.linalg.inv(gram[np.ix_(selected, selected)]) @ b).real
+    return not s_c > DEPENDENT_RTOL * g_cc
+
+
+def oracle_greedy(dirs, cqi, scale_num, nt):
+    """bare_greedy with both rules; returns (selected, whether a rule changed a step)."""
+    gram = dirs @ dirs.conj().T
+    selected = [int(np.argmax(cqi))]
+    best_rate = math.log2(1.0 + scale_num * cqi[selected[0]])
+    ruled = False
+    while len(selected) < min(nt, len(dirs)):
+        cands = [k for k in range(len(dirs)) if k not in selected]
+        bare = _bare_set_rates(gram, [selected + [c] for c in cands], cqi, scale_num,
+                               len(selected) + 1)
+        rates = np.where([_dependent(gram, selected, c) for c in cands], -np.inf, bare)
+        top = rates.max()
+        i = int(np.argmax(rates >= top - TIE_RTOL * abs(top)))  # lowest index among ties
+        i_bare = int(np.argmax(bare))
+        step = cands[i] if rates[i] > best_rate else None
+        ruled |= step != (cands[i_bare] if bare[i_bare] > best_rate else None)
+        if step is None:
+            break
+        selected.append(step)
+        best_rate = float(rates[i])
+    return selected, ruled
+
+
+def oracle_simplified(dirs, cqi, scale_num, nt):
+    """bare_simplified with the dependence rule; returns (selected, whether it changed a step)."""
+    gram = dirs @ dirs.conj().T
+    order = np.argsort(-cqi, kind="stable")
+    best_rate, best_set = -np.inf, [int(order[0])]
+    ruled = dependent = False
+    for j in range(1, min(nt, len(dirs)) + 1):
+        s = [int(k) for k in order[:j]]
+        bare = _bare_set_rates(gram, [s], cqi, scale_num, j)[0]
+        dependent = dependent or _dependent(gram, s[:-1], s[-1])  # so is every larger prefix
+        rate = -np.inf if dependent else bare
+        ruled |= (rate > best_rate) != (bare > best_rate)
+        if rate > best_rate:
+            best_rate, best_set = float(rate), s
+    return best_set, ruled
+
+
+def oracle_beams(dirs, selected):
+    """ZF beams of the selected set; a singular set falls back to its first user."""
+    try:
+        return selected, zf_directions(dirs[selected])
+    except SingularSetError:
+        return selected[:1], zf_directions(dirs[selected[:1]])
+
+
+def oracle_realized_rates(h_true_sel, bfs, snr):
+    n = len(bfs)
+    p = np.abs(h_true_sel.conj() @ bfs.T) ** 2  # p[k, j] = |h_k^H v_j|^2
+    s = snr / n
+    sig = s * np.diagonal(p)
+    interf = s * (p.sum(axis=1) - np.diagonal(p))
+    return np.log2(1.0 + sig / (1.0 + interf))
+
+
+def oracle_zf_block(realization, quantizer, cqi_kind, snr, nt, selection, rng, cqi_quantizer=None):
+    """One ZF block the per-trial way.
+
+    Returns (users, sum rate) under the engine's rules, whether a rule changed
+    a step, and (users, sum rate) of the bare path.
+    """
+    h_est = realization.h_est
+    dirs, sin2 = quantize_directions(h_est, quantizer, rng)
+    norms2 = np.linalg.norm(h_est, axis=1) ** 2
+    if cqi_kind == "norm2":
+        cqi, scale_num = norms2, snr
+    else:
+        cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
+        scale_num = float(nt)
+    if cqi_quantizer is not None:
+        cqi = np.array([oracle_quantize_cqi(v, cqi_quantizer) for v in cqi])
+    if selection == "greedy":
+        ruled_set, ruled = oracle_greedy(dirs, cqi, scale_num, nt)
+        bare_set = bare_greedy(dirs, cqi, scale_num, nt)
+    else:
+        ruled_set, ruled = oracle_simplified(dirs, cqi, scale_num, nt)
+        bare_set = bare_simplified(dirs, cqi, scale_num, nt)
+
+    def serve(selected):
+        selected, bfs = oracle_beams(dirs, selected)
+        rates = oracle_realized_rates(realization.h_delayed[selected], bfs, snr)
+        return selected, float(rates.sum())
+
+    return serve(ruled_set), ruled, serve(bare_set)

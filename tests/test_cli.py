@@ -161,6 +161,14 @@ class TestMainExitCodes:
                        "b_values = 33\n")
         assert main(["run", str(ini), "--out", str(tmp_path)]) == 2
 
+    def test_invalid_field_is_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\ntrials = 4\n"
+                       "b_values = 20\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r"), "--quantizer", "nope"]) == 2
+        assert "quantizer" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_unwritable_output_is_exit_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fbsim import montecarlo
 from fbsim.montecarlo import (
     ExperimentConfig,
     FeedbackBudgetError,
@@ -49,6 +50,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(scheme="dirty")
 
+    def test_unknown_quantizer_rejected(self):
+        with pytest.raises(ValueError, match="quantizer"):
+            _cfg(quantizer="nope")
+
+    def test_zero_antennas_rejected(self):
+        with pytest.raises(ValueError, match="nt"):
+            _cfg(nt=0)
+
+    def test_correlation_above_one_rejected(self):
+        with pytest.raises(ValueError, match="r must be"):
+            _cfg(r=1.5)
+
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr_db"):
+            _cfg(snr_db=float("nan"))
+
+    @pytest.mark.parametrize("kw", [dict(selection="exhaustive"), dict(cqi_kind="rbf_sinr"),
+                                    dict(beta=-1.0), dict(r=-0.1), dict(snr_db=float("inf"))])
+    def test_other_invalid_fields_rejected(self, kw):
+        with pytest.raises(ValueError):
+            _cfg(**kw)
+
+    def test_zf_only_fields_are_free_for_other_schemes(self):
+        assert _cfg(scheme="rbf", cqi_kind="rbf_sinr").cqi_kind == "rbf_sinr"
+
     def test_channel_config_training(self):
         cfg = _cfg(beta=1.0, r=0.9)
         ch = cfg.channel_config(5)
@@ -81,14 +107,28 @@ class TestFeasibleGrid:
 
 
 class TestRunPoint:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         cfg = _cfg(trials=48, b_values=(20,))
-        monkeypatch.setenv("FBSIM_THREADS", "1")
         a = run_point(cfg, 20)
-        monkeypatch.setenv("FBSIM_THREADS", "5")
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 1)  # one trial per chunk
         b = run_point(cfg, 20)
-        assert a.mean == b.mean
-        assert a.std_error == b.std_error
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 7 * 5)  # 7 trials of 5 users
+        c = run_point(cfg, 20)
+        assert a == b == c
+
+    @pytest.mark.parametrize("b,kw", [
+        (20, dict()),
+        (4, dict(selection="simplified", quantizer="scalar")),
+        (20, dict(tfb=125, cqi_bits=5, cqi_kind="expected_sinr", beta=1.0, r=0.9)),
+    ], ids=["greedy", "simplified_scalar", "cqi_bits_training"])
+    def test_chunk_boundary_matches_run_trial(self, b, kw):
+        users = _cfg(**kw).users_for(b)
+        trials = montecarlo.CHUNK_ROWS // users + 1  # one full chunk and one trial more
+        cfg = _cfg(trials=trials, seed=3, **kw)
+        per_trial = np.array([run_trial(cfg, b, RngStream(3, 7 + t)) for t in range(trials)])
+        est = run_point(cfg, b, stream_offset=7)
+        assert est.mean == float(per_trial.mean())
+        assert est.std_error == float(per_trial.std(ddof=1) / math.sqrt(trials))
 
     def test_deterministic_across_calls(self):
         cfg = _cfg(trials=32)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_rvq_sin2_batch
+from conftest import explicit_rvq_sin2_batch, oracle_quantize_cqi
 from fbsim.numerics import RngStream, complex_gaussian
 from fbsim.quantization import (
     EXPLICIT_RVQ_MAX_BITS,
@@ -250,6 +250,34 @@ class TestCqi:
         for v in 10.0 ** (rng.uniform(-1.0, 1.5, 100)):
             rec = quantize_cqi(float(v), spec)
             assert abs(10 * math.log10(rec) - 10 * math.log10(v)) <= width / 2 + 1e-9
+
+    def test_array_form_matches_scalar_oracle(self):
+        spec = CqiQuantizerSpec.around_mean(4, 4.0)
+        v = RngStream(30).generator().lognormal(1.0, 2.0, size=(50, 40))
+        got = quantize_cqi(v, spec)
+        want = np.array([[oracle_quantize_cqi(float(x), spec) for x in row] for row in v])
+        assert got.shape == v.shape
+        # the dB conversions may differ from the scalar math module in the last bit
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert isinstance(quantize_cqi(2.0, spec), float)
+
+    def test_exact_cell_edges_go_to_the_upper_cell(self):
+        spec = CqiQuantizerSpec(bits=3, lo_db=-20.0, hi_db=60.0)  # 10 dB cells
+        edges = 10.0 ** np.arange(-2, 7)  # -20, -10, ..., 60 dB
+        got = quantize_cqi(edges, spec)
+        idx = np.minimum(np.arange(9), 7)  # the top edge clamps to the last cell
+        np.testing.assert_allclose(got, 10.0 ** ((-20.0 + (idx + 0.5) * 10.0) / 10.0), rtol=1e-15)
+        want = [oracle_quantize_cqi(float(x), spec) for x in edges]
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_nonpositive_and_nonfinite_map_to_lowest_level(self):
+        spec = CqiQuantizerSpec.around_mean(4, 4.0)
+        v = np.array([0.0, -0.0, -3.0, -np.inf, np.inf, np.nan])
+        lowest = oracle_quantize_cqi(1e-30, spec)
+        got = quantize_cqi(v, spec)
+        np.testing.assert_allclose(got, lowest, rtol=4 * np.finfo(float).eps)
+        for x, g in zip(v, got):
+            assert g == pytest.approx(oracle_quantize_cqi(float(x), spec), rel=1e-15)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

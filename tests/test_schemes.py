@@ -4,18 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from conftest import oracle_zf_block
 from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block
 from fbsim.numerics import RngStream, SingularSetError, complex_gaussian, zf_directions
-from fbsim.quantization import QuantizerSpec, quantize_batch_statistical
+from fbsim.quantization import CqiQuantizerSpec, QuantizerSpec, quantize_batch_statistical
 from fbsim.schemes import (
     FeedbackReport,
     _orthoset_block,
+    _zf_beams,
     _realized_zf_rates,
     estimated_plan_rate,
     pu2rc_block,
     rbf_block,
     subf_block,
     zf_block,
+    zf_blocks,
     zf_greedy_select,
     zf_realized_sinr,
     zf_simplified_select,
@@ -142,6 +145,13 @@ class TestSimplifiedSelection:
             rs = estimated_plan_rate(reports, s, snr, nt)
             assert rs <= rg + 1e-9
 
+    @pytest.mark.parametrize("select", [zf_greedy_select, zf_simplified_select])
+    def test_rate_tie_keeps_the_smaller_set(self, select):
+        # orthogonal users, snr 2: log2(1 + 2) == log2(1 + 1) + log2(1 + 0.5) exactly
+        reports = [FeedbackReport(user_id=k, direction=np.eye(2, dtype=complex)[k], sin2_error=0.0,
+                                  cqi=c, cqi_kind="norm2") for k, c in enumerate((1.0, 0.5))]
+        assert select(reports, 2.0, 2).selected == [0]
+
     def test_selected_are_top_cqi_prefix(self):
         rng = RngStream(7).generator()
         reports = _reports_from_draw(rng, 12, 4, 10, 10.0)
@@ -152,6 +162,20 @@ class TestSimplifiedSelection:
 
 def _perfect_realization(h):
     return ChannelRealization(h=h, h_est=h, h_delayed=h)
+
+
+class TestZfBeams:
+    def test_rank_deficient_set_falls_back_to_its_first_user(self):
+        rng = RngStream(21).generator()
+        d = complex_gaussian(rng, (2, 3, 4))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        d[1, 2] = d[1, 0]  # trial 1 selects a repeated direction
+        selected = np.array([[0, 1, 2], [2, 1, 0]])
+        beams, counts = _zf_beams(d, selected, np.array([3, 3]))
+        assert list(counts) == [3, 1]
+        np.testing.assert_allclose(beams[0], zf_directions(d[0]), atol=1e-12)
+        np.testing.assert_allclose(beams[1, 0], d[1, 2], atol=1e-12)
+        assert not beams[1, 1:].any()
 
 
 class TestZfBlock:
@@ -209,6 +233,73 @@ class TestZfBlock:
         with pytest.raises(ValueError):
             zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 4),
                      "norm2", 10.0, 4, selection="exhaustive")
+
+
+# (quantizer, bits): scalar and explicit RVQ at B <= 6 give duplicate codewords.
+ORACLE_QUANTIZERS = [("rvq_statistical", 10), ("idealized", 8), ("perfect", 0),
+                     ("scalar", 3), ("scalar", 6), ("rvq_explicit", 2), ("rvq_explicit", 6)]
+ORACLE_CASES = [
+    (i, q, bits, selection, cqi_kind)
+    for i, ((q, bits), selection, cqi_kind) in enumerate(itertools.product(
+        ORACLE_QUANTIZERS, ("greedy", "simplified"), ("norm2", "expected_sinr")))
+]
+ORACLE_USERS = (1, 2, 3, 5, 9, 13, 30, 75)
+ORACLE_TRIALS = 80  # 28 cases: 2240 trials
+
+
+class TestBatchedZfAgainstPerTrialOracle:
+    """The stacked engine picks the same users, in the same order, and realizes
+    the same sum rates as the per-trial reference in conftest.py. On every
+    trial where neither the tie rule nor the dependence rule changed a step,
+    it also agrees with the bare per-trial path; continuous quantizers never
+    meet either rule."""
+
+    @staticmethod
+    def _check(seed, trials, chan, spec, cqi_kind, selection, cqi_q):
+        """Compare the engine with the oracle on `trials` streams; returns the trials a rule decided."""
+        snr, nt = chan.snr, chan.nt
+        streams = [RngStream(seed, t) for t in range(trials)]
+        rngs = [s.generator() for s in streams]
+        blocks = [draw_block(chan, rng) for rng in rngs]
+        out = zf_blocks(np.stack([b.h_est for b in blocks]), np.stack([b.h_delayed for b in blocks]),
+                        spec, cqi_kind, snr, nt, selection, rngs, cqi_q)
+        sum_rates = out.sum_rates
+        ruled_trials = 0
+        for t, stream in enumerate(streams):
+            rng = stream.generator()
+            (want_sel, want_rate), ruled, (bare_sel, bare_rate) = oracle_zf_block(
+                draw_block(chan, rng), spec, cqi_kind, snr, nt, selection, rng, cqi_q)
+            got_sel = list(out.selected[t, :out.counts[t]])
+            assert got_sel == want_sel, f"trial {t}"
+            assert abs(sum_rates[t] - want_rate) <= 1e-12, f"trial {t}"
+            if not ruled:
+                assert got_sel == bare_sel, f"trial {t}"
+                assert abs(sum_rates[t] - bare_rate) <= 1e-12, f"trial {t}"
+            ruled_trials += ruled
+        return ruled_trials
+
+    @pytest.mark.parametrize("case,quantizer,bits,selection,cqi_kind", ORACLE_CASES)
+    def test_same_selection_and_sum_rates(self, case, quantizer, bits, selection, cqi_kind):
+        nt = (2, 3, 4)[case % 3]
+        users = ORACLE_USERS[case % len(ORACLE_USERS)]
+        snr = (1.0, 10.0, 100.0)[case % 3 - 1]
+        chan = ChannelModelConfig(nt=nt, num_users=users, snr=snr, beta=1.0, r=0.95,
+                                  perfect_rx_csi=case % 3 != 1)
+        cqi_q = None
+        if case % 2:
+            cqi_q = CqiQuantizerSpec.around_mean(3, nt if cqi_kind == "norm2" else snr)
+        ruled = self._check(case, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits, nt), cqi_kind,
+                            selection, cqi_q)
+        if quantizer in ("rvq_statistical", "idealized", "perfect"):
+            assert ruled == 0
+
+    def test_greedy_ties_on_a_coarse_codebook(self):
+        # 3-bit scalar codebook, 2 antennas, 30 users and 3 CQI bits: many users share a
+        # codeword up to phase and a CQI level, so greedy meets exact ties that the engine's
+        # and the oracle's rounding would otherwise break differently.
+        chan = ChannelModelConfig(nt=2, num_users=30, snr=10.0)
+        self._check(0, 50, chan, QuantizerSpec("scalar", 3, 2), "norm2", "greedy",
+                    CqiQuantizerSpec.around_mean(3, 2.0))
 
 
 class TestOrthosetSchemes:
