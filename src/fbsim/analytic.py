@@ -15,6 +15,16 @@ class InfeasibleRegimeError(ValueError):
     """The Lambert W argument left its real branch; parameters are outside the regime."""
 
 
+class ConvergenceError(ValueError):
+    """An iterative solver used up its iterations without meeting its tolerance."""
+
+
+def _check_nt(nt: int) -> None:
+    # the quantization-error exponents divide by nt - 1
+    if nt < 2:
+        raise ValueError(f"the closed forms need nt >= 2, got {nt}")
+
+
 def phi_from_training_delay(r: float, beta: float, snr: float) -> float:
     """Combined training-plus-delay interference coefficient."""
     return 1.0 - r**2 + 1.0 / (1.0 + beta * snr)
@@ -33,6 +43,7 @@ class AnalyticParams:
         return cls(snr=snr, nt=nt, tfb=tfb, b=b, phi=phi_from_training_delay(r, beta, snr))
 
     def __post_init__(self):
+        _check_nt(self.nt)
         if self.b < math.log2(self.nt):
             raise ValueError(f"b must be >= log2(nt)={math.log2(self.nt):.3f}")
         if self.tfb < self.b:
@@ -43,6 +54,7 @@ class AnalyticParams:
 
 def zf_loss_bound(snr: float, nt: int, b: float) -> float:
     """Sum rate penalty of quantized CSI without user selection."""
+    _check_nt(nt)
     if b < 0:
         raise ValueError("b must be >= 0")
     return nt * math.log2(1.0 + snr * 2.0 ** (-b / (nt - 1)))
@@ -77,6 +89,7 @@ def zf_rate_linear_regime(nt: int, b: float) -> float:
     holds only while snr*2^(-B/(nt-1)) >> 1. Outside it (e.g. nt=4 at 10 dB for
     B >= 6) the slope of zf_rate_approx is far smaller.
     """
+    _check_nt(nt)
     return nt * b / (nt - 1)
 
 
@@ -100,6 +113,7 @@ class FixedPointResult(NamedTuple):
 
 def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
     """Continuous rate-maximizing B for ZF, by bisection of the stationarity condition."""
+    _check_nt(nt)
     if snr <= 0:
         raise ValueError("snr must be > 0")
     lo, hi = math.log2(nt), tfb / nt
@@ -123,7 +137,11 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
 
 def zf_bopt_lambert(snr: float, nt: int, tfb: float, tol: float = 1e-6,
                     max_iter: int = 500) -> float:
-    """Lambert W form of the ZF B optimizer, iterating on its self-referential log term."""
+    """Lambert W form of the ZF B optimizer, iterating on its self-referential log term.
+
+    Raises ConvergenceError if the step is still above tol after max_iter iterations.
+    """
+    _check_nt(nt)
     b = max((nt - 1) * math.log2(snr / nt), math.log2(nt), 1.0)
     prev_delta = 0.0
     for _ in range(max_iter):
@@ -141,7 +159,7 @@ def zf_bopt_lambert(snr: float, nt: int, tfb: float, tol: float = 1e-6,
         if abs(delta) <= tol:
             return b_new
         b, prev_delta = b_new, delta
-    return b
+    raise ConvergenceError(f"no convergence to tol={tol} in {max_iter} iterations (last B={b:.6f})")
 
 
 def rbf_matching_budget(t_zf: float, nt: int, snr: float, b_opt: float) -> tuple[float, float]:
@@ -160,6 +178,7 @@ def subf_rate_approx(snr: float, nt: int, tfb: float, b: float, form: str = "sim
     drops the small 2^{-B/(nt-1)} log(B) term, which is the version the B
     optimizer differentiates.
     """
+    _check_nt(nt)
     div = _diversity_log(tfb, nt, b)
     q = 2.0 ** (-b / (nt - 1))
     if form == "full":
@@ -182,22 +201,3 @@ def subf_bopt(nt: int, tfb: float, snr: float | None = None) -> float:
         raise InfeasibleRegimeError(f"log(tfb*nt)={log_term:.3f} must be >= e")
     b = -(nt - 1) / LN2 * lambert_w_m1(arg)
     return min(max(b, 1.0), float(tfb))
-
-
-@dataclass(frozen=True)
-class BoptScalingReport:
-    exact: float
-    loglog_tfb: float
-    nt_term: float
-    snr_term: float
-
-
-def bopt_scaling_report(snr: float, nt: int, tfb: float) -> BoptScalingReport:
-    """Side-by-side view of the exact optimizer and its leading-order scalings."""
-    exact = zf_bopt_fixed_point(snr, nt, tfb).b
-    return BoptScalingReport(
-        exact=exact,
-        loglog_tfb=math.log(math.log(tfb)),
-        nt_term=(nt - 1) * math.log2(snr),
-        snr_term=(nt - 1) * math.log2(snr / nt),
-    )

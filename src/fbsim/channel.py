@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import complex_gaussian
+from .numerics import complex_pairs
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,8 @@ class ChannelModelConfig:
     beta is the number of downlink pilots per antenna; perfect_rx_csi=True
     bypasses receiver estimation entirely (the beta -> infinity limit).
     r is the temporal correlation between the fed-back channel and the channel
-    during data transmission (r=1: no delay). With mmse_exact the estimate and
-    the estimation error are drawn orthogonal, as MMSE estimation implies.
+    during data transmission (r=1: no delay). The estimate and the estimation
+    error are drawn orthogonal, as MMSE estimation implies.
     """
 
     nt: int
@@ -27,7 +27,6 @@ class ChannelModelConfig:
     beta: float = 0.0
     r: float = 1.0
     perfect_rx_csi: bool = True
-    mmse_exact: bool = True
 
     def __post_init__(self):
         if self.nt < 1 or self.num_users < 1:
@@ -55,22 +54,34 @@ class ChannelRealization:
     h_delayed: np.ndarray
 
 
-def draw_block(cfg: ChannelModelConfig, rng: np.random.Generator) -> ChannelRealization:
-    """One coherence block of i.i.d. Rayleigh channels under cfg's training/delay model."""
-    shape = (cfg.num_users, cfg.nt)
+def draw_blocks(cfg: ChannelModelConfig, rngs) -> ChannelRealization:
+    """Coherence blocks of T trials under cfg's training/delay model; fields (T, num_users, nt).
+
+    Block t draws from rngs[t] with one standard_normal call, whose values
+    equal those of consecutive calls of the same total size: the channel
+    (or, with training error, the estimate and then the error) and, with
+    delay, the innovation, each as real then imaginary parts.
+    """
     sigma2 = cfg.estimation_error_var
+    draws = 1 + (sigma2 != 0.0) + (cfg.r != 1.0)
+    z = np.empty((len(rngs), draws, 2, cfg.num_users, cfg.nt))
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=z[t])
+    g = complex_pairs(z)
     if sigma2 == 0.0:
-        h = complex_gaussian(rng, shape)
-        h_est = h
-    elif cfg.mmse_exact:
-        # MMSE: estimate and error orthogonal, variances (1 - sigma2) and sigma2.
-        h_est = math.sqrt(1.0 - sigma2) * complex_gaussian(rng, shape)
-        h = h_est + math.sqrt(sigma2) * complex_gaussian(rng, shape)
+        h = h_est = g[:, 0]
     else:
-        h = complex_gaussian(rng, shape)
-        h_est = h - math.sqrt(sigma2) * complex_gaussian(rng, shape)
+        # MMSE: estimate and error orthogonal, variances (1 - sigma2) and sigma2.
+        h_est = math.sqrt(1.0 - sigma2) * g[:, 0]
+        h = h_est + math.sqrt(sigma2) * g[:, 1]
     if cfg.r == 1.0:
         h_delayed = h
     else:
-        h_delayed = cfg.r * h + math.sqrt(1.0 - cfg.r**2) * complex_gaussian(rng, shape)
+        h_delayed = cfg.r * h + math.sqrt(1.0 - cfg.r**2) * g[:, -1]
     return ChannelRealization(h=h, h_est=h_est, h_delayed=h_delayed)
+
+
+def draw_block(cfg: ChannelModelConfig, rng: np.random.Generator) -> ChannelRealization:
+    """One coherence block of i.i.d. Rayleigh channels; the one-trial case of draw_blocks."""
+    b = draw_blocks(cfg, [rng])
+    return ChannelRealization(h=b.h[0], h_est=b.h_est[0], h_delayed=b.h_delayed[0])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModelConfig, draw_block
+from .channel import ChannelModelConfig, draw_block, draw_blocks
 from .numerics import RngStream
 from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec
 from .schemes import SELECTIONS, ZF_CQI_KINDS, pu2rc_block, rbf_block, subf_block, zf_block, zf_blocks
@@ -49,8 +49,15 @@ class ExperimentConfig:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if self.tfb < 1:
+            raise ValueError(f"tfb must be >= 1, got {self.tfb}")
+        if self.cqi_bits is not None and self.cqi_bits < 0:
+            raise ValueError(f"cqi_bits must be >= 0 (0: none), got {self.cqi_bits}")
         if self.quantizer not in QUANTIZER_KINDS:
             raise ValueError(f"unknown quantizer {self.quantizer!r}; known: {QUANTIZER_KINDS}")
+        if self.scheme in ("zf", "subf") and self.quantizer == "orthosets":
+            raise ValueError(f"quantizer 'orthosets' is not a per-user direction quantizer; "
+                             f"scheme {self.scheme!r} needs one")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}; known: {SELECTIONS}")
         if self.scheme == "zf" and self.cqi_kind not in ZF_CQI_KINDS:
@@ -144,15 +151,14 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
 def _zf_chunk(cfg: ExperimentConfig, b: int, streams: list[RngStream]) -> np.ndarray:
     """Sum rates of the ZF trials on `streams`, run as one batch.
 
-    Each trial draws its block from its own stream, as run_trial does; the
-    rest of the trial runs on the stacked blocks.
+    Each trial draws from its own stream exactly what run_trial draws; the
+    draws land in chunk buffers and the rest of the trial runs on the stacks.
     """
-    channel = cfg.channel_config(cfg.users_for(b))
     rngs = [s.generator() for s in streams]
-    blocks = [draw_block(channel, rng) for rng in rngs]
+    block = draw_blocks(cfg.channel_config(cfg.users_for(b)), rngs)
     qspec, cqi_q = _zf_specs(cfg, b)
-    out = zf_blocks(np.stack([x.h_est for x in blocks]), np.stack([x.h_delayed for x in blocks]),
-                    qspec, cfg.cqi_kind, cfg.snr, cfg.nt, cfg.selection, rngs, cqi_q)
+    out = zf_blocks(block.h_est, block.h_delayed, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
+                    cfg.selection, rngs, cqi_q)
     return out.sum_rates
 
 
@@ -161,7 +167,8 @@ def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEsti
 
     Trial t uses stream (seed, stream_offset + t), so each trial's result is
     the same however the trials are chunked. ZF trials run in chunks of about
-    CHUNK_ROWS user rows; the other schemes run trial by trial.
+    CHUNK_ROWS user rows; the other schemes run trial by trial. A non-finite
+    sum rate raises ValueError naming the first trial's stream.
     """
     users = cfg.users_for(b)
     streams = [RngStream(cfg.seed, stream_offset + t) for t in range(cfg.trials)]
@@ -171,6 +178,11 @@ def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEsti
                                   for i in range(0, cfg.trials, step)])
     else:
         results = np.array([run_trial(cfg, b, s) for s in streams])
+    bad = np.flatnonzero(~np.isfinite(results))
+    if bad.size:
+        s = streams[bad[0]]
+        raise ValueError(f"non-finite sum rate {results[bad[0]]} at B={b} on stream "
+                         f"(seed={s.seed}, stream_id={s.stream_id})")
     mean = float(results.mean())
     se = float(results.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     return RateEstimate(mean=mean, std_error=se, trials=cfg.trials, b=b, users=users)

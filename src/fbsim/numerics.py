@@ -1,4 +1,4 @@
-"""Complex random-matrix primitives, Lambert W branch -1, and order-statistics helpers."""
+"""Complex random-matrix primitives and the Lambert W branch -1."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015329
 
 # Relative singular-value cutoff below which a set of quantized channels is
 # treated as rank deficient.
@@ -37,6 +35,14 @@ class RngStream:
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian entries with unit variance."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def complex_pairs(z: np.ndarray) -> np.ndarray:
+    """complex_gaussian from drawn standard normals: real z[..., 0, :, :], imaginary z[..., 1, :, :].
+
+    Equal, bit for bit, to complex_gaussian making the same draws.
+    """
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
 
 def haar_orthonormal_sets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -122,23 +128,3 @@ def lambert_w_m1(x: float) -> float:
         if abs(step) <= 1e-12 * (1.0 + abs(w)):
             break
     return min(w, -1.0)
-
-
-def max_gamma_expectation(k_users: int, nt: int, form: str = "harmonic") -> float:
-    """Approximations to the expected largest squared channel norm among
-    k_users i.i.d. users with nt antennas.
-
-    form="harmonic" gives the harmonic-sum lower bound H_{K*Nt};
-    form="log_gamma" the asymptote log(K*Nt) + gamma; form="log" drops the
-    Euler-Mascheroni constant (the variant the rate approximations use).
-    """
-    if k_users < 1 or nt < 1:
-        raise ValueError("k_users and nt must both be >= 1")
-    m = k_users * nt
-    if form == "harmonic":
-        return float(np.sum(1.0 / np.arange(1, m + 1)))
-    if form == "log_gamma":
-        return math.log(m) + EULER_GAMMA
-    if form == "log":
-        return math.log(m)
-    raise ValueError(f"unknown form {form!r}")

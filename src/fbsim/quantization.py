@@ -7,12 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import haar_orthonormal_sets, complex_gaussian
+from .numerics import complex_pairs, haar_orthonormal_sets
 
 QUANTIZER_KINDS = ("rvq_explicit", "rvq_statistical", "scalar", "idealized", "orthosets", "perfect")
 
 # 2^B codeword scans above this are refused; use the statistical fast path.
 EXPLICIT_RVQ_MAX_BITS = 24
+
+# Explicit RVQ scans the codebooks of this many codewords' worth of rows (at
+# least one row) per call, which bounds its working set.
+CODEWORDS_PER_SCAN = 1024
 
 
 class CodebookCapacityError(ValueError):
@@ -78,75 +82,70 @@ def _unit_rows(h: np.ndarray) -> np.ndarray:
     return h / np.linalg.norm(h, axis=-1, keepdims=True)
 
 
-def sample_rvq_sin2(rng: np.random.Generator, bits: int, nt: int, count: int) -> np.ndarray:
-    """Sample the quantization error sin^2(theta) of a B-bit RVQ codebook.
+def rvq_sin2(u: np.ndarray, bits: int, nt: int) -> np.ndarray:
+    """Quantization error sin^2(theta) of a B-bit RVQ codebook from Uniform(0, 1) draws u.
 
     The error of a single isotropic codeword is Beta(nt-1, 1); the achieved
     error is the minimum over 2^B independent codewords, drawn here by inverse
     CDF with log1p/expm1 so tiny tail values keep full precision.
     """
     if nt == 1:
-        rng.random(count)  # keep the draw count independent of nt
-        return np.zeros(count)
-    u = rng.random(count)
+        return np.zeros_like(u)
     inner = -np.expm1(np.log1p(-u) * 2.0**(-bits))
     return inner ** (1.0 / (nt - 1))
 
 
-def _place_at_angle(rng: np.random.Generator, h: np.ndarray, sin2: np.ndarray) -> np.ndarray:
-    """Unit vectors at angle theta from each row of h, isotropic in the complement."""
+def _place_at_angle(h: np.ndarray, g: np.ndarray, sin2: np.ndarray) -> np.ndarray:
+    """Unit vectors at angle theta from each row of h, along the part of g orthogonal to it."""
     u = _unit_rows(h)
-    g = complex_gaussian(rng, u.shape)
     proj = np.sum(u.conj() * g, axis=-1, keepdims=True)
     e = g - proj * u
     e = _unit_rows(e)
-    sin2 = np.asarray(sin2)
     return np.sqrt(1.0 - sin2)[..., None] * u + np.sqrt(sin2)[..., None] * e
 
 
-def quantize_batch_statistical(
-    h: np.ndarray, bits: int, rng: np.random.Generator, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized statistical RVQ over the rows of h; returns (directions, sin2)."""
-    h = np.atleast_2d(h)
-    n, nt = h.shape
-    sin2 = sample_rvq_sin2(rng, bits, nt, n) * scale
-    return _place_at_angle(rng, h, sin2), sin2
+def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """RVQ by the distribution of its error (no codeword scan), the error scaled by `scale`.
+
+    Per trial: K uniforms for the errors, then the Gaussians that place each
+    direction.
+    """
+    n_trials, n_users, nt = h.shape
+    u = np.empty((n_trials, n_users))
+    z = np.empty((n_trials, 2, n_users, nt))
+    for t, rng in enumerate(rngs):
+        rng.random(out=u[t])
+        rng.standard_normal(out=z[t])
+    sin2 = rvq_sin2(u, bits, nt) * scale
+    if nt == 1:  # no orthogonal complement: every direction is exact
+        return _unit_rows(h), sin2
+    return _place_at_angle(h, complex_pairs(z), sin2), sin2
 
 
-def quantize_rvq_statistical(h: np.ndarray, bits: int, rng: np.random.Generator) -> DirectionQuantization:
-    """RVQ via the distribution of its quantization error (no codeword scan)."""
-    dirs, sin2 = quantize_batch_statistical(h, bits, rng)
-    return DirectionQuantization(direction=dirs[0], sin2_error=float(sin2[0]))
+def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit RVQ: each row scans a fresh 2^B isotropic codebook for the closest codeword.
 
-
-def quantize_idealized(h: np.ndarray, bits: int, rng: np.random.Generator) -> DirectionQuantization:
-    """Idealized codebook: RVQ error scaled down by (nt-1)/nt in expectation."""
-    nt = np.atleast_2d(h).shape[1]
-    dirs, sin2 = quantize_batch_statistical(h, bits, rng, scale=(nt - 1) / nt)
-    return DirectionQuantization(direction=dirs[0], sin2_error=float(sin2[0]))
-
-
-def random_codebook(rng: np.random.Generator, bits: int, nt: int) -> np.ndarray:
-    """2^B isotropic unit vectors, one per row."""
-    return _unit_rows(complex_gaussian(rng, (2**bits, nt)))
-
-
-def quantize_rvq_explicit(
-    h: np.ndarray, bits: int, rng: np.random.Generator, codebook: np.ndarray | None = None
-) -> DirectionQuantization:
-    """Explicit RVQ: scan a fresh 2^B isotropic codebook for the closest codeword."""
-    h = np.asarray(h)
-    if bits > EXPLICIT_RVQ_MAX_BITS:
-        raise CodebookCapacityError(
-            f"rvq_explicit is capped at B={EXPLICIT_RVQ_MAX_BITS}; use rvq_statistical"
-        )
-    if codebook is None:
-        codebook = random_codebook(rng, bits, h.shape[-1])
-    u = h / np.linalg.norm(h)
-    cos2 = np.abs(codebook @ u.conj()) ** 2
-    best = int(np.argmax(cos2))
-    return DirectionQuantization(direction=codebook[best], sin2_error=float(1.0 - cos2[best]))
+    A trial draws and scans the codebooks of up to CODEWORDS_PER_SCAN // 2^B
+    rows (at least one) per call, in row order.
+    """
+    n_trials, n_users, nt = h.shape
+    n_codes = 2**bits
+    group = max(1, CODEWORDS_PER_SCAN // n_codes)
+    u = _unit_rows(h).conj()
+    dirs = np.empty_like(h)
+    sin2 = np.empty((n_trials, n_users))
+    z = np.empty((min(group, n_users), 2, n_codes, nt))
+    for t, rng in enumerate(rngs):
+        for lo in range(0, n_users, group):
+            rows = slice(lo, min(lo + group, n_users))
+            zr = z[: rows.stop - lo]
+            rng.standard_normal(out=zr)
+            codebooks = _unit_rows(complex_pairs(zr))
+            cos2 = np.abs(np.einsum("gcn,gn->gc", codebooks, u[t, rows])) ** 2
+            best = np.argmax(cos2, axis=1)[:, None]
+            dirs[t, rows] = np.take_along_axis(codebooks, best[..., None], axis=1)[:, 0]
+            sin2[t, rows] = 1.0 - np.take_along_axis(cos2, best, axis=1)[:, 0]
+    return dirs, sin2
 
 
 def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,26 +173,25 @@ def _uniform_midpoint(value: np.ndarray, lo: float, hi: float, bits: np.ndarray)
     return lo + (idx + 0.5) * width
 
 
-def quantize_scalar(h: np.ndarray, bits: int) -> DirectionQuantization:
-    """Scalar quantization of relative phases and magnitude angles.
+def _quantize_scalar(h: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar quantization of relative phases and magnitude angles, row by row of h.
 
     Components are normalized by the first entry; the nt-1 relative phases are
     quantized uniformly on [-pi, pi] and the nt-1 angles arctan(|h_m|/|h_1|)
     uniformly on [0, pi/2], each at its cell midpoint.
     """
-    h = np.asarray(h)
     nt = h.shape[-1]
-    if abs(h[0]) < 1e-12 * np.linalg.norm(h):
+    norms = np.linalg.norm(h, axis=-1, keepdims=True)
+    if np.any(np.abs(h[..., :1]) < 1e-12 * norms):
         raise DegeneratePivotError("first channel component is (near) zero")
-    rel = h[1:] / h[0]
+    rel = h[..., 1:] / h[..., :1]
     phase_bits, mag_bits = scalar_bit_split(bits, nt)
     phases = _uniform_midpoint(np.angle(rel), -math.pi, math.pi, phase_bits)
     mags = _uniform_midpoint(np.arctan(np.abs(rel)), 0.0, math.pi / 2.0, mag_bits)
-    rec = np.concatenate(([1.0 + 0.0j], np.tan(mags) * np.exp(1j * phases)))
-    rec /= np.linalg.norm(rec)
-    u = h / np.linalg.norm(h)
-    sin2 = 1.0 - abs(np.vdot(u, rec)) ** 2
-    return DirectionQuantization(direction=rec, sin2_error=float(sin2))
+    rec = np.concatenate((np.ones_like(h[..., :1]), np.tan(mags) * np.exp(1j * phases)), axis=-1)
+    rec = _unit_rows(rec)
+    sin2 = 1.0 - np.abs(np.sum((h / norms).conj() * rec, axis=-1)) ** 2
+    return rec, sin2
 
 
 def build_orthosets_codebook(bits: int, nt: int, rng: np.random.Generator) -> np.ndarray:
@@ -240,25 +238,22 @@ def quantize_cqi(value: float | np.ndarray, spec: CqiQuantizerSpec) -> float | n
     return float(rec) if rec.ndim == 0 else rec
 
 
-def quantize_directions(
-    h: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize every row of h per spec; returns (directions, sin2 errors)."""
-    h = np.atleast_2d(h)
+def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize every row of the T blocks h (T, K, nt) per spec; returns (directions, sin2 errors).
+
+    Block t draws from rngs[t] (None for the kinds that draw nothing), in the
+    same order and amounts as when it is quantized alone.
+    """
     if spec.kind == "perfect":
-        u = _unit_rows(h)
-        return u, np.zeros(h.shape[0])
+        return _unit_rows(h), np.zeros(h.shape[:2])
     if spec.kind == "rvq_statistical":
-        return quantize_batch_statistical(h, spec.bits, rng)
+        return _quantize_statistical(h, spec.bits, rngs, 1.0)
     if spec.kind == "idealized":
-        nt = h.shape[1]
-        return quantize_batch_statistical(h, spec.bits, rng, scale=(nt - 1) / nt)
+        # the RVQ error scaled down by (nt-1)/nt in expectation
+        nt = h.shape[-1]
+        return _quantize_statistical(h, spec.bits, rngs, (nt - 1) / nt)
     if spec.kind == "rvq_explicit":
-        results = [quantize_rvq_explicit(row, spec.bits, rng) for row in h]
-    elif spec.kind == "scalar":
-        results = [quantize_scalar(row, spec.bits) for row in h]
-    else:
-        raise ValueError(f"quantizer kind {spec.kind!r} is not a per-user direction quantizer")
-    dirs = np.array([r.direction for r in results])
-    sin2 = np.array([r.sin2_error for r in results])
-    return dirs, sin2
+        return _quantize_rvq_explicit(h, spec.bits, rngs)
+    if spec.kind == "scalar":
+        return _quantize_scalar(h, spec.bits)
+    raise ValueError(f"quantizer kind {spec.kind!r} is not a per-user direction quantizer")

@@ -58,14 +58,6 @@ class BlockOutcome:
     extra: dict = field(default_factory=dict)
 
 
-def zf_realized_sinr(h_true, own_bf, other_bfs, snr: float, n: int) -> float:
-    """Post-selection SINR under equal power SNR/n with residual interference."""
-    s = snr / n
-    sig = s * abs(np.vdot(h_true, own_bf)) ** 2
-    interf = s * sum(abs(np.vdot(h_true, bf)) ** 2 for bf in other_bfs)
-    return sig / (1.0 + interf)
-
-
 def _cqi_scale(cqi_kind: str, snr: float, nt: int) -> float:
     # norm2 CQI is an effective channel gain (estimated SINR uses power snr/|S|);
     # expected-SINR CQI already folds in power snr/nt, so rescale by nt/|S|.
@@ -237,19 +229,6 @@ def zf_simplified_select(reports: list[FeedbackReport], snr: float, nt: int) -> 
     return _select_plan(reports, snr, nt, greedy=False)
 
 
-def estimated_plan_rate(reports: list[FeedbackReport], plan: TransmissionPlan, snr: float, nt: int) -> float:
-    """Estimated sum rate of a plan, from the reports it was built on."""
-    by_id = {r.user_id: r for r in reports}
-    sel = [by_id[u] for u in plan.selected]
-    n = len(sel)
-    scale = _cqi_scale(sel[0].cqi_kind, snr, nt)
-    total = 0.0
-    for r, bf in zip(sel, plan.beamformers):
-        proj = abs(np.vdot(r.direction, bf)) ** 2
-        total += math.log2(1.0 + (scale / n) * r.cqi * proj)
-    return total
-
-
 @dataclass(frozen=True)
 class ZfBlocks:
     """Outcome of T ZF blocks; trial t serves selected[t, :counts[t]]."""
@@ -269,10 +248,7 @@ def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
 
     Block t quantizes its directions with rngs[t].
     """
-    dirs = np.empty_like(h_est)
-    sin2 = np.empty(h_est.shape[:2])
-    for i, rng in enumerate(rngs):
-        dirs[i], sin2[i] = quantize_directions(h_est[i], quantizer, rng)
+    dirs, sin2 = quantize_directions(h_est, quantizer, rngs)
     norms2 = np.linalg.norm(h_est, axis=-1) ** 2
     if cqi_kind == "norm2":
         cqi = norms2
@@ -413,7 +389,7 @@ def subf_block(realization: ChannelRealization, quantizer: QuantizerSpec, snr: f
                rng: np.random.Generator | None = None) -> BlockOutcome:
     """Single-user beamforming along the quantized direction of the best-SNR user."""
     h_est = realization.h_est
-    dirs, _ = quantize_directions(h_est, quantizer, rng)
+    dirs = quantize_directions(h_est[None], quantizer, [rng])[0][0]
     reported = snr * np.abs(np.sum(h_est.conj() * dirs, axis=1)) ** 2
     k = int(np.argmax(reported))
     bf = dirs[k]

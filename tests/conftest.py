@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
-from fbsim.numerics import SingularSetError, zf_directions
-from fbsim.quantization import quantize_directions
+from fbsim.analytic import zf_bopt_fixed_point
+from fbsim.channel import ChannelRealization
+from fbsim.numerics import SingularSetError, complex_gaussian, zf_directions
+from fbsim.quantization import DegeneratePivotError, rvq_sin2, scalar_bit_split
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
 
 # One line per end-to-end criterion, filled in by test_acceptance.py and echoed
@@ -18,6 +20,56 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_REPORT):
             terminalreporter.write_line(line)
+
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def max_gamma_expectation(k_users: int, nt: int, form: str = "harmonic") -> float:
+    """Approximations to the expected largest squared channel norm among
+    k_users i.i.d. users with nt antennas.
+
+    form="harmonic" gives the harmonic-sum lower bound H_{K*Nt};
+    form="log_gamma" the asymptote log(K*Nt) + gamma; form="log" drops the
+    Euler-Mascheroni constant (the variant the rate approximations use).
+    """
+    if k_users < 1 or nt < 1:
+        raise ValueError("k_users and nt must both be >= 1")
+    m = k_users * nt
+    if form == "harmonic":
+        return float(np.sum(1.0 / np.arange(1, m + 1)))
+    if form == "log_gamma":
+        return math.log(m) + EULER_GAMMA
+    if form == "log":
+        return math.log(m)
+    raise ValueError(f"unknown form {form!r}")
+
+
+def bopt_scaling_report(snr: float, nt: int, tfb: float) -> dict:
+    """Side-by-side view of the exact ZF B optimizer and its leading-order scalings."""
+    return dict(exact=zf_bopt_fixed_point(snr, nt, tfb).b, loglog_tfb=math.log(math.log(tfb)),
+                nt_term=(nt - 1) * math.log2(snr), snr_term=(nt - 1) * math.log2(snr / nt))
+
+
+def zf_realized_sinr(h_true, own_bf, other_bfs, snr: float, n: int) -> float:
+    """Post-selection SINR under equal power SNR/n with residual interference."""
+    s = snr / n
+    sig = s * abs(np.vdot(h_true, own_bf)) ** 2
+    interf = s * sum(abs(np.vdot(h_true, bf)) ** 2 for bf in other_bfs)
+    return sig / (1.0 + interf)
+
+
+def estimated_plan_rate(reports, plan, snr: float, nt: int) -> float:
+    """Estimated sum rate of a plan, from the reports it was built on."""
+    by_id = {r.user_id: r for r in reports}
+    sel = [by_id[u] for u in plan.selected]
+    n = len(sel)
+    scale = snr if sel[0].cqi_kind == "norm2" else float(nt)  # expected-SINR CQI holds snr/nt
+    total = 0.0
+    for r, bf in zip(sel, plan.beamformers):
+        proj = abs(np.vdot(r.direction, bf)) ** 2
+        total += math.log2(1.0 + (scale / n) * r.cqi * proj)
+    return total
 
 
 def lambert_w_m1_bisect(x: float) -> float:
@@ -60,6 +112,102 @@ def explicit_rvq_sin2_batch(rng: np.random.Generator, bits: int, nt: int, count:
         out[done : done + c] = 1.0 - cos2.max(axis=1)
         done += c
     return out
+
+
+def sample_rvq_sin2(rng: np.random.Generator, bits: int, nt: int, count: int) -> np.ndarray:
+    """`count` draws of the statistical RVQ error, from fbsim's inverse CDF."""
+    return rvq_sin2(rng.random(count), bits, nt)
+
+
+# ---------------------------------------------------------------------------
+# Per-trial draws and per-row quantizers: one trial, one row at a time, with
+# the generator calls fbsim made before it drew whole chunks into buffers.
+# The stacked kernels must reproduce them from the same streams.
+
+def oracle_draw_block(cfg, rng) -> ChannelRealization:
+    """One coherence block, drawn with one complex_gaussian call per draw kind."""
+    shape = (cfg.num_users, cfg.nt)
+    sigma2 = cfg.estimation_error_var
+    if sigma2 == 0.0:
+        h = complex_gaussian(rng, shape)
+        h_est = h
+    else:
+        h_est = math.sqrt(1.0 - sigma2) * complex_gaussian(rng, shape)
+        h = h_est + math.sqrt(sigma2) * complex_gaussian(rng, shape)
+    if cfg.r == 1.0:
+        h_delayed = h
+    else:
+        h_delayed = cfg.r * h + math.sqrt(1.0 - cfg.r**2) * complex_gaussian(rng, shape)
+    return ChannelRealization(h=h, h_est=h_est, h_delayed=h_delayed)
+
+
+def _unit_rows(h):
+    return h / np.linalg.norm(h, axis=-1, keepdims=True)
+
+
+def random_codebook(rng: np.random.Generator, bits: int, nt: int) -> np.ndarray:
+    """2^B isotropic unit vectors, one per row."""
+    return _unit_rows(complex_gaussian(rng, (2**bits, nt)))
+
+
+def quantize_rvq_explicit(h, bits, rng):
+    """Explicit RVQ of one row: scan a fresh 2^B isotropic codebook; returns (codeword, sin2)."""
+    codebook = random_codebook(rng, bits, h.shape[-1])
+    u = h / np.linalg.norm(h)
+    cos2 = np.abs(codebook @ u.conj()) ** 2
+    best = int(np.argmax(cos2))
+    return codebook[best], float(1.0 - cos2[best])
+
+
+def _uniform_midpoint(value, lo, hi, bits):
+    levels = 2.0**bits
+    width = (hi - lo) / levels
+    idx = np.clip(np.floor((value - lo) / width), 0, levels - 1)
+    return lo + (idx + 0.5) * width
+
+
+def quantize_scalar(h, bits):
+    """Scalar quantization of one row's relative phases and magnitude angles.
+
+    Returns (direction, sin2).
+    """
+    nt = h.shape[-1]
+    if abs(h[0]) < 1e-12 * np.linalg.norm(h):
+        raise DegeneratePivotError("first channel component is (near) zero")
+    rel = h[1:] / h[0]
+    phase_bits, mag_bits = scalar_bit_split(bits, nt)
+    phases = _uniform_midpoint(np.angle(rel), -math.pi, math.pi, phase_bits)
+    mags = _uniform_midpoint(np.arctan(np.abs(rel)), 0.0, math.pi / 2.0, mag_bits)
+    rec = np.concatenate(([1.0 + 0.0j], np.tan(mags) * np.exp(1j * phases)))
+    rec /= np.linalg.norm(rec)
+    u = h / np.linalg.norm(h)
+    sin2 = 1.0 - abs(np.vdot(u, rec)) ** 2
+    return rec, float(sin2)
+
+
+def _quantize_statistical(h, bits, rng, scale):
+    n, nt = h.shape
+    sin2 = sample_rvq_sin2(rng, bits, nt, n) * scale
+    u = _unit_rows(h)
+    g = complex_gaussian(rng, u.shape)
+    e = _unit_rows(g - np.sum(u.conj() * g, axis=-1, keepdims=True) * u)
+    return np.sqrt(1.0 - sin2)[:, None] * u + np.sqrt(sin2)[:, None] * e, sin2
+
+
+def oracle_quantize_directions(h, spec, rng):
+    """Quantize the rows (K, nt) of one block per spec; returns (directions, sin2 errors)."""
+    nt = h.shape[1]
+    if spec.kind == "perfect":
+        return _unit_rows(h), np.zeros(h.shape[0])
+    if spec.kind in ("rvq_statistical", "idealized"):
+        return _quantize_statistical(h, spec.bits, rng, 1.0 if spec.kind == "rvq_statistical"
+                                     else (nt - 1) / nt)
+    if spec.kind == "rvq_explicit":
+        rows = [quantize_rvq_explicit(row, spec.bits, rng) for row in h]
+    else:
+        rows = [quantize_scalar(row, spec.bits) for row in h]
+    dirs, sin2 = zip(*rows)
+    return np.array(dirs), np.array(sin2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +368,7 @@ def oracle_zf_block(realization, quantizer, cqi_kind, snr, nt, selection, rng, c
     a step, and (users, sum rate) of the bare path.
     """
     h_est = realization.h_est
-    dirs, sin2 = quantize_directions(h_est, quantizer, rng)
+    dirs, sin2 = oracle_quantize_directions(h_est, quantizer, rng)
     norms2 = np.linalg.norm(h_est, axis=1) ** 2
     if cqi_kind == "norm2":
         cqi, scale_num = norms2, snr

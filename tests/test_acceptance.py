@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import explicit_rvq_sin2_batch
+from conftest import explicit_rvq_sin2_batch, sample_rvq_sin2
 from fbsim import analytic as A
 from fbsim import montecarlo
 from fbsim.channel import ChannelModelConfig, draw_block
 from fbsim.cli import read_csv, run_preset
 from fbsim.montecarlo import ExperimentConfig, run_point, sweep_b
 from fbsim.numerics import RngStream, lambert_w_m1
-from fbsim.quantization import quantize_scalar, sample_rvq_sin2
+from fbsim.quantization import QuantizerSpec, quantize_directions
 from fbsim.schemes import pu2rc_block
 
 TRIALS = 10_000
@@ -191,7 +191,8 @@ def test_criterion_09_scalar_and_idealized_quantizers(zf_sweep_10db):
     offsets = []
     for bits in (10, 14, 18, 24):
         h = (rng.standard_normal((4000, 4)) + 1j * rng.standard_normal((4000, 4)))
-        d_scalar = float(np.mean([quantize_scalar(row, bits).sin2_error for row in h]))
+        _, sin2 = quantize_directions(h[None], QuantizerSpec("scalar", bits, 4), [None])
+        d_scalar = float(np.mean(sin2))
         d_rvq = float(np.mean(sample_rvq_sin2(rng, bits, 4, 200_000)))
         offsets.append(3.0 * (math.log2(d_scalar) - math.log2(d_rvq)))
     offset = float(np.mean(offsets))

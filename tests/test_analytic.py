@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bopt_scaling_report
 from fbsim import analytic as A
 from fbsim.numerics import RngStream
 
@@ -82,13 +83,35 @@ class TestBitOptimizers:
             A.zf_bopt_fixed_point(10.0, 4, 4)
 
     def test_scaling_report(self):
-        rep = A.bopt_scaling_report(10.0, 4, 300)
-        assert abs(rep.exact - 23.10629366899957) < 1e-6
-        assert rep.nt_term == 3 * math.log2(10.0)
-        assert rep.snr_term == 3 * math.log2(2.5)
-        r2 = A.bopt_scaling_report(10.0, 4, 900)
-        assert r2.exact > rep.exact
-        assert r2.loglog_tfb > rep.loglog_tfb
+        rep = bopt_scaling_report(10.0, 4, 300)
+        assert abs(rep["exact"] - 23.10629366899957) < 1e-6
+        assert rep["nt_term"] == 3 * math.log2(10.0)
+        assert rep["snr_term"] == 3 * math.log2(2.5)
+        r2 = bopt_scaling_report(10.0, 4, 900)
+        assert r2["exact"] > rep["exact"]
+        assert r2["loglog_tfb"] > rep["loglog_tfb"]
+
+    def test_lambert_reports_non_convergence(self):
+        with pytest.raises(A.ConvergenceError, match="3 iterations"):
+            A.zf_bopt_lambert(10.0, 4, 300, max_iter=3)
+        assert A.zf_bopt_lambert(10.0, 4, 300, max_iter=30) == A.zf_bopt_lambert(10.0, 4, 300)
+
+
+class TestSingleAntenna:
+    """The closed forms divide by nt - 1; nt = 1 is a ValueError, not a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: A.zf_loss_bound(10.0, 1, 5),
+        lambda: A.zf_rate_approx(A.AnalyticParams(10.0, 1, 300, 5)),
+        lambda: A.zf_penalty_approx(A.AnalyticParams(10.0, 1, 300, 5)),
+        lambda: A.zf_rate_linear_regime(1, 5),
+        lambda: A.zf_bopt_fixed_point(10.0, 1, 300),
+        lambda: A.zf_bopt_lambert(10.0, 1, 300),
+        lambda: A.subf_rate_approx(10.0, 1, 300, 5),
+    ], ids=["loss_bound", "rate_approx", "penalty", "linear_regime", "fixed_point", "lambert", "subf"])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="nt >= 2"):
+            call()
 
 
 class TestTrainingDelay:

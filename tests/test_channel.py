@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fbsim.channel import ChannelModelConfig, draw_block
+from conftest import oracle_draw_block
+from fbsim.channel import ChannelModelConfig, draw_block, draw_blocks
 from fbsim.numerics import RngStream
 
 
@@ -74,3 +75,29 @@ class TestDrawBlock:
         np.testing.assert_array_equal(a.h, b.h)
         np.testing.assert_array_equal(a.h_est, b.h_est)
         np.testing.assert_array_equal(a.h_delayed, b.h_delayed)
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("kw", [dict(), dict(perfect_rx_csi=False, beta=1.0), dict(r=0.9),
+                                    dict(perfect_rx_csi=False, beta=0.5, r=0.95)],
+                             ids=["perfect", "training", "delay", "both"])
+    def test_each_block_is_its_streams_per_trial_draw(self, kw):
+        cfg = _cfg(num_users=7, **kw)
+        rngs = [RngStream(5, t).generator() for t in range(6)]
+        stack = draw_blocks(cfg, rngs)
+        assert stack.h.shape == stack.h_est.shape == stack.h_delayed.shape == (6, 7, 4)
+        for t in range(6):
+            ref = RngStream(5, t).generator()
+            want = oracle_draw_block(cfg, ref)
+            np.testing.assert_array_equal(stack.h[t], want.h)
+            np.testing.assert_array_equal(stack.h_est[t], want.h_est)
+            np.testing.assert_array_equal(stack.h_delayed[t], want.h_delayed)
+            assert rngs[t].random() == ref.random()  # each stream continues where the oracle's does
+
+    def test_draw_block_is_the_one_trial_case(self):
+        cfg = _cfg(perfect_rx_csi=False, beta=1.0, r=0.95)
+        a = draw_block(cfg, RngStream(6).generator())
+        b = draw_blocks(cfg, [RngStream(6).generator()])
+        np.testing.assert_array_equal(a.h, b.h[0])
+        np.testing.assert_array_equal(a.h_est, b.h_est[0])
+        np.testing.assert_array_equal(a.h_delayed, b.h_delayed[0])

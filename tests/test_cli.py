@@ -169,6 +169,14 @@ class TestMainExitCodes:
         assert "quantizer" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_scheme_quantizer_mismatch_is_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\ntrials = 4\n"
+                       "b_values = 20\nquantizer = orthosets\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r")]) == 2
+        assert "orthosets" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_unwritable_output_is_exit_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")

@@ -72,6 +72,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(**kw)
 
+    @pytest.mark.parametrize("scheme", ["zf", "subf"])
+    def test_orthosets_rejected_for_per_user_quantizer_schemes(self, scheme):
+        with pytest.raises(ValueError, match="orthosets"):
+            _cfg(scheme=scheme, quantizer="orthosets")
+
+    @pytest.mark.parametrize("kw", [dict(tfb=0), dict(tfb=-300), dict(cqi_bits=-1)])
+    def test_budget_fields_out_of_range_rejected(self, kw):
+        with pytest.raises(ValueError, match="tfb|cqi_bits"):
+            _cfg(**kw)
+
+    def test_zero_cqi_bits_means_none(self):
+        assert _cfg(tfb=300, cqi_bits=0).users_for(20) == _cfg(tfb=300).users_for(20) == 15
+
     def test_zf_only_fields_are_free_for_other_schemes(self):
         assert _cfg(scheme="rbf", cqi_kind="rbf_sinr").cqi_kind == "rbf_sinr"
 
@@ -130,6 +143,28 @@ class TestRunPoint:
         assert est.mean == float(per_trial.mean())
         assert est.std_error == float(per_trial.std(ddof=1) / math.sqrt(trials))
 
+    def test_non_finite_zf_rate_names_its_stream(self, monkeypatch):
+        chunk = montecarlo._zf_chunk
+
+        def poisoned(cfg, b, streams):
+            out = chunk(cfg, b, streams)
+            ids = [s.stream_id for s in streams]
+            if 9 in ids:
+                out[ids.index(9)] = np.nan
+            return out
+
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 5 * 4)  # a chunk of 4 trials holds stream 9
+        monkeypatch.setattr(montecarlo, "_zf_chunk", poisoned)
+        with pytest.raises(ValueError, match=r"B=20 on stream \(seed=0, stream_id=9\)"):
+            run_point(_cfg(trials=16), 20, stream_offset=2)
+
+    def test_non_finite_trial_rate_names_its_stream(self, monkeypatch):
+        trial = montecarlo.run_trial
+        monkeypatch.setattr(montecarlo, "run_trial", lambda cfg, b, stream: (
+            math.inf if stream.stream_id in (4, 6) else trial(cfg, b, stream)))
+        with pytest.raises(ValueError, match=r"stream_id=4\)"):
+            run_point(_cfg(scheme="subf", trials=8), 20)
+
     def test_deterministic_across_calls(self):
         cfg = _cfg(trials=32)
         a = run_point(cfg, 10)
@@ -154,6 +189,52 @@ class TestRunPoint:
         assert est.mean > 0 and est.std_error > 0
 
 
+# Every direction quantizer on every channel model. B sets the user count at
+# tfb=60 (relaxed grid): 30 users at B=2, 5 at B=11, 3 at B=16.
+STACK_QUANTIZERS = [("perfect", 10), ("rvq_statistical", 10), ("idealized", 8), ("rvq_explicit", 2),
+                    ("rvq_explicit", 6), ("rvq_explicit", 11), ("scalar", 3), ("scalar", 6),
+                    ("scalar", 16)]
+CHANNEL_MODELS = {"perfect_csi": dict(), "training": dict(beta=1.0), "delay": dict(r=0.9),
+                  "training_delay": dict(beta=0.5, r=0.95, cqi_bits=3)}
+
+
+def _recording(fn, outcomes):
+    def recorded(*args, **kwargs):
+        outcomes.append(fn(*args, **kwargs))
+        return outcomes[-1]
+    return recorded
+
+
+class TestStackedDrawsAcrossChunks:
+    """run_point draws each chunk's trials into shared buffers; every trial
+    must still get the users and the sum rate run_trial gives its stream."""
+
+    @pytest.mark.parametrize("channel", list(CHANNEL_MODELS))
+    @pytest.mark.parametrize("quantizer,b", STACK_QUANTIZERS)
+    def test_chunked_trials_equal_run_trial(self, quantizer, b, channel, monkeypatch):
+        selection = "simplified" if channel in ("training", "delay") else "greedy"
+        cfg = _cfg(tfb=60, relaxed_user_grid=True, trials=7, seed=11, quantizer=quantizer,
+                   selection=selection, cqi_kind="expected_sinr", **CHANNEL_MODELS[channel])
+        users = cfg.users_for(b)
+        chunks, singles = [], []
+        for name, outcomes in (("zf_blocks", chunks), ("zf_block", singles)):
+            monkeypatch.setattr(montecarlo, name, _recording(getattr(montecarlo, name), outcomes))
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 3 * users)  # chunks of 3, 3 and 1 trials
+        est = run_point(cfg, b, stream_offset=5)
+        per_trial = np.array([run_trial(cfg, b, RngStream(11, 5 + t)) for t in range(7)])
+
+        assert [len(c.counts) for c in chunks] == [3, 3, 1]
+        got_users = [list(c.selected[t, :c.counts[t]]) for c in chunks for t in range(len(c.counts))]
+        assert got_users == [s.plan.selected for s in singles]
+        got = np.concatenate([c.sum_rates for c in chunks])
+        if quantizer == "scalar":
+            np.testing.assert_allclose(got, per_trial, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got, per_trial)
+            assert est.mean == float(per_trial.mean())
+            assert est.std_error == float(per_trial.std(ddof=1) / math.sqrt(7))
+
+
 class TestSchemesThroughEngine:
     @pytest.mark.parametrize("scheme,b", [("zf", 20), ("rbf", 4), ("pu2rc", 4), ("subf", 20)])
     def test_each_scheme_produces_finite_rates(self, scheme, b):
@@ -165,6 +246,12 @@ class TestSchemesThroughEngine:
         for quant in ("rvq_statistical", "rvq_explicit", "scalar", "idealized", "perfect"):
             cfg = _cfg(trials=4, quantizer=quant)
             assert run_trial(cfg, 10, RngStream(1, 0)) > 0.0
+
+    @pytest.mark.parametrize("scheme,quantizer", [("zf", "rvq_statistical"), ("zf", "idealized"),
+                                                  ("subf", "rvq_statistical")])
+    def test_single_antenna_rates_are_finite(self, scheme, quantizer):
+        est = run_point(_cfg(scheme=scheme, nt=1, tfb=20, trials=5, quantizer=quantizer), 4)
+        assert math.isfinite(est.mean) and est.mean > 0.0
 
     def test_training_and_delay_reduce_rate(self):
         base = run_point(_cfg(trials=400), 20)

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lambert_w_m1_bisect
+from conftest import EULER_GAMMA, lambert_w_m1_bisect, max_gamma_expectation
 from fbsim.numerics import (
-    EULER_GAMMA,
     RngStream,
     SingularSetError,
     complex_gaussian,
     haar_orthonormal_set,
     haar_orthonormal_sets,
     lambert_w_m1,
-    max_gamma_expectation,
     zf_directions,
 )
 

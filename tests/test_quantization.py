@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_rvq_sin2_batch, oracle_quantize_cqi
+from conftest import (
+    explicit_rvq_sin2_batch,
+    oracle_quantize_cqi,
+    oracle_quantize_directions,
+    random_codebook,
+    sample_rvq_sin2,
+)
+from fbsim import quantization
 from fbsim.numerics import RngStream, complex_gaussian
 from fbsim.quantization import (
     EXPLICIT_RVQ_MAX_BITS,
@@ -14,18 +21,19 @@ from fbsim.quantization import (
     DegeneratePivotError,
     QuantizerSpec,
     build_orthosets_codebook,
-    quantize_batch_statistical,
     quantize_cqi,
     quantize_directions,
-    quantize_idealized,
-    quantize_rvq_explicit,
-    quantize_rvq_statistical,
-    quantize_scalar,
     quantize_to_orthosets,
-    random_codebook,
-    sample_rvq_sin2,
     scalar_bit_split,
 )
+
+
+def _quantize(h, kind, bits, rng=None):
+    """quantize_directions on one block: h is a row (nt,) or rows (K, nt)."""
+    h = np.asarray(h)
+    dirs, sin2 = quantize_directions(np.atleast_2d(h)[None], QuantizerSpec(kind, bits, h.shape[-1]),
+                                     [rng])
+    return (dirs[0, 0], float(sin2[0, 0])) if h.ndim == 1 else (dirs[0], sin2[0])
 
 
 class TestQuantizerSpec:
@@ -74,7 +82,7 @@ class TestStatisticalError:
     def test_direction_angle_consistency(self):
         rng = RngStream(4).generator()
         h = complex_gaussian(rng, (200, 4))
-        dirs, sin2 = quantize_batch_statistical(h, 8, rng)
+        dirs, sin2 = _quantize(h, "rvq_statistical", 8, rng)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9)
         u = h / np.linalg.norm(h, axis=1, keepdims=True)
         cos2 = np.abs(np.sum(u.conj() * dirs, axis=1)) ** 2
@@ -83,32 +91,31 @@ class TestStatisticalError:
     def test_single_row_wrapper(self):
         rng = RngStream(5).generator()
         h = complex_gaussian(rng, 4)
-        q = quantize_rvq_statistical(h, 10, rng)
-        assert abs(np.linalg.norm(q.direction) - 1.0) < 1e-9
-        assert 0.0 <= q.sin2_error <= 1.0
+        direction, sin2 = _quantize(h, "rvq_statistical", 10, rng)
+        assert abs(np.linalg.norm(direction) - 1.0) < 1e-9
+        assert 0.0 <= sin2 <= 1.0
 
 
 class TestExplicitRvq:
+    # A row's codebook is the first draw from its stream, so the same stream
+    # regenerates it for the checks below.
     def test_exact_codeword_recovered(self):
-        rng = RngStream(6).generator()
-        cb = random_codebook(rng, 4, 4)
-        q = quantize_rvq_explicit(cb[5], 4, rng, codebook=cb)
-        assert q.sin2_error < 1e-12
-        np.testing.assert_allclose(q.direction, cb[5])
+        cb = random_codebook(RngStream(6).generator(), 4, 4)
+        direction, sin2 = _quantize(cb[5], "rvq_explicit", 4, RngStream(6).generator())
+        assert sin2 < 1e-12
+        np.testing.assert_allclose(direction, cb[5])
 
     def test_picks_globally_closest_codeword(self):
-        rng = RngStream(7).generator()
-        h = complex_gaussian(rng, 4)
-        cb = random_codebook(rng, 6, 4)
-        q = quantize_rvq_explicit(h, 6, rng, codebook=cb)
+        h = complex_gaussian(RngStream(7).generator(), 4)
+        cb = random_codebook(RngStream(8).generator(), 6, 4)
+        _, sin2 = _quantize(h, "rvq_explicit", 6, RngStream(8).generator())
         u = h / np.linalg.norm(h)
         cos2 = np.abs(cb @ u.conj()) ** 2  # exhaustive scan oracle
-        assert abs((1.0 - cos2.max()) - q.sin2_error) < 1e-12
+        assert abs((1.0 - cos2.max()) - sin2) < 1e-12
 
     def test_capacity_guard(self):
-        rng = RngStream(8).generator()
         with pytest.raises(CodebookCapacityError):
-            quantize_rvq_explicit(np.ones(4, dtype=complex), EXPLICIT_RVQ_MAX_BITS + 1, rng)
+            QuantizerSpec("rvq_explicit", EXPLICIT_RVQ_MAX_BITS + 1, 4)
 
     @pytest.mark.parametrize("nt,bits", [(2, 1), (2, 4), (4, 4), (4, 8)])
     def test_agrees_with_statistical_model(self, nt, bits):
@@ -135,8 +142,8 @@ class TestIdealized:
     def test_single_row_wrapper_scale(self):
         rng = RngStream(13).generator()
         h = complex_gaussian(rng, 4)
-        q = quantize_idealized(h, 8, rng)
-        assert 0.0 <= q.sin2_error <= 0.75
+        _, sin2 = _quantize(h, "idealized", 8, rng)
+        assert 0.0 <= sin2 <= 0.75
 
 
 class TestScalar:
@@ -152,41 +159,38 @@ class TestScalar:
     def test_two_antenna_codepoints(self):
         # 1 phase bit -> {-pi/2, +pi/2}; 1 magnitude bit -> {pi/8, 3pi/8}
         h = np.array([1.0, math.tan(math.pi / 8) * np.exp(1j * math.pi / 2)])
-        q = quantize_scalar(h, 2)
-        assert q.sin2_error < 1e-12
+        direction, sin2 = _quantize(h, "scalar", 2)
+        assert sin2 < 1e-12
         u = h / np.linalg.norm(h)
-        assert abs(abs(np.vdot(u, q.direction)) - 1.0) < 1e-9
+        assert abs(abs(np.vdot(u, direction)) - 1.0) < 1e-9
 
     def test_first_entry_real_nonnegative_unit_norm(self):
         rng = RngStream(14).generator()
-        for _ in range(20):
-            h = complex_gaussian(rng, 4)
-            q = quantize_scalar(h, 11)
-            assert abs(np.linalg.norm(q.direction) - 1.0) < 1e-12
-            assert abs(q.direction[0].imag) < 1e-12
-            assert q.direction[0].real >= 0.0
-            assert 0.0 <= q.sin2_error <= 1.0
+        dirs, sin2 = _quantize(complex_gaussian(rng, (20, 4)), "scalar", 11)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+        assert np.all(np.abs(dirs[:, 0].imag) < 1e-12)
+        assert np.all(dirs[:, 0].real >= 0.0)
+        assert np.all((sin2 >= 0.0) & (sin2 <= 1.0))
 
     def test_global_scale_invariance(self):
         rng = RngStream(15).generator()
         h = complex_gaussian(rng, 4)
-        a = quantize_scalar(h, 9)
-        b = quantize_scalar(3.7j * h, 9)
-        np.testing.assert_allclose(a.direction, b.direction, atol=1e-12)
-        assert abs(a.sin2_error - b.sin2_error) < 1e-12
+        a_dir, a_sin2 = _quantize(h, "scalar", 9)
+        b_dir, b_sin2 = _quantize(3.7j * h, "scalar", 9)
+        np.testing.assert_allclose(a_dir, b_dir, atol=1e-12)
+        assert abs(a_sin2 - b_sin2) < 1e-12
 
     def test_degenerate_pivot(self):
         h = np.array([0.0, 1.0, 1.0, 1.0], dtype=complex)
         with pytest.raises(DegeneratePivotError):
-            quantize_scalar(h, 8)
+            _quantize(h, "scalar", 8)
 
     def test_error_decreases_with_bits(self):
         rng = RngStream(16).generator()
         h = complex_gaussian(rng, (400, 4))
         means = []
         for bits in (6, 12, 18):
-            errs = [quantize_scalar(row, bits).sin2_error for row in h]
-            means.append(np.mean(errs))
+            means.append(_quantize(h, "scalar", bits)[1].mean())
         assert means[0] > means[1] > means[2]
 
 
@@ -290,7 +294,7 @@ class TestDispatcher:
     def test_perfect_kind(self):
         rng = RngStream(21).generator()
         h = complex_gaussian(rng, (5, 4))
-        dirs, sin2 = quantize_directions(h, QuantizerSpec("perfect", 0, 4), rng)
+        dirs, sin2 = _quantize(h, "perfect", 0, rng)
         np.testing.assert_array_equal(sin2, np.zeros(5))
         u = h / np.linalg.norm(h, axis=1, keepdims=True)
         np.testing.assert_allclose(dirs, u)
@@ -298,19 +302,88 @@ class TestDispatcher:
     @pytest.mark.parametrize("kind", ["rvq_statistical", "rvq_explicit", "scalar", "idealized"])
     def test_batch_shapes_and_consistency(self, kind):
         rng = RngStream(22).generator()
-        h = complex_gaussian(rng, (6, 4))
-        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 6, 4), rng)
-        assert dirs.shape == (6, 4) and sin2.shape == (6,)
-        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9)
-        u = h / np.linalg.norm(h, axis=1, keepdims=True)
-        cos2 = np.abs(np.sum(u.conj() * dirs, axis=1)) ** 2
+        h = complex_gaussian(rng, (3, 6, 4))
+        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 6, 4), [rng] * 3)
+        assert dirs.shape == (3, 6, 4) and sin2.shape == (3, 6)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-9)
+        u = h / np.linalg.norm(h, axis=-1, keepdims=True)
+        cos2 = np.abs(np.sum(u.conj() * dirs, axis=-1)) ** 2
         np.testing.assert_allclose(cos2, 1.0 - sin2, atol=1e-9)
 
     def test_orthosets_not_a_per_user_kind(self):
         rng = RngStream(23).generator()
-        h = complex_gaussian(rng, (2, 4))
+        h = complex_gaussian(rng, (1, 2, 4))
         with pytest.raises(ValueError):
-            quantize_directions(h, QuantizerSpec("orthosets", 4, 4), rng)
+            quantize_directions(h, QuantizerSpec("orthosets", 4, 4), [rng])
+
+
+# (kind, bits, nt, K): K = 37 rows leave a short last explicit-RVQ scan group
+# (16 rows per group at B=6, 4 at B=8, 1 at B=11).
+STACK_CASES = [("perfect", 0, 4, 7), ("rvq_statistical", 10, 4, 37), ("rvq_statistical", 3, 2, 5),
+               ("idealized", 8, 3, 37), ("rvq_explicit", 2, 4, 37), ("rvq_explicit", 6, 4, 37),
+               ("rvq_explicit", 8, 2, 37), ("rvq_explicit", 11, 4, 6), ("scalar", 3, 4, 37),
+               ("scalar", 6, 2, 37), ("scalar", 16, 4, 37)]
+
+
+class TestStackedAgainstPerRowOracles:
+    """Each block of a stack draws from its own stream exactly what the
+    per-row quantizers draw, row by row, and quantizes to the same result."""
+
+    @pytest.mark.parametrize("kind,bits,nt,users", STACK_CASES)
+    def test_matches_per_row_oracle(self, kind, bits, nt, users):
+        trials = 5
+        h = complex_gaussian(RngStream(40).generator(), (trials, users, nt))
+        spec = QuantizerSpec(kind, bits, nt)
+        dirs, sin2 = quantize_directions(h, spec, [RngStream(41, t).generator() for t in range(trials)])
+        for t in range(trials):
+            want_dirs, want_sin2 = oracle_quantize_directions(h[t], spec, RngStream(41, t).generator())
+            if kind == "scalar":
+                # axis reductions instead of the 1-D BLAS norm and dot: last-bit differences
+                np.testing.assert_allclose(dirs[t], want_dirs, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(sin2[t], want_sin2, rtol=0, atol=1e-14)
+            elif kind == "rvq_explicit":
+                np.testing.assert_array_equal(dirs[t], want_dirs)  # the same codewords
+                np.testing.assert_allclose(sin2[t], want_sin2, rtol=0, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(dirs[t], want_dirs)
+                np.testing.assert_array_equal(sin2[t], want_sin2)
+
+    @pytest.mark.parametrize("kind", ["rvq_statistical", "idealized"])
+    def test_single_antenna_directions_are_exact(self, kind):
+        h = complex_gaussian(RngStream(47).generator(), (2, 5, 1))
+        rngs = [RngStream(48, t).generator() for t in range(2)]
+        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 3, 1), rngs)
+        np.testing.assert_array_equal(sin2, 0.0)
+        np.testing.assert_allclose(dirs, h / np.abs(h), rtol=0, atol=1e-15)
+        ref = RngStream(48, 1).generator()
+        ref.random(5), ref.standard_normal((2, 5, 1))  # the draws are made all the same
+        assert rngs[1].random() == ref.random()
+
+    def test_stream_continues_after_the_last_row(self):
+        h = complex_gaussian(RngStream(42).generator(), (2, 9, 4))
+        spec = QuantizerSpec("rvq_explicit", 7, 4)  # 8 rows per scan group
+        rngs = [RngStream(43, t).generator() for t in range(2)]
+        quantize_directions(h, spec, rngs)
+        for t, rng in enumerate(rngs):
+            ref = RngStream(43, t).generator()
+            oracle_quantize_directions(h[t], spec, ref)
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("group_codewords", [1, 64, 10_000])
+    def test_scan_group_size_does_not_change_results(self, group_codewords, monkeypatch):
+        h = complex_gaussian(RngStream(44).generator(), (3, 11, 4))
+        spec = QuantizerSpec("rvq_explicit", 5, 4)
+        want = quantize_directions(h, spec, [RngStream(45, t).generator() for t in range(3)])
+        monkeypatch.setattr(quantization, "CODEWORDS_PER_SCAN", group_codewords)
+        got = quantize_directions(h, spec, [RngStream(45, t).generator() for t in range(3)])
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_degenerate_pivot_inside_a_stack(self):
+        h = complex_gaussian(RngStream(46).generator(), (4, 6, 4))
+        h[2, 3, 0] = 0.0
+        with pytest.raises(DegeneratePivotError):
+            quantize_directions(h, QuantizerSpec("scalar", 8, 4), [None] * 4)
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=2, max_value=6))

@@ -4,30 +4,29 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_zf_block
-from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block
+from conftest import estimated_plan_rate, oracle_draw_block, oracle_zf_block, zf_realized_sinr
+from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
 from fbsim.numerics import RngStream, SingularSetError, complex_gaussian, zf_directions
-from fbsim.quantization import CqiQuantizerSpec, QuantizerSpec, quantize_batch_statistical
+from fbsim.quantization import CqiQuantizerSpec, QuantizerSpec, quantize_directions
 from fbsim.schemes import (
     FeedbackReport,
     _orthoset_block,
     _zf_beams,
     _realized_zf_rates,
-    estimated_plan_rate,
     pu2rc_block,
     rbf_block,
     subf_block,
     zf_block,
     zf_blocks,
     zf_greedy_select,
-    zf_realized_sinr,
     zf_simplified_select,
 )
 
 
 def _reports_from_draw(rng, n_users, nt, bits, snr):
     h = complex_gaussian(rng, (n_users, nt))
-    dirs, sin2 = quantize_batch_statistical(h, bits, rng)
+    dirs, sin2 = quantize_directions(h[None], QuantizerSpec("rvq_statistical", bits, nt), [rng])
+    dirs, sin2 = dirs[0], sin2[0]
     norms2 = np.linalg.norm(h, axis=1) ** 2
     return [
         FeedbackReport(user_id=k, direction=dirs[k], sin2_error=float(sin2[k]),
@@ -260,15 +259,14 @@ class TestBatchedZfAgainstPerTrialOracle:
         snr, nt = chan.snr, chan.nt
         streams = [RngStream(seed, t) for t in range(trials)]
         rngs = [s.generator() for s in streams]
-        blocks = [draw_block(chan, rng) for rng in rngs]
-        out = zf_blocks(np.stack([b.h_est for b in blocks]), np.stack([b.h_delayed for b in blocks]),
-                        spec, cqi_kind, snr, nt, selection, rngs, cqi_q)
+        block = draw_blocks(chan, rngs)
+        out = zf_blocks(block.h_est, block.h_delayed, spec, cqi_kind, snr, nt, selection, rngs, cqi_q)
         sum_rates = out.sum_rates
         ruled_trials = 0
         for t, stream in enumerate(streams):
             rng = stream.generator()
             (want_sel, want_rate), ruled, (bare_sel, bare_rate) = oracle_zf_block(
-                draw_block(chan, rng), spec, cqi_kind, snr, nt, selection, rng, cqi_q)
+                oracle_draw_block(chan, rng), spec, cqi_kind, snr, nt, selection, rng, cqi_q)
             got_sel = list(out.selected[t, :out.counts[t]])
             assert got_sel == want_sel, f"trial {t}"
             assert abs(sum_rates[t] - want_rate) <= 1e-12, f"trial {t}"
