@@ -10,13 +10,12 @@ from .montecarlo import (
     sweep_b,
 )
 from .numerics import RngStream, lambert_w_m1
-from .quantization import CqiQuantizerSpec, DirectionQuantization, QuantizerSpec
+from .quantization import CqiQuantizerSpec, QuantizerSpec
 
 __all__ = [
     "ChannelModelConfig",
     "ChannelRealization",
     "CqiQuantizerSpec",
-    "DirectionQuantization",
     "ExperimentConfig",
     "QuantizerSpec",
     "RateEstimate",

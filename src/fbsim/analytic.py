@@ -81,18 +81,6 @@ def zf_rate_approx(p: AnalyticParams) -> float:
     return nt * math.log2(1.0 + sig / denom)
 
 
-def zf_rate_linear_regime(nt: int, b: float) -> float:
-    """Crude small-B slope diagnostic: rate ~ nt/(nt-1) * B.
-
-    The nt/(nt-1) slope is the derivative of the loss bound
-    nt*log2(1 + snr*2^(-B/(nt-1))) in the interference-limited regime, so it
-    holds only while snr*2^(-B/(nt-1)) >> 1. Outside it (e.g. nt=4 at 10 dB for
-    B >= 6) the slope of zf_rate_approx is far smaller.
-    """
-    _check_nt(nt)
-    return nt * b / (nt - 1)
-
-
 def zf_penalty_approx(p: AnalyticParams) -> float:
     """Multi-user interference penalty relative to perfect CSI at equal user count."""
     s, nt = p.snr, p.nt

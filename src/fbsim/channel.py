@@ -10,12 +10,18 @@ import numpy as np
 from .numerics import complex_pairs
 
 
+def check_beta(beta: float | None) -> None:
+    """beta = 0 would leave the receiver with no channel estimate at all (h_est = 0)."""
+    if beta is not None and not beta > 0.0:
+        raise ValueError(f"beta must be > 0 (omit it for perfect receiver CSI), got {beta}")
+
+
 @dataclass(frozen=True)
 class ChannelModelConfig:
     """Fading/feedback-loop model for one coherence block.
 
-    beta is the number of downlink pilots per antenna; perfect_rx_csi=True
-    bypasses receiver estimation entirely (the beta -> infinity limit).
+    beta is the number of downlink pilots per antenna; beta=None means perfect
+    receiver CSI (the beta -> infinity limit) and skips estimation entirely.
     r is the temporal correlation between the fed-back channel and the channel
     during data transmission (r=1: no delay). The estimate and the estimation
     error are drawn orthogonal, as MMSE estimation implies.
@@ -24,23 +30,21 @@ class ChannelModelConfig:
     nt: int
     num_users: int
     snr: float
-    beta: float = 0.0
+    beta: float | None = None
     r: float = 1.0
-    perfect_rx_csi: bool = True
 
     def __post_init__(self):
         if self.nt < 1 or self.num_users < 1:
             raise ValueError("nt and num_users must be >= 1")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
         if self.snr <= 0.0:
             raise ValueError(f"snr must be > 0, got {self.snr}")
 
     @property
     def estimation_error_var(self) -> float:
-        if self.perfect_rx_csi:
+        if self.beta is None:
             return 0.0
         return 1.0 / (1.0 + self.beta * self.snr)
 

@@ -8,14 +8,16 @@ import csv
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import analytic
 from .montecarlo import (
     ExperimentConfig,
     FeedbackBudgetError,
+    RateEstimate,
     feasible_b_values,
     find_bopt_empirical,
-    run_point,
+    sweep_b,
 )
 
 CSV_COLUMNS = ["scheme", "nt", "snr_db", "tfb", "b", "users",
@@ -134,196 +136,162 @@ def write_svg(path: Path, series: list[Series], title: str,
 # ---------------------------------------------------------------------------
 # presets
 
+ZF_BASE = dict(scheme="zf", nt=4, snr_db=10.0, tfb=300)
 ZF_B_GRID_300 = (5, 6, 10, 12, 15, 20, 25, 30)
 PU2RC_B_GRID_300 = (2, 3, 4, 5, 6, 10, 12)
+B_GRID_10_30 = (10, 12, 15, 20, 25, 30)
+# Empirical-optimum curves without their own b_values search the feasible B in
+# this range: it holds the peak, and very small B is costly and never optimal.
+BOPT_B_RANGE = (4, 40)
+
+OverlayFn = Callable[[ExperimentConfig, int], float]
 
 
-def _zf_cfg(seed, trials, **kw):
-    base = dict(scheme="zf", nt=4, snr_db=10.0, tfb=300, seed=seed, trials=trials)
-    base.update(kw)
-    return ExperimentConfig(**base)
+@dataclass(frozen=True)
+class Curve:
+    """One simulated series of a preset.
+
+    `fields` are ExperimentConfig fields over ZF_BASE. An overlay (legend
+    label, f(cfg, B)) is an analytic series drawn at the curve's points; its
+    values fill the `extra` column of the curve's rows.
+    """
+
+    label: str
+    fields: dict
+    overlay: tuple[str, OverlayFn] | None = None
 
 
-def _sweep_rows(cfg, extra_fn=None):
-    rows, xs, ys = [], [], []
-    for i, b in enumerate(cfg.b_values or feasible_b_values(cfg)):
-        est = run_point(cfg, b, stream_offset=i * cfg.trials)
-        extra = extra_fn(cfg, b) if extra_fn else None
-        rows.append(ResultRow(cfg.scheme, cfg.nt, cfg.snr_db, cfg.tfb, b, est.users,
-                              est.mean, est.std_error, est.trials, extra))
-        xs.append(b)
-        ys.append(est.mean)
-    return rows, xs, ys
+@dataclass(frozen=True)
+class Preset:
+    """A figure: its curves, axis labels and how each curve is run.
+
+    Without `axis` every curve is a B sweep (x = B, y = sum rate). With axis =
+    (field, values) every curve is the empirical rate-maximizing B at each
+    value of that ExperimentConfig field: x is the field and y the ResultRow
+    column `y`. Overlay series follow their own curve's, or with
+    `overlays_last` all the simulated series.
+    """
+
+    xlabel: str
+    ylabel: str
+    curves: tuple[Curve, ...]
+    axis: tuple[str, tuple] | None = None
+    y: str = "mean_rate"
+    overlays_last: bool = False
 
 
-def preset_tab_intro_example(seed, trials):
-    cfg = _zf_cfg(seed, trials, tfb=100, b_values=(4, 10, 20))
-    rows, xs, ys = _sweep_rows(cfg)
-    return rows, [Series("ZF, Nt=4, 10 dB, Tfb=100", xs, ys)], "bits per user B", "sum rate (bps/Hz)"
+def _penalty(cfg, b):
+    return analytic.zf_penalty_approx(analytic.AnalyticParams(cfg.snr, cfg.nt, cfg.tfb, b))
 
 
-def preset_fig2_zf_sweep(seed, trials):
-    rows, series = [], []
-    for nt, snr_db in ((4, 10.0), (4, 5.0), (2, 10.0)):
-        cfg = _zf_cfg(seed, trials, nt=nt, snr_db=snr_db, b_values=ZF_B_GRID_300)
-        r, xs, ys = _sweep_rows(cfg)
-        rows += r
-        series.append(Series(f"ZF, Nt={nt}, {snr_db:g} dB", xs, ys))
-    return rows, series, "bits per user B", "sum rate (bps/Hz)"
+def _subf_approx(cfg, b):
+    return analytic.subf_rate_approx(cfg.snr, cfg.nt, cfg.tfb, b)
 
 
-def preset_fig3_penalty(seed, trials):
-    def penalty(cfg, b):
-        return analytic.zf_penalty_approx(analytic.AnalyticParams(cfg.snr, cfg.nt, cfg.tfb, b))
-
-    cfg = _zf_cfg(seed, trials, b_values=ZF_B_GRID_300)
-    rows, xs, ys = _sweep_rows(cfg, extra_fn=penalty)
-    cfg_p = replace(cfg, quantizer="perfect")
-    rows_p, xs_p, ys_p = _sweep_rows(cfg_p)
-    rows += rows_p
-    series = [
-        Series("quantized CSI", xs, ys),
-        Series("perfect CSI, same users", xs_p, ys_p),
-        Series("analytic penalty", xs, [r.extra for r in rows[: len(xs)]]),
-    ]
-    return rows, series, "bits per user B", "sum rate (bps/Hz)"
+def _lambert_bopt(cfg, b):
+    return analytic.zf_bopt_lambert(cfg.snr, cfg.nt, cfg.tfb)
 
 
-def _bopt_rows(seed, trials, axis_values, axis_name):
-    rows, series = [], []
-    for nt in (2, 4):
-        xs, emp, appr = [], [], []
-        for v in axis_values:
-            kw = {axis_name: v, "nt": nt}
-            cfg = _zf_cfg(seed, trials, **kw)
-            # keep the sweep around the peak region; very small B is costly and never optimal
-            cfg = replace(cfg, b_values=tuple(b for b in feasible_b_values(cfg) if 4 <= b <= 40))
-            b_opt, est, _ = find_bopt_empirical(cfg, common_streams=True)
-            approx = analytic.zf_bopt_lambert(cfg.snr, cfg.nt, cfg.tfb)
-            rows.append(ResultRow(cfg.scheme, cfg.nt, cfg.snr_db, cfg.tfb, b_opt, est.users,
-                                  est.mean, est.std_error, est.trials, approx))
-            xs.append(v)
-            emp.append(b_opt)
-            appr.append(approx)
-        series.append(Series(f"empirical B_opt, Nt={nt}", xs, emp))
-        series.append(Series(f"Lambert-W B_opt, Nt={nt}", xs, appr))
-    return rows, series
-
-
-def preset_fig4_bopt_vs_tfb(seed, trials):
-    rows, series = _bopt_rows(seed, trials, (100, 200, 300, 500), "tfb")
-    return rows, series, "feedback budget T_fb (bits)", "optimal B (bits)"
-
-
-def preset_fig5_bopt_vs_snr(seed, trials):
-    rows, series = _bopt_rows(seed, trials, (0.0, 5.0, 10.0, 15.0), "snr_db")
-    return rows, series, "SNR (dB)", "optimal B (bits)"
-
-
-def preset_fig6_pu2rc_sweep(seed, trials):
-    cfg = _zf_cfg(seed, trials, scheme="pu2rc", b_values=PU2RC_B_GRID_300)
-    rows, xs, ys = _sweep_rows(cfg)
-    return rows, [Series("PU2RC, Nt=4, 10 dB", xs, ys)], "bits per user B", "sum rate (bps/Hz)"
-
-
-def preset_fig7_zf_vs_pu2rc(seed, trials):
-    rows, series = [], []
-    for scheme, grid in (("zf", ZF_B_GRID_300), ("pu2rc", PU2RC_B_GRID_300)):
-        xs, ys = [], []
-        for snr_db in (0.0, 5.0, 10.0):
-            cfg = _zf_cfg(seed, trials, scheme=scheme, snr_db=snr_db, b_values=grid)
-            b_opt, est, _ = find_bopt_empirical(cfg, common_streams=True)
-            rows.append(ResultRow(scheme, cfg.nt, snr_db, cfg.tfb, b_opt, est.users,
-                                  est.mean, est.std_error, est.trials, None))
-            xs.append(snr_db)
-            ys.append(est.mean)
-        series.append(Series(f"optimized {scheme.upper()}", xs, ys))
-    return rows, series, "SNR (dB)", "sum rate at optimal B (bps/Hz)"
-
-
-def preset_fig8_vs_nt(seed, trials):
-    rows, series = [], []
-    for scheme in ("zf", "pu2rc"):
-        xs, ys = [], []
-        for nt in (2, 4):
-            cfg = _zf_cfg(seed, trials, scheme=scheme, nt=nt, tfb=500)
-            hi = 12 if scheme == "pu2rc" else 40
-            cfg = replace(cfg, b_values=tuple(b for b in feasible_b_values(cfg) if 4 <= b <= hi))
-            b_opt, est, _ = find_bopt_empirical(cfg, common_streams=True)
-            rows.append(ResultRow(scheme, nt, cfg.snr_db, cfg.tfb, b_opt, est.users,
-                                  est.mean, est.std_error, est.trials, None))
-            xs.append(nt)
-            ys.append(est.mean)
-        series.append(Series(f"optimized {scheme.upper()}", xs, ys))
-    return rows, series, "transmit antennas Nt", "sum rate at optimal B (bps/Hz)"
-
-
-def preset_fig9_selection_cqi(seed, trials):
-    grid = (10, 12, 15, 20, 25, 30)
-    rows, series = [], []
-    for label, kw in (
-        ("greedy, norm CQI", dict(selection="greedy", cqi_kind="norm2")),
-        ("greedy, SINR CQI", dict(selection="greedy", cqi_kind="expected_sinr")),
-        ("simplified, norm CQI", dict(selection="simplified", cqi_kind="norm2")),
-    ):
-        cfg = _zf_cfg(seed, trials, b_values=grid, **kw)
-        r, xs, ys = _sweep_rows(cfg)
-        rows += r
-        series.append(Series(label, xs, ys))
-    return rows, series, "bits per user B", "sum rate (bps/Hz)"
-
-
-def preset_fig10_quantizers(seed, trials):
-    grid = (10, 12, 15, 20, 25, 30)
-    rows, series = [], []
-    for quant in ("rvq_statistical", "scalar", "idealized"):
-        cfg = _zf_cfg(seed, trials, b_values=grid, quantizer=quant)
-        r, xs, ys = _sweep_rows(cfg)
-        rows += r
-        series.append(Series(quant, xs, ys))
-    return rows, series, "bits per user B", "sum rate (bps/Hz)"
-
-
-def preset_fig11_subf(seed, trials):
-    grid = (5, 6, 10, 12, 15, 20, 25, 30)
-    rows, series = [], []
-    for snr_db in (0.0, 5.0):
-        def overlay(cfg, b, _snr=None):
-            return analytic.subf_rate_approx(cfg.snr, cfg.nt, cfg.tfb, b)
-
-        cfg = _zf_cfg(seed, trials, scheme="subf", snr_db=snr_db, b_values=grid)
-        r, xs, ys = _sweep_rows(cfg, extra_fn=overlay)
-        rows += r
-        series.append(Series(f"SUBF, {snr_db:g} dB", xs, ys))
-        series.append(Series(f"approximation, {snr_db:g} dB", xs, [row.extra for row in r]))
-    return rows, series, "bits per user B", "rate (bps/Hz)"
-
+SWEEP_LABELS = ("bits per user B", "sum rate (bps/Hz)")
+BOPT_CURVES = tuple(Curve(f"empirical B_opt, Nt={nt}", dict(nt=nt),
+                          (f"Lambert-W B_opt, Nt={nt}", _lambert_bopt)) for nt in (2, 4))
 
 PRESETS = {
-    "tab_intro_example": preset_tab_intro_example,
-    "fig2_zf_sweep": preset_fig2_zf_sweep,
-    "fig3_penalty": preset_fig3_penalty,
-    "fig4_bopt_vs_tfb": preset_fig4_bopt_vs_tfb,
-    "fig5_bopt_vs_snr": preset_fig5_bopt_vs_snr,
-    "fig6_pu2rc_sweep": preset_fig6_pu2rc_sweep,
-    "fig7_zf_vs_pu2rc": preset_fig7_zf_vs_pu2rc,
-    "fig8_vs_nt": preset_fig8_vs_nt,
-    "fig9_selection_cqi": preset_fig9_selection_cqi,
-    "fig10_quantizers": preset_fig10_quantizers,
-    "fig11_subf": preset_fig11_subf,
+    "tab_intro_example": Preset(*SWEEP_LABELS, (
+        Curve("ZF, Nt=4, 10 dB, Tfb=100", dict(tfb=100, b_values=(4, 10, 20))),)),
+    "fig2_zf_sweep": Preset(*SWEEP_LABELS, tuple(
+        Curve(f"ZF, Nt={nt}, {snr_db:g} dB", dict(nt=nt, snr_db=snr_db, b_values=ZF_B_GRID_300))
+        for nt, snr_db in ((4, 10.0), (4, 5.0), (2, 10.0)))),
+    "fig3_penalty": Preset(*SWEEP_LABELS, (
+        Curve("quantized CSI", dict(b_values=ZF_B_GRID_300), ("analytic penalty", _penalty)),
+        Curve("perfect CSI, same users", dict(b_values=ZF_B_GRID_300, quantizer="perfect")),
+    ), overlays_last=True),
+    "fig4_bopt_vs_tfb": Preset("feedback budget T_fb (bits)", "optimal B (bits)", BOPT_CURVES,
+                               axis=("tfb", (100, 200, 300, 500)), y="b"),
+    "fig5_bopt_vs_snr": Preset("SNR (dB)", "optimal B (bits)", BOPT_CURVES,
+                               axis=("snr_db", (0.0, 5.0, 10.0, 15.0)), y="b"),
+    "fig6_pu2rc_sweep": Preset(*SWEEP_LABELS, (
+        Curve("PU2RC, Nt=4, 10 dB", dict(scheme="pu2rc", b_values=PU2RC_B_GRID_300)),)),
+    "fig7_zf_vs_pu2rc": Preset("SNR (dB)", "sum rate at optimal B (bps/Hz)", (
+        Curve("optimized ZF", dict(b_values=ZF_B_GRID_300)),
+        Curve("optimized PU2RC", dict(scheme="pu2rc", b_values=PU2RC_B_GRID_300)),
+    ), axis=("snr_db", (0.0, 5.0, 10.0))),
+    # PU2RC's B is the feasible B in [4, 12] at T_fb = 500: a codebook of
+    # 2^B/nt sets makes larger B costly.
+    "fig8_vs_nt": Preset("transmit antennas Nt", "sum rate at optimal B (bps/Hz)", (
+        Curve("optimized ZF", dict(tfb=500)),
+        Curve("optimized PU2RC", dict(scheme="pu2rc", tfb=500, b_values=(4, 5, 10))),
+    ), axis=("nt", (2, 4))),
+    "fig9_selection_cqi": Preset(*SWEEP_LABELS, tuple(
+        Curve(label, dict(b_values=B_GRID_10_30, selection=selection, cqi_kind=cqi_kind))
+        for label, selection, cqi_kind in (("greedy, norm CQI", "greedy", "norm2"),
+                                           ("greedy, SINR CQI", "greedy", "expected_sinr"),
+                                           ("simplified, norm CQI", "simplified", "norm2")))),
+    "fig10_quantizers": Preset(*SWEEP_LABELS, tuple(
+        Curve(quant, dict(b_values=B_GRID_10_30, quantizer=quant))
+        for quant in ("rvq_statistical", "scalar", "idealized"))),
+    "fig11_subf": Preset("bits per user B", "rate (bps/Hz)", tuple(
+        Curve(f"SUBF, {snr_db:g} dB", dict(scheme="subf", snr_db=snr_db, b_values=ZF_B_GRID_300),
+              (f"approximation, {snr_db:g} dB", _subf_approx))
+        for snr_db in (0.0, 5.0))),
 }
+
+
+def _row(cfg: ExperimentConfig, est: RateEstimate, overlay_fn: OverlayFn | None) -> ResultRow:
+    extra = overlay_fn(cfg, est.b) if overlay_fn else None
+    return ResultRow(cfg.scheme, cfg.nt, cfg.snr_db, cfg.tfb, est.b, est.users,
+                     est.mean, est.std_error, est.trials, extra)
+
+
+def _sweep_rows(cfg: ExperimentConfig, overlay_fn: OverlayFn | None = None) -> list[ResultRow]:
+    """One row per B of cfg's grid, each B on its own streams."""
+    return [_row(cfg, est, overlay_fn) for est in sweep_b(cfg)]
+
+
+def _bopt_rows(cfg: ExperimentConfig, axis: tuple[str, tuple],
+               overlay_fn: OverlayFn | None) -> list[ResultRow]:
+    """One row per axis value: the estimate at the empirical rate-maximizing B."""
+    name, values = axis
+    lo, hi = BOPT_B_RANGE
+    rows = []
+    for v in values:
+        c = replace(cfg, **{name: v})
+        if not c.b_values:
+            c = replace(c, b_values=tuple(b for b in feasible_b_values(c) if lo <= b <= hi))
+        rows.append(_row(c, find_bopt_empirical(c, common_streams=True)[1], overlay_fn))
+    return rows
+
+
+def _series(label: str, rows: list[ResultRow], x: str, y: str) -> Series:
+    return Series(label, [getattr(r, x) for r in rows], [getattr(r, y) for r in rows])
+
+
+def _write(out_dir: Path, stem: str, rows: list[ResultRow], series: list[Series],
+           xlabel: str, ylabel: str) -> tuple[Path, Path]:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{stem}.csv"
+    svg_path = out_dir / f"{stem}.svg"
+    write_csv(csv_path, rows)
+    write_svg(svg_path, series, title=stem, xlabel=xlabel, ylabel=ylabel)
+    return csv_path, svg_path
 
 
 def run_preset(name: str, seed: int, trials: int, out_dir: Path) -> tuple[Path, Path]:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    rows, series, xlabel, ylabel = PRESETS[name](seed, trials)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
-    svg_path = out_dir / f"{name}.svg"
-    write_csv(csv_path, rows)
-    write_svg(svg_path, series, title=name, xlabel=xlabel, ylabel=ylabel)
-    return csv_path, svg_path
+    preset = PRESETS[name]
+    x = preset.axis[0] if preset.axis else "b"
+    rows, series, overlays = [], [], []
+    for curve in preset.curves:
+        cfg = ExperimentConfig(**{**ZF_BASE, **curve.fields}, seed=seed, trials=trials)
+        fn = curve.overlay[1] if curve.overlay else None
+        r = _bopt_rows(cfg, preset.axis, fn) if preset.axis else _sweep_rows(cfg, fn)
+        rows += r
+        series.append(_series(curve.label, r, x, preset.y))
+        if curve.overlay:
+            (overlays if preset.overlays_last else series).append(
+                _series(curve.overlay[0], r, x, "extra"))
+    return _write(out_dir, name, rows, series + overlays, preset.xlabel, preset.ylabel)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +317,7 @@ def _coerce(key: str, raw: str):
 
 
 def load_config(path: Path, overrides: dict[str, str]) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except configparser.Error as e:
@@ -374,15 +342,9 @@ def load_config(path: Path, overrides: dict[str, str]) -> ExperimentConfig:
 
 def run_config(path: Path, overrides: dict[str, str], out_dir: Path) -> tuple[Path, Path]:
     cfg = load_config(path, overrides)
-    rows, xs, ys = _sweep_rows(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(path).stem
-    csv_path = out_dir / f"{stem}.csv"
-    svg_path = out_dir / f"{stem}.svg"
-    write_csv(csv_path, rows)
-    write_svg(svg_path, [Series(f"{cfg.scheme}, Nt={cfg.nt}, {cfg.snr_db:g} dB", xs, ys)],
-              title=stem, xlabel="bits per user B", ylabel="rate (bps/Hz)")
-    return csv_path, svg_path
+    rows = _sweep_rows(cfg)
+    series = [_series(f"{cfg.scheme}, Nt={cfg.nt}, {cfg.snr_db:g} dB", rows, "b", "mean_rate")]
+    return _write(out_dir, Path(path).stem, rows, series, "bits per user B", "rate (bps/Hz)")
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, str]:

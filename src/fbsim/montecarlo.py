@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModelConfig, draw_block, draw_blocks
+from .channel import ChannelModelConfig, check_beta, draw_block, draw_blocks
 from .numerics import RngStream
 from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec
 from .schemes import SELECTIONS, ZF_CQI_KINDS, pu2rc_block, rbf_block, subf_block, zf_block, zf_blocks
@@ -64,8 +64,7 @@ class ExperimentConfig:
             raise ValueError(f"unsupported CQI kind for ZF {self.cqi_kind!r}; known: {ZF_CQI_KINDS}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if self.beta is not None and not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
 
     @property
     def snr(self) -> float:
@@ -88,9 +87,8 @@ class ExperimentConfig:
             nt=self.nt,
             num_users=users,
             snr=self.snr,
-            beta=self.beta or 0.0,
+            beta=self.beta,
             r=self.r,
-            perfect_rx_csi=self.beta is None,
         )
 
 

@@ -61,11 +61,6 @@ def haar_orthonormal_sets(rng: np.random.Generator, n: int, count: int) -> np.nd
     return q
 
 
-def haar_orthonormal_set(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Single Haar orthonormal set; shape (n, n), vectors in the columns."""
-    return haar_orthonormal_sets(rng, n, 1)[0]
-
-
 def zf_directions_batch(quantized_channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing directions for a stack of channel sets, shape (..., n, nt).
 

@@ -52,14 +52,6 @@ class QuantizerSpec:
 
 
 @dataclass(frozen=True)
-class DirectionQuantization:
-    direction: np.ndarray  # unit norm
-    sin2_error: float
-    set_index: int | None = None
-    beam_index: int | None = None
-
-
-@dataclass(frozen=True)
 class CqiQuantizerSpec:
     bits: int
     lo_db: float
@@ -203,22 +195,6 @@ def build_orthosets_codebook(bits: int, nt: int, rng: np.random.Generator) -> np
     if total % nt != 0:
         raise ValueError(f"2^B={total} is not divisible by nt={nt}")
     return haar_orthonormal_sets(rng, nt, total // nt)
-
-
-def quantize_to_orthosets(h: np.ndarray, codebook: np.ndarray) -> DirectionQuantization:
-    """Global closest codeword over all sets; returns (set_index, beam_index) too."""
-    if codebook.size == 0:
-        raise ValueError("empty codebook")
-    h = np.asarray(h)
-    u = h / np.linalg.norm(h)
-    cos2 = np.abs(np.einsum("i,sij->sj", u.conj(), codebook)) ** 2
-    s, m = np.unravel_index(int(np.argmax(cos2)), cos2.shape)
-    return DirectionQuantization(
-        direction=codebook[s][:, m],
-        sin2_error=float(1.0 - cos2[s, m]),
-        set_index=int(s),
-        beam_index=int(m),
-    )
 
 
 def quantize_cqi(value: float | np.ndarray, spec: CqiQuantizerSpec) -> float | np.ndarray:

@@ -18,7 +18,6 @@ from .quantization import (
     quantize_directions,
 )
 
-CQI_KINDS = ("norm2", "expected_sinr", "rbf_sinr", "subf_snr")
 ZF_CQI_KINDS = ("norm2", "expected_sinr")
 SELECTIONS = ("greedy", "simplified")
 

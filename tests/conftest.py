@@ -6,7 +6,7 @@ import numpy as np
 
 from fbsim.analytic import zf_bopt_fixed_point
 from fbsim.channel import ChannelRealization
-from fbsim.numerics import SingularSetError, complex_gaussian, zf_directions
+from fbsim.numerics import SingularSetError, complex_gaussian, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import DegeneratePivotError, rvq_sin2, scalar_bit_split
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
 
@@ -49,6 +49,33 @@ def bopt_scaling_report(snr: float, nt: int, tfb: float) -> dict:
     """Side-by-side view of the exact ZF B optimizer and its leading-order scalings."""
     return dict(exact=zf_bopt_fixed_point(snr, nt, tfb).b, loglog_tfb=math.log(math.log(tfb)),
                 nt_term=(nt - 1) * math.log2(snr), snr_term=(nt - 1) * math.log2(snr / nt))
+
+
+def zf_rate_linear_regime(nt: int, b: float) -> float:
+    """Crude small-B slope diagnostic: rate ~ nt/(nt-1) * B.
+
+    The nt/(nt-1) slope is the derivative of the loss bound
+    nt*log2(1 + snr*2^(-B/(nt-1))) in the interference-limited regime, so it
+    holds only while snr*2^(-B/(nt-1)) >> 1. Outside it (e.g. nt=4 at 10 dB for
+    B >= 6) the slope of zf_rate_approx is far smaller.
+    """
+    return nt * b / (nt - 1)
+
+
+def haar_orthonormal_set(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Single Haar orthonormal set; shape (n, n), vectors in the columns."""
+    return haar_orthonormal_sets(rng, n, 1)[0]
+
+
+def quantize_to_orthosets(h, codebook) -> tuple[int, int, float]:
+    """Closest codeword of one channel over every set and beam: (set, beam, sin^2 error).
+
+    The orthoset quantization rule, max |h^H w|^2, one channel at a time.
+    """
+    u = np.asarray(h) / np.linalg.norm(h)
+    cos2 = np.abs(np.einsum("i,sij->sj", u.conj(), codebook)) ** 2
+    s, m = np.unravel_index(int(np.argmax(cos2)), cos2.shape)
+    return int(s), int(m), float(1.0 - cos2[s, m])
 
 
 def zf_realized_sinr(h_true, own_bf, other_bfs, snr: float, n: int) -> float:

@@ -119,7 +119,7 @@ def test_criterion_04_low_bit_slope():
     ok = 0.75 <= norm <= 1.25
     _check(4, ok, f"fitted slope {slope:.3f} bps/Hz/bit = {norm:.2f}x the closed-form "
                   f"slope {predicted:.3f} at the same points and user counts "
-                  f"(interference-limited asymptote {A.zf_rate_linear_regime(cfg.nt, 1.0):.3f}); "
+                  f"(interference-limited asymptote {conftest.zf_rate_linear_regime(cfg.nt, 1.0):.3f}); "
                   f"want within [0.75, 1.25]x")
 
 

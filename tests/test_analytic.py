@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bopt_scaling_report
+from conftest import bopt_scaling_report, zf_rate_linear_regime
 from fbsim import analytic as A
 from fbsim.numerics import RngStream
 
@@ -50,7 +50,7 @@ class TestRateApprox:
             A.AnalyticParams(10.0, 4, 300, 20, phi=-0.1)
 
     def test_linear_regime_diagnostic(self):
-        assert abs(A.zf_rate_linear_regime(4, 9) - 12.0) < 1e-12
+        assert abs(zf_rate_linear_regime(4, 9) - 12.0) < 1e-12
 
 
 class TestBitOptimizers:
@@ -104,11 +104,10 @@ class TestSingleAntenna:
         lambda: A.zf_loss_bound(10.0, 1, 5),
         lambda: A.zf_rate_approx(A.AnalyticParams(10.0, 1, 300, 5)),
         lambda: A.zf_penalty_approx(A.AnalyticParams(10.0, 1, 300, 5)),
-        lambda: A.zf_rate_linear_regime(1, 5),
         lambda: A.zf_bopt_fixed_point(10.0, 1, 300),
         lambda: A.zf_bopt_lambert(10.0, 1, 300),
         lambda: A.subf_rate_approx(10.0, 1, 300, 5),
-    ], ids=["loss_bound", "rate_approx", "penalty", "linear_regime", "fixed_point", "lambert", "subf"])
+    ], ids=["loss_bound", "rate_approx", "penalty", "fixed_point", "lambert", "subf"])
     def test_rejected(self, call):
         with pytest.raises(ValueError, match="nt >= 2"):
             call()

@@ -14,15 +14,16 @@ def _cfg(**kw):
 
 class TestConfig:
     def test_perfect_rx_csi_has_zero_error(self):
-        assert _cfg(perfect_rx_csi=True).estimation_error_var == 0.0
+        assert _cfg(beta=None).estimation_error_var == 0.0
 
     def test_training_error_variance(self):
-        cfg = _cfg(perfect_rx_csi=False, beta=1.0, snr=10.0)
+        cfg = _cfg(beta=1.0, snr=10.0)
         assert abs(cfg.estimation_error_var - 1.0 / 11.0) < 1e-15
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(nt=0), dict(num_users=0), dict(r=1.5), dict(r=-0.1), dict(beta=-1.0), dict(snr=0.0)],
+        [dict(nt=0), dict(num_users=0), dict(r=1.5), dict(r=-0.1), dict(beta=-1.0), dict(beta=0.0),
+         dict(snr=0.0)],
     )
     def test_invalid_parameters(self, kw):
         with pytest.raises(ValueError):
@@ -38,7 +39,7 @@ class TestDrawBlock:
         np.testing.assert_array_equal(blk.h, blk.h_delayed)
 
     def test_training_error_statistics(self):
-        cfg = _cfg(num_users=3000, perfect_rx_csi=False, beta=1.0, snr=10.0)
+        cfg = _cfg(num_users=3000, beta=1.0, snr=10.0)
         rng = RngStream(1).generator()
         blk = draw_block(cfg, rng)
         s2 = cfg.estimation_error_var
@@ -63,13 +64,13 @@ class TestDrawBlock:
         assert abs(np.mean(np.abs(blk.h_delayed) ** 2) - 1.0) < tol
 
     def test_no_delay_alias(self):
-        cfg = _cfg(r=1.0, perfect_rx_csi=False, beta=2.0)
+        cfg = _cfg(r=1.0, beta=2.0)
         blk = draw_block(cfg, RngStream(3).generator())
         np.testing.assert_array_equal(blk.h, blk.h_delayed)
         assert not np.array_equal(blk.h, blk.h_est)
 
     def test_deterministic_given_stream(self):
-        cfg = _cfg(perfect_rx_csi=False, beta=1.0, r=0.95)
+        cfg = _cfg(beta=1.0, r=0.95)
         a = draw_block(cfg, RngStream(4).generator())
         b = draw_block(cfg, RngStream(4).generator())
         np.testing.assert_array_equal(a.h, b.h)
@@ -78,8 +79,8 @@ class TestDrawBlock:
 
 
 class TestDrawBlocks:
-    @pytest.mark.parametrize("kw", [dict(), dict(perfect_rx_csi=False, beta=1.0), dict(r=0.9),
-                                    dict(perfect_rx_csi=False, beta=0.5, r=0.95)],
+    @pytest.mark.parametrize("kw", [dict(), dict(beta=1.0), dict(r=0.9),
+                                    dict(beta=0.5, r=0.95)],
                              ids=["perfect", "training", "delay", "both"])
     def test_each_block_is_its_streams_per_trial_draw(self, kw):
         cfg = _cfg(num_users=7, **kw)
@@ -95,7 +96,7 @@ class TestDrawBlocks:
             assert rngs[t].random() == ref.random()  # each stream continues where the oracle's does
 
     def test_draw_block_is_the_one_trial_case(self):
-        cfg = _cfg(perfect_rx_csi=False, beta=1.0, r=0.95)
+        cfg = _cfg(beta=1.0, r=0.95)
         a = draw_block(cfg, RngStream(6).generator())
         b = draw_blocks(cfg, [RngStream(6).generator()])
         np.testing.assert_array_equal(a.h, b.h[0])

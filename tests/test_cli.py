@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from fbsim import analytic, cli
 from fbsim.cli import (
+    CSV_COLUMNS,
     PRESETS,
     ConfigError,
     ResultRow,
@@ -78,6 +80,39 @@ class TestPresets:
         with pytest.raises(ConfigError):
             run_preset("nope", 0, 4, tmp_path)
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_runs(self, name, tmp_path, monkeypatch):
+        drawn = []
+
+        def capture(path, series, **labels):
+            drawn.extend(series)
+            write_svg(path, series, **labels)
+
+        monkeypatch.setattr(cli, "write_svg", capture)
+        csv_path, svg_path = run_preset(name, seed=0, trials=4, out_dir=tmp_path)
+        assert svg_path.exists()
+        assert csv_path.read_text().splitlines()[0].split(",") == CSV_COLUMNS
+        rows = read_csv(csv_path)
+        preset = PRESETS[name]
+        drawn_by_label = {s.name: s for s in drawn}
+        assert len(drawn_by_label) == len(drawn)
+        start = 0
+        for curve in preset.curves:
+            want_x = list(preset.axis[1] if preset.axis else curve.fields["b_values"])
+            block, start = rows[start:start + len(want_x)], start + len(want_x)
+            xs = [getattr(r, preset.axis[0] if preset.axis else "b") for r in block]
+            assert xs == want_x
+            assert all(r.trials == 4 for r in block)
+            sim = drawn_by_label.pop(curve.label)
+            assert (sim.xs, sim.ys) == (xs, [getattr(r, preset.y) for r in block])
+            if curve.overlay:
+                overlay = drawn_by_label.pop(curve.overlay[0])
+                assert (overlay.xs, overlay.ys) == (xs, [r.extra for r in block])
+        assert start == len(rows) and not drawn_by_label
+        if name in ("fig4_bopt_vs_tfb", "fig5_bopt_vs_snr"):
+            for r in rows:
+                assert r.extra == analytic.zf_bopt_lambert(10.0 ** (r.snr_db / 10.0), r.nt, r.tfb)
+
 
 class TestConfigFiles:
     def _write(self, tmp_path, body):
@@ -99,6 +134,12 @@ relaxed_user_grid = true
         cfg = load_config(p, {})
         assert cfg.scheme == "zf" and cfg.b_values == (10, 20)
         assert cfg.snr_db == 10.0 and cfg.relaxed_user_grid is True
+
+    def test_inline_comments(self, tmp_path):
+        p = self._write(tmp_path, "[experiment]\nscheme = zf            ; zf | rbf | pu2rc | subf\n"
+                                  "nt = 4\nsnr_db = 10\ntfb = 300\n; beta = 1.0    ; pilots\n")
+        cfg = load_config(p, {})
+        assert cfg.scheme == "zf" and cfg.beta is None
 
     def test_overrides_win(self, tmp_path):
         p = self._write(tmp_path, "[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\n")
@@ -160,6 +201,21 @@ class TestMainExitCodes:
         ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\ntrials = 4\n"
                        "b_values = 33\n")
         assert main(["run", str(ini), "--out", str(tmp_path)]) == 2
+
+    def test_empty_b_grid_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 7\ntrials = 4\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r")]) == 2
+        assert "no feasible B values for this configuration" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_zero_beta_is_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = rbf\nnt = 4\nsnr_db = 10\ntfb = 300\ntrials = 4\n"
+                       "b_values = 10\nbeta = 0\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r")]) == 2
+        assert "beta must be > 0 (omit it for perfect receiver CSI)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_invalid_field_is_exit_2(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

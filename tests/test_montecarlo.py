@@ -67,7 +67,8 @@ class TestConfig:
             _cfg(snr_db=float("nan"))
 
     @pytest.mark.parametrize("kw", [dict(selection="exhaustive"), dict(cqi_kind="rbf_sinr"),
-                                    dict(beta=-1.0), dict(r=-0.1), dict(snr_db=float("inf"))])
+                                    dict(beta=-1.0), dict(beta=0.0), dict(r=-0.1),
+                                    dict(snr_db=float("inf"))])
     def test_other_invalid_fields_rejected(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
@@ -91,9 +92,8 @@ class TestConfig:
     def test_channel_config_training(self):
         cfg = _cfg(beta=1.0, r=0.9)
         ch = cfg.channel_config(5)
-        assert not ch.perfect_rx_csi
         assert ch.beta == 1.0 and ch.r == 0.9
-        assert _cfg().channel_config(5).perfect_rx_csi
+        assert _cfg().channel_config(5).beta is None
 
 
 class TestFeasibleGrid:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EULER_GAMMA, lambert_w_m1_bisect, max_gamma_expectation
+from conftest import EULER_GAMMA, haar_orthonormal_set, lambert_w_m1_bisect, max_gamma_expectation
 from fbsim.numerics import (
     RngStream,
     SingularSetError,
     complex_gaussian,
-    haar_orthonormal_set,
     haar_orthonormal_sets,
     lambert_w_m1,
     zf_directions,

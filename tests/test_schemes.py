@@ -4,10 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import estimated_plan_rate, oracle_draw_block, oracle_zf_block, zf_realized_sinr
+from conftest import (
+    estimated_plan_rate,
+    oracle_draw_block,
+    oracle_zf_block,
+    quantize_to_orthosets,
+    zf_realized_sinr,
+)
 from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
 from fbsim.numerics import RngStream, SingularSetError, complex_gaussian, zf_directions
-from fbsim.quantization import CqiQuantizerSpec, QuantizerSpec, quantize_directions
+from fbsim.quantization import (
+    CqiQuantizerSpec,
+    QuantizerSpec,
+    build_orthosets_codebook,
+    quantize_directions,
+)
 from fbsim.schemes import (
     FeedbackReport,
     _orthoset_block,
@@ -281,8 +292,8 @@ class TestBatchedZfAgainstPerTrialOracle:
         nt = (2, 3, 4)[case % 3]
         users = ORACLE_USERS[case % len(ORACLE_USERS)]
         snr = (1.0, 10.0, 100.0)[case % 3 - 1]
-        chan = ChannelModelConfig(nt=nt, num_users=users, snr=snr, beta=1.0, r=0.95,
-                                  perfect_rx_csi=case % 3 != 1)
+        chan = ChannelModelConfig(nt=nt, num_users=users, snr=snr,
+                                  beta=1.0 if case % 3 == 1 else None, r=0.95)
         cqi_q = None
         if case % 2:
             cqi_q = CqiQuantizerSpec.around_mean(3, nt if cqi_kind == "norm2" else snr)
@@ -328,6 +339,21 @@ class TestOrthosetSchemes:
             assert a.sum_rate == b.sum_rate
             assert a.plan.selected == b.plan.selected
             np.testing.assert_array_equal(a.plan.beamformers, b.plan.beamformers)
+
+    @pytest.mark.parametrize("bits,users", [(4, 75), (6, 50)])
+    def test_scheduled_users_sit_on_their_quantized_codeword(self, bits, users):
+        # Each scheduled user fed back the (set, beam) that maximizes |h_est^H w|^2
+        # over the whole codebook, so it is served on that set and beam.
+        cfg = ChannelModelConfig(nt=4, num_users=users, snr=10.0, beta=1.0)
+        for trial in range(20):
+            real = draw_block(cfg, RngStream(30 + bits, trial).generator())
+            cb = build_orthosets_codebook(bits, 4, RngStream(40 + bits, trial).generator())
+            out = _orthoset_block(real, cb, snr=10.0, nt=4)
+            assert out.plan.selected
+            for k, bf in zip(out.plan.selected, out.plan.beamformers):
+                s, m, _ = quantize_to_orthosets(real.h_est[k], cb)
+                assert s == out.extra["set_index"], f"trial {trial}, user {k}"
+                np.testing.assert_array_equal(bf, cb[s][:, m])
 
     def test_pu2rc_uses_requested_codebook_size(self):
         cfg = ChannelModelConfig(nt=4, num_users=10, snr=10.0)
