@@ -57,21 +57,6 @@ def write_csv(path: Path, rows: list[ResultRow]) -> None:
             ])
 
 
-def read_csv(path: Path) -> list[ResultRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for d in reader:
-            rows.append(ResultRow(
-                scheme=d["scheme"], nt=int(d["nt"]), snr_db=float(d["snr_db"]),
-                tfb=int(d["tfb"]), b=int(d["b"]), users=int(d["users"]),
-                mean_rate=float(d["mean_rate"]), std_error=float(d["std_error"]),
-                trials=int(d["trials"]),
-                extra=None if d["extra"] == "" else float(d["extra"]),
-            ))
-    return rows
-
-
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 

@@ -1,21 +1,33 @@
-"""Seeded Monte Carlo engine: per-trial streams, chunked ZF batches and B sweeps."""
+"""Seeded Monte Carlo engine: per-trial streams, chunked trial batches and B sweeps."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .channel import ChannelModelConfig, check_beta, draw_block, draw_blocks
-from .numerics import RngStream
-from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec
-from .schemes import SELECTIONS, ZF_CQI_KINDS, pu2rc_block, rbf_block, subf_block, zf_block, zf_blocks
+from .numerics import RngStream, haar_orthonormal_stack, rng_streams
+from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
+from .schemes import (
+    SELECTIONS,
+    ZF_CQI_KINDS,
+    orthoset_blocks,
+    pu2rc_block,
+    rbf_block,
+    subf_block,
+    subf_blocks,
+    zf_block,
+    zf_blocks,
+)
 
 SCHEMES = ("zf", "rbf", "pu2rc", "subf")
 
-# run_point stacks ZF trials into chunks of about this many user rows
-# (trials x users), which bounds the batched engine's working set.
+# run_point stacks trials into chunks of about this many user rows per
+# codebook set (trials x users x sets), which bounds the batched engine's
+# working set.
 CHUNK_ROWS = 1024
 
 
@@ -65,6 +77,12 @@ class ExperimentConfig:
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
         check_beta(self.beta)
+        for b in self.b_values:
+            if b < 1:
+                raise ValueError(f"every B must be >= 1, got b_values={self.b_values}")
+            self.users_for(b)
+            if self.scheme == "pu2rc":
+                orthoset_count(b, self.nt)
 
     @property
     def snr(self) -> float:
@@ -127,6 +145,14 @@ def _zf_specs(cfg: ExperimentConfig, b: int) -> tuple[QuantizerSpec, CqiQuantize
     return qspec, cqi_q
 
 
+def _codebook_sets(cfg: ExperimentConfig, b: int) -> int:
+    """Orthonormal sets in each trial's codebook: 2^B/nt for PU2RC, one for RBF.
+
+    zf and subf draw no codebook and count as one set when chunks are sized.
+    """
+    return orthoset_count(b, cfg.nt) if cfg.scheme == "pu2rc" else 1
+
+
 def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     """Simulate one coherence block and return its sum rate."""
     rng = stream.generator()
@@ -146,17 +172,24 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     return out.sum_rate
 
 
-def _zf_chunk(cfg: ExperimentConfig, b: int, streams: list[RngStream]) -> np.ndarray:
-    """Sum rates of the ZF trials on `streams`, run as one batch.
+def _trial_chunk(cfg: ExperimentConfig, b: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Sum rates of the trials on generators `rngs`, run as one batch.
 
-    Each trial draws from its own stream exactly what run_trial draws; the
-    draws land in chunk buffers and the rest of the trial runs on the stacks.
+    Each trial draws from its own generator exactly what run_trial draws:
+    its channel block, then its codebook or quantizer draws. The draws land
+    in chunk buffers and the rest of the trial runs on the stacks.
     """
-    rngs = [s.generator() for s in streams]
     block = draw_blocks(cfg.channel_config(cfg.users_for(b)), rngs)
-    qspec, cqi_q = _zf_specs(cfg, b)
-    out = zf_blocks(block.h_est, block.h_delayed, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
-                    cfg.selection, rngs, cqi_q)
+    if cfg.scheme == "zf":
+        qspec, cqi_q = _zf_specs(cfg, b)
+        out = zf_blocks(block.h_est, block.h_delayed, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
+                        cfg.selection, rngs, cqi_q)
+    elif cfg.scheme == "subf":
+        qspec = QuantizerSpec(kind=cfg.quantizer, bits=b, nt=cfg.nt)
+        out = subf_blocks(block.h_est, block.h_delayed, qspec, cfg.snr, rngs)
+    else:
+        codebooks = haar_orthonormal_stack(rngs, cfg.nt, _codebook_sets(cfg, b))
+        out = orthoset_blocks(block.h_est, block.h_delayed, codebooks, cfg.snr, cfg.nt)
     return out.sum_rates
 
 
@@ -164,23 +197,19 @@ def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEsti
     """Monte Carlo estimate at one B value, with one RNG stream per trial.
 
     Trial t uses stream (seed, stream_offset + t), so each trial's result is
-    the same however the trials are chunked. ZF trials run in chunks of about
-    CHUNK_ROWS user rows; the other schemes run trial by trial. A non-finite
-    sum rate raises ValueError naming the first trial's stream.
+    the same however the trials are chunked. Every scheme runs in chunks of
+    about CHUNK_ROWS user rows per codebook set. A non-finite sum rate raises
+    ValueError naming the first such trial's stream.
     """
     users = cfg.users_for(b)
-    streams = [RngStream(cfg.seed, stream_offset + t) for t in range(cfg.trials)]
-    if cfg.scheme == "zf":
-        step = max(1, CHUNK_ROWS // users)
-        results = np.concatenate([_zf_chunk(cfg, b, streams[i : i + step])
-                                  for i in range(0, cfg.trials, step)])
-    else:
-        results = np.array([run_trial(cfg, b, s) for s in streams])
+    step = max(1, CHUNK_ROWS // (users * _codebook_sets(cfg, b)))
+    rngs = rng_streams(cfg.seed, stream_offset, cfg.trials)
+    results = np.concatenate([_trial_chunk(cfg, b, list(islice(rngs, step)))
+                              for _ in range(0, cfg.trials, step)])
     bad = np.flatnonzero(~np.isfinite(results))
     if bad.size:
-        s = streams[bad[0]]
         raise ValueError(f"non-finite sum rate {results[bad[0]]} at B={b} on stream "
-                         f"(seed={s.seed}, stream_id={s.stream_id})")
+                         f"(seed={cfg.seed}, stream_id={stream_offset + bad[0]})")
     mean = float(results.mean())
     se = float(results.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     return RateEstimate(mean=mean, std_error=se, trials=cfg.trials, b=b, users=users)

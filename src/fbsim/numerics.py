@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Relative singular-value cutoff below which a set of quantized channels is
 # treated as rank deficient.
@@ -32,15 +34,100 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. circularly symmetric complex Gaussian entries with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+# SeedSequence's hash (numpy.random.bit_generator); NEP 19 keeps its streams stable.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of `calls` consecutive SeedSequence hash steps."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, np.uint32)
+    return c[:-1], c[1:]
+
+
+def _hash(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def stream_seed_words(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64 seed words (count, 4) of the streams (seed, first + i), i < count, in one array pass.
+
+    Row i equals SeedSequence(entropy=seed, spawn_key=(first + i,))
+    .generate_state(4, np.uint64), the words RngStream(seed, first + i)
+    seeds PCG64 with. That SeedSequence hashes the seed's 32-bit words (at
+    least 4), then the stream id's (1 or 2); the seed part is the same for
+    every stream, so SeedSequence itself mixes it once. The hash multiplier
+    advances with every call and never with the data, so the 4 calls that
+    mix one id word into the pool run as one (rows, 4) array step, as do
+    generate_state's 8 calls.
+    """
+    if seed < 0 or first < 0:
+        raise ValueError(f"seed and stream ids must be >= 0, got seed={seed}, first={first}")
+    if first + count > 2**63:  # ids past 63 bits: SeedSequence itself
+        return np.array([np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(4, np.uint64)
+                         for i in range(count)]).reshape(count, 4)
+    n_seed = max(_POOL_SIZE, -(-seed.bit_length() // 32))  # padded to the pool before a spawn key
+    pool = np.random.SeedSequence(np.array([seed >> 32 * i & _MASK32 for i in range(n_seed)], np.uint32)).pool
+    xor_a, mul_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (n_seed + 2))
+    xor_b, mul_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    ids = np.arange(first, first + count, dtype=np.uint64)
+    words = np.stack([ids & np.uint64(_MASK32), ids >> np.uint64(32)], axis=1).astype(np.uint32)
+    out = np.empty((count, 4), dtype=np.uint64)
+    for n_id in (1, 2):  # ids past 32 bits have a second word
+        rows = np.flatnonzero((words[:, 1] > 0) == (n_id == 2))
+        if not rows.size:
+            continue
+        p = pool
+        for j in range(n_id):
+            calls = slice(_POOL_SIZE * (n_seed + j), _POOL_SIZE * (n_seed + j + 1))
+            p = _mix(p, _hash(words[rows, j : j + 1], xor_a[calls], mul_a[calls]))
+        v = _hash(np.tile(p, 2), xor_b, mul_b).astype(np.uint64)  # 8 words cycling through the pool
+        out[rows] = v[:, 0::2] | v[:, 1::2] << np.uint64(32)  # paired little-endian
+    return out
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's seeding, generate_state(4, np.uint64), is precomputed")
+        return self.words
+
+
+def rng_streams(seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
+    """Generators of the streams (seed, first), ..., (seed, first + count - 1).
+
+    Each draws bit for bit what RngStream(seed, first + i).generator() draws.
+    The seed words of all `count` streams are hashed up front in one array
+    pass; each generator is built when the iterator reaches it, so a caller
+    that takes them a chunk at a time holds one chunk's generators.
+    """
+    words = stream_seed_words(seed, first, count)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
 
 
 def complex_pairs(z: np.ndarray) -> np.ndarray:
-    """complex_gaussian from drawn standard normals: real z[..., 0, :, :], imaginary z[..., 1, :, :].
+    """Circularly symmetric unit-variance complex Gaussians from standard normals z.
 
-    Equal, bit for bit, to complex_gaussian making the same draws.
+    Real parts are z[..., 0, :, :] and imaginary parts z[..., 1, :, :], so one
+    standard_normal call into z draws, bit for bit, what separate calls for
+    the real and then the imaginary parts would.
     """
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
@@ -49,11 +136,23 @@ def haar_orthonormal_sets(rng: np.random.Generator, n: int, count: int) -> np.nd
     """Draw `count` independent Haar-distributed orthonormal sets.
 
     Returns an array of shape (count, n, n); the columns of each (n, n) slice
-    are the orthonormal vectors.
+    are the orthonormal vectors. The one-trial case of haar_orthonormal_stack.
+    """
+    return haar_orthonormal_stack([rng], n, count)[0]
+
+
+def haar_orthonormal_stack(rngs, n: int, count: int) -> np.ndarray:
+    """`count` Haar orthonormal sets per generator, shape (T, count, n, n).
+
+    Trial t draws from rngs[t] with one standard_normal call (real parts,
+    then imaginary parts); one stacked QR then orthonormalizes every set.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    a = complex_gaussian(rng, (count, n, n))
+    z = np.empty((len(rngs), 2, count * n, n))
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=z[t])
+    a = complex_pairs(z).reshape(len(rngs), count, n, n)
     q, r = np.linalg.qr(a)
     # Fix the phase ambiguity of QR so the distribution is exactly Haar.
     d = np.diagonal(r, axis1=-2, axis2=-1)

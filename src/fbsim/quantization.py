@@ -186,15 +186,20 @@ def _quantize_scalar(h: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return rec, sin2
 
 
+def orthoset_count(bits: int, nt: int) -> int:
+    """Orthonormal sets of nt beams in a 2^B-codeword codebook; nt must divide 2^B."""
+    total = 2**bits
+    if total % nt != 0:
+        raise ValueError(f"2^B={total} is not divisible by nt={nt}")
+    return total // nt
+
+
 def build_orthosets_codebook(bits: int, nt: int, rng: np.random.Generator) -> np.ndarray:
     """Common codebook of 2^B/nt independent Haar orthonormal sets.
 
     Shape (num_sets, nt, nt); set s, beam m is codebook[s][:, m].
     """
-    total = 2**bits
-    if total % nt != 0:
-        raise ValueError(f"2^B={total} is not divisible by nt={nt}")
-    return haar_orthonormal_sets(rng, nt, total // nt)
+    return haar_orthonormal_sets(rng, nt, orthoset_count(bits, nt))
 
 
 def quantize_cqi(value: float | np.ndarray, spec: CqiQuantizerSpec) -> float | np.ndarray:

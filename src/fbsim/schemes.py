@@ -229,17 +229,28 @@ def zf_simplified_select(reports: list[FeedbackReport], snr: float, nt: int) -> 
 
 
 @dataclass(frozen=True)
-class ZfBlocks:
-    """Outcome of T ZF blocks; trial t serves selected[t, :counts[t]]."""
+class Blocks:
+    """Outcome of T coherence blocks of one scheme; trial t serves selected[t, :counts[t]]."""
 
     selected: np.ndarray  # (T, m) user indices
     counts: np.ndarray  # (T,)
-    beamformers: np.ndarray  # (T, m, nt), zero rows past counts[t]
+    beamformers: np.ndarray  # (T, m, nt), unit-norm rows; zero rows past counts[t]
     realized_rates: np.ndarray  # (T, m), zero past counts[t]
+    sets: np.ndarray | None = None  # (T,) transmitted orthonormal set (RBF/PU2RC)
 
     @property
     def sum_rates(self) -> np.ndarray:
         return self.realized_rates.sum(axis=1)
+
+
+def _block_outcome(out: Blocks, power_per_user: float) -> BlockOutcome:
+    """The one block of a one-trial Blocks, as a BlockOutcome."""
+    n = int(out.counts[0])
+    plan = TransmissionPlan(selected=[int(k) for k in out.selected[0, :n]],
+                            beamformers=out.beamformers[0, :n], power_per_user=power_per_user)
+    extra = {} if out.sets is None else {"set_index": int(out.sets[0]), "num_scheduled": n}
+    return BlockOutcome(plan=plan, realized_rates=out.realized_rates[0, :n],
+                        sum_rate=float(out.sum_rates[0]), extra=extra)
 
 
 def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
@@ -271,7 +282,7 @@ def zf_blocks(
     selection: str,
     rngs: list[np.random.Generator | None],
     cqi_quantizer: CqiQuantizerSpec | None = None,
-) -> ZfBlocks:
+) -> Blocks:
     """ZF downlink for T coherence blocks at once, channels (T, K, nt).
 
     Block t quantizes its channel estimates with rngs[t]; CQI, selection,
@@ -288,7 +299,7 @@ def zf_blocks(
         if idx.size:
             h_sel = h_delayed[idx[:, None], selected[idx, :n]]
             rates[idx, :n] = _realized_zf_rates(h_sel, beams[idx, :n], snr)
-    return ZfBlocks(selected, counts, beams, rates)
+    return Blocks(selected, counts, beams, rates)
 
 
 def zf_block(
@@ -321,53 +332,62 @@ def zf_block(
     return BlockOutcome(plan=plan, realized_rates=rates, sum_rate=float(rates.sum()))
 
 
-def _orthoset_sinrs(h: np.ndarray, codebook: np.ndarray, snr: float, nt: int):
-    """Per-user, per-set, per-beam SINRs (users, sets, nt) plus |h^H w|^2."""
-    beams = np.swapaxes(codebook, 1, 2).reshape(-1, nt)  # (sets*nt, nt), beam rows
-    p = np.abs(h.conj() @ beams.T) ** 2
-    p = p.reshape(len(h), len(codebook), nt)
-    row = p.sum(axis=2, keepdims=True)
-    sinr = p / (nt / snr + (row - p))
-    return sinr, p
+def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndarray,
+                    snr: float, nt: int) -> Blocks:
+    """RBF/PU2RC for T coherence blocks: channels (T, K, nt), codebooks (T, S, nt, nt).
+
+    Set s, beam m of trial t is codebooks[t, s][:, m]. Each user feeds back
+    the (set, beam) that maximizes |h_est^H w|^2 over the whole codebook and
+    its SINR there, with power snr/nt on every beam of the set. Each (set,
+    beam) serves its user with the largest fed-back SINR, if that is > 0
+    (lowest index on ties); the set with the largest sum of log2(1 + SINR)
+    transmits, and its rates are realized on h_delayed. Users are listed in
+    beam order.
+    """
+    n_trials, n_users, _ = h_est.shape
+    cells = codebooks.shape[1] * nt  # (set, beam) pairs per trial
+    beams = np.swapaxes(codebooks, 2, 3).reshape(n_trials, cells, nt)  # beam rows
+    p = np.abs(h_est.conj() @ np.swapaxes(beams, 1, 2)) ** 2  # (T, K, cells)
+    best = np.argmax(p, axis=2)  # quantization rule: max |h^H w|^2
+    trials, users = np.arange(n_trials), np.arange(n_users)
+    t = trials[:, None]
+    p_set = p.reshape(n_trials, n_users, -1, nt)[t, users, best // nt]  # (T, K, nt): the user's set
+    p_best = p[t, users, best]
+    fb = p_best / (nt / snr + (p_set.sum(axis=2) - p_best))
+
+    # Per (set, beam): the largest fed-back SINR, then the lowest user index that reaches it.
+    cell = best + cells * t
+    sched_sinr = np.zeros(n_trials * cells)
+    np.maximum.at(sched_sinr, cell, fb)
+    won = (fb > 0.0) & (fb == sched_sinr[cell])
+    sched_user = np.full(n_trials * cells, n_users)
+    np.minimum.at(sched_user, cell[won], np.nonzero(won)[1])
+    scores = np.log2(1.0 + sched_sinr.reshape(n_trials, -1, nt)).sum(axis=2)
+    s_star = np.argmax(scores, axis=1)
+
+    tx_user = sched_user.reshape(n_trials, -1, nt)[trials, s_star]  # (T, nt); n_users: no user
+    on = tx_user < n_users
+    counts = on.sum(axis=1)
+    beam = np.argsort(~on, axis=1, kind="stable")  # served beams first, in beam order
+    selected = np.take_along_axis(tx_user, beam, axis=1)
+    w = codebooks[trials, s_star]  # (T, nt, nt), beams in columns
+    served = np.arange(nt) < counts[:, None]
+    bfs = np.where(served[..., None], np.swapaxes(w, 1, 2)[t, beam], 0.0)
+    rates = np.zeros((n_trials, nt))
+    for n in range(1, nt + 1):
+        idx = np.flatnonzero(counts == n)
+        if idx.size:
+            p_tx = np.abs(h_delayed[idx[:, None], selected[idx, :n]].conj() @ w[idx]) ** 2  # (I, n, nt)
+            own = np.take_along_axis(p_tx, beam[idx, :n, None], axis=2)[..., 0]
+            rates[idx, :n] = np.log2(1.0 + own / (nt / snr + (p_tx.sum(axis=2) - own)))
+    return Blocks(selected, counts, bfs, rates, sets=s_star)
 
 
 def _orthoset_block(realization: ChannelRealization, codebook: np.ndarray,
                     snr: float, nt: int) -> BlockOutcome:
-    """Shared RBF/PU2RC core: per-set RBF selection, then the best-scoring set."""
-    sinr_fb, p = _orthoset_sinrs(realization.h_est, codebook, snr, nt)
-    n_users, n_sets = p.shape[0], p.shape[1]
-    flat = p.reshape(n_users, -1)
-    best = np.argmax(flat, axis=1)  # quantization rule: max |h^H w|^2
-    best_set, best_beam = np.unravel_index(best, (n_sets, nt))
-    fb = sinr_fb[np.arange(n_users), best_set, best_beam]
-
-    # Per (set, beam): scheduled user = argmax fed-back SINR (lowest index on ties).
-    sched_user = np.full((n_sets, nt), -1)
-    sched_sinr = np.zeros((n_sets, nt))
-    for k in range(n_users):
-        s, m = best_set[k], best_beam[k]
-        if fb[k] > sched_sinr[s, m]:
-            sched_sinr[s, m] = fb[k]
-            sched_user[s, m] = k
-    scores = np.log2(1.0 + sched_sinr).sum(axis=1)
-    s_star = int(np.argmax(scores))
-
-    users = [int(u) for u in sched_user[s_star] if u >= 0]
-    beams_tx = [m for m in range(nt) if sched_user[s_star, m] >= 0]
-    if users:
-        sinr_tx, _ = _orthoset_sinrs(realization.h_delayed[users], codebook[s_star : s_star + 1], snr, nt)
-        rates = np.log2(1.0 + sinr_tx[np.arange(len(users)), 0, beams_tx])
-        bfs = codebook[s_star][:, beams_tx].T
-    else:
-        rates = np.zeros(0)
-        bfs = np.zeros((0, nt), dtype=complex)
-    plan = TransmissionPlan(selected=users, beamformers=bfs, power_per_user=snr / nt)
-    return BlockOutcome(
-        plan=plan,
-        realized_rates=rates,
-        sum_rate=float(rates.sum()),
-        extra={"set_index": s_star, "num_scheduled": len(users)},
-    )
+    """Shared RBF/PU2RC core for one block; the one-trial case of orthoset_blocks."""
+    out = orthoset_blocks(realization.h_est[None], realization.h_delayed[None], codebook[None], snr, nt)
+    return _block_outcome(out, snr / nt)
 
 
 def rbf_block(realization: ChannelRealization, snr: float, nt: int,
@@ -384,15 +404,30 @@ def pu2rc_block(realization: ChannelRealization, bits: int, snr: float, nt: int,
     return _orthoset_block(realization, codebook, snr, nt)
 
 
+def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: QuantizerSpec, snr: float,
+                rngs: list[np.random.Generator | None]) -> Blocks:
+    """Single-user beamforming for T blocks, channels (T, K, nt): each serves its best-SNR user.
+
+    Block t quantizes its estimates with rngs[t] and beamforms along the
+    quantized direction whose reported SNR snr * |h_est^H d|^2 is largest;
+    the rate is realized on h_delayed.
+    """
+    dirs = quantize_directions(h_est, quantizer, rngs)[0]
+    reported = snr * np.abs(np.sum(h_est.conj() * dirs, axis=2)) ** 2
+    t = np.arange(len(h_est))
+    k = np.argmax(reported, axis=1)
+    bf = dirs[t, k]
+    gain = (h_delayed[t, k].conj()[:, None, :] @ bf[:, :, None])[:, 0, 0]  # h^H bf, as np.vdot gives it
+    # math.log2 and Python's abs: np.log2 and np.abs differ from them in the last bit on some inputs
+    rates = np.array([[math.log2(1.0 + snr * abs(g) ** 2)] for g in gain.tolist()])
+    return Blocks(k[:, None], np.ones(len(t), dtype=int), bf[:, None], rates)
+
+
 def subf_block(realization: ChannelRealization, quantizer: QuantizerSpec, snr: float,
                rng: np.random.Generator | None = None) -> BlockOutcome:
-    """Single-user beamforming along the quantized direction of the best-SNR user."""
-    h_est = realization.h_est
-    dirs = quantize_directions(h_est[None], quantizer, [rng])[0][0]
-    reported = snr * np.abs(np.sum(h_est.conj() * dirs, axis=1)) ** 2
-    k = int(np.argmax(reported))
-    bf = dirs[k]
-    realized = snr * abs(np.vdot(realization.h_delayed[k], bf)) ** 2
-    rate = math.log2(1.0 + realized)
-    plan = TransmissionPlan(selected=[k], beamformers=bf[None, :], power_per_user=snr)
-    return BlockOutcome(plan=plan, realized_rates=np.array([rate]), sum_rate=rate)
+    """Single-user beamforming along the quantized direction of the best-SNR user.
+
+    The one-trial case of subf_blocks.
+    """
+    out = subf_blocks(realization.h_est[None], realization.h_delayed[None], quantizer, snr, [rng])
+    return _block_outcome(out, snr)

@@ -1,12 +1,14 @@
 """Shared test helpers: independent oracles and the acceptance report hook."""
 
+import csv
 import math
 
 import numpy as np
 
 from fbsim.analytic import zf_bopt_fixed_point
+from fbsim.cli import ResultRow
 from fbsim.channel import ChannelRealization
-from fbsim.numerics import SingularSetError, complex_gaussian, haar_orthonormal_sets, zf_directions
+from fbsim.numerics import SingularSetError, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import DegeneratePivotError, rvq_sin2, scalar_bit_split
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
 
@@ -20,6 +22,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_REPORT):
             terminalreporter.write_line(line)
+
+
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """i.i.d. circularly symmetric complex Gaussian entries with unit variance: real, then imaginary draws."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def read_csv(path) -> list:
+    """The ResultRows of a CSV that fbsim.cli.write_csv wrote."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as f:
+        for d in csv.DictReader(f):
+            rows.append(ResultRow(
+                scheme=d["scheme"], nt=int(d["nt"]), snr_db=float(d["snr_db"]),
+                tfb=int(d["tfb"]), b=int(d["b"]), users=int(d["users"]),
+                mean_rate=float(d["mean_rate"]), std_error=float(d["std_error"]),
+                trials=int(d["trials"]),
+                extra=None if d["extra"] == "" else float(d["extra"]),
+            ))
+    return rows
 
 
 EULER_GAMMA = 0.5772156649015329

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import explicit_rvq_sin2_batch, sample_rvq_sin2
+from conftest import explicit_rvq_sin2_batch, read_csv, sample_rvq_sin2
 from fbsim import analytic as A
 from fbsim import montecarlo
 from fbsim.channel import ChannelModelConfig, draw_block
-from fbsim.cli import read_csv, run_preset
+from fbsim.cli import run_preset
 from fbsim.montecarlo import ExperimentConfig, run_point, sweep_b
 from fbsim.numerics import RngStream, lambert_w_m1
 from fbsim.quantization import QuantizerSpec, quantize_directions

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from fbsim import analytic, cli
+from conftest import read_csv
+from fbsim import analytic, cli, montecarlo
 from fbsim.cli import (
     CSV_COLUMNS,
     PRESETS,
@@ -12,7 +13,6 @@ from fbsim.cli import (
     _parse_overrides,
     load_config,
     main,
-    read_csv,
     run_preset,
     write_csv,
     write_svg,
@@ -201,6 +201,22 @@ class TestMainExitCodes:
         ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\ntrials = 4\n"
                        "b_values = 33\n")
         assert main(["run", str(ini), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("body,message", [
+        ("scheme = zf\nnt = 4\nb_values = 10 33\n", "B=33 (+0 CQI bits) does not divide tfb=300"),
+        ("scheme = pu2rc\nnt = 3\nb_values = 4\n", "2^B=16 is not divisible by nt=3"),
+    ], ids=["zf_past_budget", "pu2rc_partial_set"])
+    def test_infeasible_b_value_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                              body, message):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a B point ran before the config was rejected")
+
+        monkeypatch.setattr(montecarlo, "run_point", no_trials)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\n{body}snr_db = 10\ntfb = 300\ntrials = 3000\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_empty_b_grid_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

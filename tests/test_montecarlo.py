@@ -83,6 +83,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="tfb|cqi_bits"):
             _cfg(**kw)
 
+    def test_b_value_past_the_budget_rejected_at_construction(self):
+        # B=33 does not divide T_fb=300; B=10 before it must not run first
+        with pytest.raises(FeedbackBudgetError, match="B=33"):
+            _cfg(tfb=300, b_values=(10, 33))
+
+    def test_pu2rc_b_value_needs_whole_orthonormal_sets(self):
+        with pytest.raises(ValueError, match="2\\^B=16 is not divisible by nt=3"):
+            _cfg(scheme="pu2rc", nt=3, tfb=300, b_values=(4,))
+
+    @pytest.mark.parametrize("b", [0, -5])
+    def test_b_value_below_one_rejected(self, b):
+        with pytest.raises(ValueError, match="every B must be >= 1"):
+            _cfg(b_values=(10, b))
+
     def test_zero_cqi_bits_means_none(self):
         assert _cfg(tfb=300, cqi_bits=0).users_for(20) == _cfg(tfb=300).users_for(20) == 15
 
@@ -119,50 +133,71 @@ class TestFeasibleGrid:
             sweep_b(cfg)
 
 
+# (B, config fields) per scheme for the chunking tests: one set or many,
+# perfect CSI or training error and delay, and every kind of subf quantizer.
+CHUNK_CASES = {
+    "zf": (20, dict()),
+    "rbf": (4, dict(scheme="rbf")),
+    "pu2rc_one_set": (2, dict(scheme="pu2rc")),
+    "pu2rc_16_sets_training_delay": (6, dict(scheme="pu2rc", tfb=300, beta=1.0, r=0.9)),
+    "subf_scalar": (4, dict(scheme="subf", quantizer="scalar")),
+    "subf_rvq_explicit": (4, dict(scheme="subf", quantizer="rvq_explicit", beta=1.0)),
+}
+
+
 class TestRunPoint:
-    def test_chunk_size_does_not_change_results(self, monkeypatch):
-        cfg = _cfg(trials=48, b_values=(20,))
-        a = run_point(cfg, 20)
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_chunk_size_does_not_change_results(self, case, monkeypatch):
+        b, kw = CHUNK_CASES[case]
+        cfg = _cfg(trials=48, b_values=(b,), **kw)
+        rows = cfg.users_for(b) * montecarlo._codebook_sets(cfg, b)
+        a = run_point(cfg, b)
         monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 1)  # one trial per chunk
-        b = run_point(cfg, 20)
-        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 7 * 5)  # 7 trials of 5 users
-        c = run_point(cfg, 20)
-        assert a == b == c
+        b1 = run_point(cfg, b)
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 7 * rows)  # 7 trials per chunk
+        c = run_point(cfg, b)
+        assert a == b1 == c
 
     @pytest.mark.parametrize("b,kw", [
         (20, dict()),
         (4, dict(selection="simplified", quantizer="scalar")),
         (20, dict(tfb=125, cqi_bits=5, cqi_kind="expected_sinr", beta=1.0, r=0.9)),
-    ], ids=["greedy", "simplified_scalar", "cqi_bits_training"])
+        *(CHUNK_CASES[c] for c in CHUNK_CASES if c != "zf"),
+    ], ids=["greedy", "simplified_scalar", "cqi_bits_training", *(c for c in CHUNK_CASES if c != "zf")])
     def test_chunk_boundary_matches_run_trial(self, b, kw):
-        users = _cfg(**kw).users_for(b)
-        trials = montecarlo.CHUNK_ROWS // users + 1  # one full chunk and one trial more
+        cfg = _cfg(**kw)
+        # one full chunk and one trial more
+        trials = montecarlo.CHUNK_ROWS // (cfg.users_for(b) * montecarlo._codebook_sets(cfg, b)) + 1
         cfg = _cfg(trials=trials, seed=3, **kw)
         per_trial = np.array([run_trial(cfg, b, RngStream(3, 7 + t)) for t in range(trials)])
         est = run_point(cfg, b, stream_offset=7)
         assert est.mean == float(per_trial.mean())
         assert est.std_error == float(per_trial.std(ddof=1) / math.sqrt(trials))
 
-    def test_non_finite_zf_rate_names_its_stream(self, monkeypatch):
-        chunk = montecarlo._zf_chunk
+    @staticmethod
+    def _poison(monkeypatch, trials, value):
+        """Make the chunk runner return `value` for the point's trials at the given indices."""
+        chunk, seen = montecarlo._trial_chunk, [0]
 
-        def poisoned(cfg, b, streams):
-            out = chunk(cfg, b, streams)
-            ids = [s.stream_id for s in streams]
-            if 9 in ids:
-                out[ids.index(9)] = np.nan
+        def poisoned(cfg, b, rngs):
+            out = chunk(cfg, b, rngs)
+            first, seen[0] = seen[0], seen[0] + len(out)
+            for t in trials:
+                if first <= t < seen[0]:
+                    out[t - first] = value
             return out
 
-        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 5 * 4)  # a chunk of 4 trials holds stream 9
-        monkeypatch.setattr(montecarlo, "_zf_chunk", poisoned)
+        monkeypatch.setattr(montecarlo, "_trial_chunk", poisoned)
+
+    def test_non_finite_zf_rate_names_its_stream(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 5 * 4)  # chunks of 4 trials; stream 9 is in the second
+        self._poison(monkeypatch, [7], np.nan)  # stream 2 + 7
         with pytest.raises(ValueError, match=r"B=20 on stream \(seed=0, stream_id=9\)"):
             run_point(_cfg(trials=16), 20, stream_offset=2)
 
     def test_non_finite_trial_rate_names_its_stream(self, monkeypatch):
-        trial = montecarlo.run_trial
-        monkeypatch.setattr(montecarlo, "run_trial", lambda cfg, b, stream: (
-            math.inf if stream.stream_id in (4, 6) else trial(cfg, b, stream)))
-        with pytest.raises(ValueError, match=r"stream_id=4\)"):
+        self._poison(monkeypatch, [4, 6], math.inf)
+        with pytest.raises(ValueError, match=r"B=20 on stream \(seed=0, stream_id=4\)"):
             run_point(_cfg(scheme="subf", trials=8), 20)
 
     def test_deterministic_across_calls(self):

@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EULER_GAMMA, haar_orthonormal_set, lambert_w_m1_bisect, max_gamma_expectation
+from conftest import (
+    EULER_GAMMA,
+    complex_gaussian,
+    haar_orthonormal_set,
+    lambert_w_m1_bisect,
+    max_gamma_expectation,
+)
 from fbsim.numerics import (
     RngStream,
     SingularSetError,
-    complex_gaussian,
+    complex_pairs,
     haar_orthonormal_sets,
     lambert_w_m1,
+    rng_streams,
+    stream_seed_words,
     zf_directions,
 )
 
@@ -64,13 +72,61 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
 
+def _seed_sequence_words(seed, stream_id):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,)).generate_state(4, np.uint64)
+
+
+def _assert_streams_match_seed_sequence(seed, first, count):
+    words = stream_seed_words(seed, first, count)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for i, (w, rng) in enumerate(zip(words, rng_streams(seed, first, count))):
+        np.testing.assert_array_equal(w, _seed_sequence_words(seed, first + i))
+        oracle = RngStream(seed, first + i).generator()
+        np.testing.assert_array_equal(rng.standard_normal(5), oracle.standard_normal(5))
+        np.testing.assert_array_equal(rng.random(3), oracle.random(3))
+
+
+class TestRngStreams:
+    """rng_streams hashes a chunk's seed words in one array pass; every
+    stream must be the one SeedSequence (RngStream.generator) gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**40])  # the middle chunk crosses 2^32
+    def test_words_and_draws_equal_seed_sequence(self, seed, first):
+        _assert_streams_match_seed_sequence(seed, first, 6)
+
+    def test_seed_past_the_pool_and_ids_past_63_bits(self):
+        _assert_streams_match_seed_sequence(2**130 + 7, 5, 3)  # a five-word seed is not padded
+        _assert_streams_match_seed_sequence(3, 2**64 - 2, 4)  # SeedSequence itself
+
+    @given(st.integers(0, 2**96 - 1), st.integers(0, 2**40 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_any_seed_and_stream_id(self, seed, stream_id):
+        np.testing.assert_array_equal(stream_seed_words(seed, stream_id, 1)[0],
+                                      _seed_sequence_words(seed, stream_id))
+        (rng,) = rng_streams(seed, stream_id, 1)
+        np.testing.assert_array_equal(rng.standard_normal(3),
+                                      RngStream(seed, stream_id).generator().standard_normal(3))
+
+    def test_empty_and_negative(self):
+        assert list(rng_streams(0, 0, 0)) == []
+        with pytest.raises(ValueError):
+            stream_seed_words(-1, 0, 2)
+        with pytest.raises(ValueError):
+            stream_seed_words(0, -1, 2)
+
+
 class TestComplexGaussian:
     def test_unit_variance_and_circularity(self):
         rng = RngStream(1).generator()
-        z = complex_gaussian(rng, 200_000)
+        z = complex_pairs(rng.standard_normal((2, 1, 200_000)))
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
         assert abs(np.mean(z)) < 0.01
         assert abs(np.mean(z**2)) < 0.01  # pseudo-variance of a circular variable
+
+    def test_one_draw_equals_real_then_imaginary_draws(self):
+        z = complex_pairs(RngStream(2).generator().standard_normal((2, 5, 4)))
+        np.testing.assert_array_equal(z, complex_gaussian(RngStream(2).generator(), (5, 4)))
 
 
 class TestHaar:

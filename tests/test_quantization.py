@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    complex_gaussian,
     explicit_rvq_sin2_batch,
     oracle_quantize_cqi,
     oracle_quantize_directions,
@@ -14,7 +15,7 @@ from conftest import (
     sample_rvq_sin2,
 )
 from fbsim import quantization
-from fbsim.numerics import RngStream, complex_gaussian
+from fbsim.numerics import RngStream
 from fbsim.quantization import (
     EXPLICIT_RVQ_MAX_BITS,
     CodebookCapacityError,

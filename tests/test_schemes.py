@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    complex_gaussian,
     estimated_plan_rate,
     oracle_draw_block,
     oracle_zf_block,
@@ -12,7 +13,7 @@ from conftest import (
     zf_realized_sinr,
 )
 from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
-from fbsim.numerics import RngStream, SingularSetError, complex_gaussian, zf_directions
+from fbsim.numerics import RngStream, SingularSetError, zf_directions
 from fbsim.quantization import (
     CqiQuantizerSpec,
     QuantizerSpec,
