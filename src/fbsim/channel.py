@@ -10,12 +10,6 @@ import numpy as np
 from .numerics import complex_pairs
 
 
-def check_beta(beta: float | None) -> None:
-    """beta = 0 would leave the receiver with no channel estimate at all (h_est = 0)."""
-    if beta is not None and not beta > 0.0:
-        raise ValueError(f"beta must be > 0 (omit it for perfect receiver CSI), got {beta}")
-
-
 @dataclass(frozen=True)
 class ChannelModelConfig:
     """Fading/feedback-loop model for one coherence block.
@@ -38,7 +32,9 @@ class ChannelModelConfig:
             raise ValueError("nt and num_users must be >= 1")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        check_beta(self.beta)
+        # beta = 0 would leave the receiver with no channel estimate at all (h_est = 0)
+        if self.beta is not None and not self.beta > 0.0:
+            raise ValueError(f"beta must be > 0 (omit it for perfect receiver CSI), got {self.beta}")
         if self.snr <= 0.0:
             raise ValueError(f"snr must be > 0, got {self.snr}")
 

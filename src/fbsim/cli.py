@@ -243,7 +243,7 @@ def _bopt_rows(cfg: ExperimentConfig, axis: tuple[str, tuple],
         c = replace(cfg, **{name: v})
         if not c.b_values:
             c = replace(c, b_values=tuple(b for b in feasible_b_values(c) if lo <= b <= hi))
-        rows.append(_row(c, find_bopt_empirical(c, common_streams=True)[1], overlay_fn))
+        rows.append(_row(c, find_bopt_empirical(c)[1], overlay_fn))
     return rows
 
 

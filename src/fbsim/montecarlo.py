@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import ChannelModelConfig, check_beta, draw_block, draw_blocks
+from .channel import ChannelModelConfig, draw_block, draw_blocks
 from .numerics import RngStream, haar_orthonormal_stack, rng_streams
 from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
 from .schemes import (
@@ -32,7 +32,7 @@ CHUNK_ROWS = 1024
 
 
 class FeedbackBudgetError(ValueError):
-    """B grid or budget leaves no feasible user count."""
+    """A B the configuration cannot run, or an empty B grid."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.nt < 1:
-            raise ValueError(f"nt must be >= 1, got {self.nt}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.tfb < 1:
@@ -67,38 +67,42 @@ class ExperimentConfig:
             raise ValueError(f"cqi_bits must be >= 0 (0: none), got {self.cqi_bits}")
         if self.quantizer not in QUANTIZER_KINDS:
             raise ValueError(f"unknown quantizer {self.quantizer!r}; known: {QUANTIZER_KINDS}")
-        if self.scheme in ("zf", "subf") and self.quantizer == "orthosets":
-            raise ValueError(f"quantizer 'orthosets' is not a per-user direction quantizer; "
-                             f"scheme {self.scheme!r} needs one")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}; known: {SELECTIONS}")
         if self.scheme == "zf" and self.cqi_kind not in ZF_CQI_KINDS:
             raise ValueError(f"unsupported CQI kind for ZF {self.cqi_kind!r}; known: {ZF_CQI_KINDS}")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
-        check_beta(self.beta)
+        try:
+            self.channel_config(1)  # the channel model's rules: nt, r, beta and snr > 0
+        except OverflowError:
+            raise ValueError(f"snr_db={self.snr_db} overflows the linear SNR") from None
         for b in self.b_values:
-            if b < 1:
-                raise ValueError(f"every B must be >= 1, got b_values={self.b_values}")
             self.users_for(b)
-            if self.scheme == "pu2rc":
-                orthoset_count(b, self.nt)
 
     @property
     def snr(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
 
-    def users_for(self, b: int) -> int:
+    def b_problem(self, b: int) -> str | None:
+        """Why B cannot run under this config, or None if it can."""
+        if b < 1:
+            return f"every B must be >= 1, got B={b}"
         per_user = b + (self.cqi_bits or 0)
-        users = self.tfb // per_user
-        if users < 1:
-            raise FeedbackBudgetError(f"budget {self.tfb} too small for {per_user} bits/user")
+        if self.tfb < per_user:
+            return f"budget {self.tfb} too small for {per_user} bits/user"
         if not self.relaxed_user_grid and self.tfb % per_user != 0:
-            raise FeedbackBudgetError(
-                f"B={b} (+{self.cqi_bits or 0} CQI bits) does not divide tfb={self.tfb}; "
-                f"feasible values: {feasible_b_values(self)}"
-            )
-        return users
+            return f"B={b} (+{self.cqi_bits or 0} CQI bits) does not divide tfb={self.tfb}"
+        if self.scheme == "pu2rc":
+            try:
+                orthoset_count(b, self.nt)
+            except ValueError as e:
+                return str(e)
+        return None
+
+    def users_for(self, b: int) -> int:
+        problem = self.b_problem(b)
+        if problem:
+            raise FeedbackBudgetError(f"{problem}; feasible values: {feasible_b_values(self)}")
+        return self.tfb // (b + (self.cqi_bits or 0))
 
     def channel_config(self, users: int) -> ChannelModelConfig:
         return ChannelModelConfig(
@@ -120,19 +124,9 @@ class RateEstimate:
 
 
 def feasible_b_values(cfg: ExperimentConfig) -> list[int]:
-    """Integer B grid: log2(nt) <= B <= tfb/nt, integer user count unless relaxed."""
-    per_extra = cfg.cqi_bits or 0
+    """Integer B grid: the B in [log2(nt), tfb/nt] that cfg can run."""
     lo = max(1, math.ceil(math.log2(cfg.nt)))
-    hi = cfg.tfb // cfg.nt
-    out = []
-    for b in range(lo, hi + 1):
-        if not cfg.relaxed_user_grid and cfg.tfb % (b + per_extra) != 0:
-            continue
-        if cfg.scheme == "pu2rc" and (2**b) % cfg.nt != 0:
-            continue
-        if cfg.tfb // (b + per_extra) >= 1:
-            out.append(b)
-    return out
+    return [b for b in range(lo, cfg.tfb // cfg.nt + 1) if cfg.b_problem(b) is None]
 
 
 def _zf_specs(cfg: ExperimentConfig, b: int) -> tuple[QuantizerSpec, CqiQuantizerSpec | None]:
@@ -231,15 +225,13 @@ def sweep_b(cfg: ExperimentConfig, common_streams: bool = False) -> list[RateEst
     return out
 
 
-def find_bopt_empirical(
-    cfg: ExperimentConfig, common_streams: bool = False
-) -> tuple[int, RateEstimate, float]:
-    """Empirical argmax over the B sweep.
+def find_bopt_empirical(cfg: ExperimentConfig) -> tuple[int, RateEstimate, float]:
+    """Empirical argmax over the B sweep, every B on the same trial streams.
 
     Returns (b_opt, its estimate, runner-up gap in pooled std-error units);
     ties go to the smaller B.
     """
-    estimates = sweep_b(cfg, common_streams=common_streams)
+    estimates = sweep_b(cfg, common_streams=True)
     best = max(estimates, key=lambda e: (e.mean, -e.b))
     others = [e for e in estimates if e.b != best.b]
     if others:

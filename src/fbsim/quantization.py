@@ -9,7 +9,7 @@ import numpy as np
 
 from .numerics import complex_pairs, haar_orthonormal_sets
 
-QUANTIZER_KINDS = ("rvq_explicit", "rvq_statistical", "scalar", "idealized", "orthosets", "perfect")
+QUANTIZER_KINDS = ("rvq_explicit", "rvq_statistical", "scalar", "idealized", "perfect")
 
 # 2^B codeword scans above this are refused; use the statistical fast path.
 EXPLICIT_RVQ_MAX_BITS = 24
@@ -36,19 +36,13 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.kind not in QUANTIZER_KINDS:
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
-        if self.kind != "perfect":
-            if self.bits < 1:
-                raise ValueError("bits must be >= 1")
-            if self.kind == "rvq_explicit" and self.bits > EXPLICIT_RVQ_MAX_BITS:
-                raise CodebookCapacityError(
-                    f"rvq_explicit is capped at B={EXPLICIT_RVQ_MAX_BITS}; "
-                    "use rvq_statistical for larger codebooks"
-                )
-            if self.kind == "orthosets":
-                if self.bits < math.log2(self.nt) or (2**self.bits) % self.nt != 0:
-                    raise ValueError(
-                        f"orthosets needs 2^B divisible by nt (B={self.bits}, nt={self.nt})"
-                    )
+        if self.kind != "perfect" and self.bits < 1:
+            raise ValueError("bits must be >= 1")
+        if self.kind == "rvq_explicit" and self.bits > EXPLICIT_RVQ_MAX_BITS:
+            raise CodebookCapacityError(
+                f"rvq_explicit is capped at B={EXPLICIT_RVQ_MAX_BITS}; "
+                "use rvq_statistical for larger codebooks"
+            )
 
 
 @dataclass(frozen=True)
@@ -237,4 +231,4 @@ def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.nd
         return _quantize_rvq_explicit(h, spec.bits, rngs)
     if spec.kind == "scalar":
         return _quantize_scalar(h, spec.bits)
-    raise ValueError(f"quantizer kind {spec.kind!r} is not a per-user direction quantizer")
+    raise ValueError(f"unknown quantizer kind {spec.kind!r}")

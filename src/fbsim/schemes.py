@@ -329,7 +329,10 @@ def zf_block(
     plan = select(reports, snr, nt)
     h_sel = realization.h_delayed[plan.selected]
     rates = _realized_zf_rates(h_sel[None], plan.beamformers[None], snr)[0]
-    return BlockOutcome(plan=plan, realized_rates=rates, sum_rate=float(rates.sum()))
+    # summed over the zero-padded row zf_blocks sums, so the bits agree at any width
+    row = np.zeros(min(nt, len(reports)))
+    row[: len(rates)] = rates
+    return BlockOutcome(plan=plan, realized_rates=rates, sum_rate=float(row.sum()))
 
 
 def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndarray,

@@ -241,6 +241,20 @@ class TestMainExitCodes:
         assert "quantizer" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("snr_db", "4000", "snr_db=4000.0 overflows the linear SNR"),
+        ("snr_db", "-4000", "snr must be > 0"),
+        ("seed", "-1", "seed must be >= 0"),
+    ], ids=["snr_overflow", "snr_underflow", "negative_seed"])
+    def test_out_of_range_field_is_exit_2_and_writes_nothing(self, tmp_path, capsys,
+                                                             key, value, message):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\ntrials = 4\n"
+                       "b_values = 20\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r"), f"--{key}", value]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_scheme_quantizer_mismatch_is_exit_2(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\ntrials = 4\n"

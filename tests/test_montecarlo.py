@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsim import montecarlo
 from fbsim.montecarlo import (
@@ -68,12 +71,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [dict(selection="exhaustive"), dict(cqi_kind="rbf_sinr"),
                                     dict(beta=-1.0), dict(beta=0.0), dict(r=-0.1),
-                                    dict(snr_db=float("inf"))])
+                                    dict(snr_db=float("inf")), dict(seed=-1),
+                                    # linear SNRs 10^400 (overflows a float) and 10^-400 (0.0)
+                                    dict(snr_db=4000.0), dict(snr_db=-4000.0)])
     def test_other_invalid_fields_rejected(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
 
-    @pytest.mark.parametrize("scheme", ["zf", "subf"])
+    @pytest.mark.parametrize("scheme", ["zf", "subf", "rbf", "pu2rc"])
     def test_orthosets_rejected_for_per_user_quantizer_schemes(self, scheme):
         with pytest.raises(ValueError, match="orthosets"):
             _cfg(scheme=scheme, quantizer="orthosets")
@@ -127,6 +132,21 @@ class TestFeasibleGrid:
         got = feasible_b_values(_cfg(tfb=300, cqi_bits=4))
         assert got == [2, 6, 8, 11, 16, 21, 26, 46, 56, 71]
 
+    @given(scheme=st.sampled_from(["zf", "rbf", "pu2rc", "subf"]), nt=st.integers(1, 8),
+           tfb=st.integers(1, 500), cqi_bits=st.sampled_from([None, 0, 2, 4]),
+           relaxed=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_grid_is_every_b_the_config_accepts(self, scheme, nt, tfb, cqi_bits, relaxed):
+        cfg = _cfg(scheme=scheme, nt=nt, tfb=tfb, cqi_bits=cqi_bits, relaxed_user_grid=relaxed)
+        accepted = []
+        for b in range(max(1, math.ceil(math.log2(nt))), tfb // nt + 1):
+            try:
+                replace(cfg, b_values=(b,))
+            except ValueError:
+                continue
+            accepted.append(b)
+        assert feasible_b_values(cfg) == accepted
+
     def test_empty_grid_raises_in_sweep(self):
         cfg = _cfg(tfb=7, nt=4)
         with pytest.raises(FeedbackBudgetError):
@@ -162,8 +182,12 @@ class TestRunPoint:
         (20, dict()),
         (4, dict(selection="simplified", quantizer="scalar")),
         (20, dict(tfb=125, cqi_bits=5, cqi_kind="expected_sinr", beta=1.0, r=0.9)),
+        # at nt >= 8 NumPy sums a trial's zero-padded rate row in 8 lanes
+        (24, dict(nt=8, tfb=240, snr_db=20.0)),
+        (24, dict(nt=8, tfb=240, snr_db=20.0, selection="simplified")),
         *(CHUNK_CASES[c] for c in CHUNK_CASES if c != "zf"),
-    ], ids=["greedy", "simplified_scalar", "cqi_bits_training", *(c for c in CHUNK_CASES if c != "zf")])
+    ], ids=["greedy", "simplified_scalar", "cqi_bits_training", "nt8_greedy", "nt8_simplified",
+            *(c for c in CHUNK_CASES if c != "zf")])
     def test_chunk_boundary_matches_run_trial(self, b, kw):
         cfg = _cfg(**kw)
         # one full chunk and one trial more
@@ -309,7 +333,7 @@ class TestSweep:
 
     def test_find_bopt_reports_gap(self):
         cfg = _cfg(trials=64, b_values=(4, 10, 20))
-        b_opt, est, gap = find_bopt_empirical(cfg, common_streams=True)
+        b_opt, est, gap = find_bopt_empirical(cfg)
         assert b_opt in (4, 10, 20)
         assert est.b == b_opt
         assert gap > 0.0

@@ -42,11 +42,6 @@ class TestQuantizerSpec:
         with pytest.raises(CodebookCapacityError):
             QuantizerSpec(kind="rvq_explicit", bits=EXPLICIT_RVQ_MAX_BITS + 1, nt=4)
 
-    def test_orthosets_divisibility(self):
-        QuantizerSpec(kind="orthosets", bits=2, nt=4)  # 4 codewords = 1 set
-        with pytest.raises(ValueError):
-            QuantizerSpec(kind="orthosets", bits=1, nt=4)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             QuantizerSpec(kind="magic", bits=4, nt=4)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complex_gaussian,
@@ -244,6 +246,55 @@ class TestZfBlock:
         with pytest.raises(ValueError):
             zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 4),
                      "norm2", 10.0, 4, selection="exhaustive")
+
+
+# ZF blocks with perfect direction feedback: (seed, trials, users, nt, snr, selection, cqi_kind).
+PERFECT_ZF_CASES = dict(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4),
+                        users=st.integers(1, 24), nt=st.integers(1, 6),
+                        snr_db=st.floats(-10.0, 30.0), selection=st.sampled_from(["greedy", "simplified"]),
+                        cqi_kind=st.sampled_from(["norm2", "expected_sinr"]))
+
+
+def _perfect_zf_blocks(h_est, h_delayed, snr, selection, cqi_kind):
+    nt = h_est.shape[-1]
+    return zf_blocks(h_est, h_delayed, QuantizerSpec("perfect", 0, nt), cqi_kind, snr, nt,
+                     selection, [None] * len(h_est))
+
+
+class TestZfProperties:
+    @given(**PERFECT_ZF_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_perfect_feedback_leaves_no_interference(self, seed, trials, users, nt, snr_db,
+                                                     selection, cqi_kind):
+        snr = 10.0 ** (snr_db / 10.0)
+        rngs = [RngStream(seed, t).generator() for t in range(trials)]
+        block = draw_blocks(ChannelModelConfig(nt=nt, num_users=users, snr=snr), rngs)
+        out = _perfect_zf_blocks(block.h_est, block.h_delayed, snr, selection, cqi_kind)
+        for t in range(trials):
+            h = block.h[t, out.selected[t, :out.counts[t]]]
+            p = np.abs(h.conj() @ out.beamformers[t, :out.counts[t]].T) ** 2  # |h_j^H v_k|^2
+            off = p[~np.eye(len(p), dtype=bool)]
+            assert np.all(off <= 1e-9 * np.max(np.linalg.norm(h, axis=1) ** 2))
+
+    @given(**PERFECT_ZF_CASES, impaired=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sum_rate_ignores_user_phases_and_antenna_order(self, seed, trials, users, nt, snr_db,
+                                                            selection, cqi_kind, impaired):
+        snr = 10.0 ** (snr_db / 10.0)
+        rngs = [RngStream(seed, t).generator() for t in range(trials)]
+        chan = ChannelModelConfig(nt=nt, num_users=users, snr=snr,
+                                  beta=1.0 if impaired else None, r=0.9 if impaired else 1.0)
+        block = draw_blocks(chan, rngs)
+        rates = _perfect_zf_blocks(block.h_est, block.h_delayed, snr, selection, cqi_kind).sum_rates
+        rng = RngStream(seed, trials).generator()
+        phase = np.exp(2j * np.pi * rng.random((trials, users, 1)))
+        rotated = _perfect_zf_blocks(phase * block.h_est, phase * block.h_delayed, snr, selection,
+                                     cqi_kind).sum_rates
+        perm = rng.permutation(nt)
+        permuted = _perfect_zf_blocks(block.h_est[..., perm], block.h_delayed[..., perm], snr,
+                                      selection, cqi_kind).sum_rates
+        np.testing.assert_allclose(rotated, rates, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(permuted, rates, rtol=0, atol=1e-9)
 
 
 # (quantizer, bits): scalar and explicit RVQ at B <= 6 give duplicate codewords.
