@@ -10,7 +10,7 @@ import numpy as np
 
 from .channel import ChannelModelConfig, draw_block, draw_blocks
 from .numerics import RngStream, haar_orthonormal_stack, rng_streams
-from .quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
+from .quantization import CqiQuantizerSpec, QuantizerSpec, orthoset_count
 from .schemes import (
     SELECTIONS,
     ZF_CQI_KINDS,
@@ -65,16 +65,18 @@ class ExperimentConfig:
             raise ValueError(f"tfb must be >= 1, got {self.tfb}")
         if self.cqi_bits is not None and self.cqi_bits < 0:
             raise ValueError(f"cqi_bits must be >= 0 (0: none), got {self.cqi_bits}")
-        if self.quantizer not in QUANTIZER_KINDS:
-            raise ValueError(f"unknown quantizer {self.quantizer!r}; known: {QUANTIZER_KINDS}")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}; known: {SELECTIONS}")
         if self.scheme == "zf" and self.cqi_kind not in ZF_CQI_KINDS:
             raise ValueError(f"unsupported CQI kind for ZF {self.cqi_kind!r}; known: {ZF_CQI_KINDS}")
+        QuantizerSpec(self.quantizer, 1)  # the quantizer kind
         try:
-            self.channel_config(1)  # the channel model's rules: nt, r, beta and snr > 0
+            snr = self.snr
         except OverflowError:
             raise ValueError(f"snr_db={self.snr_db} overflows the linear SNR") from None
+        if snr == 0.0:
+            raise ValueError(f"snr_db={self.snr_db} underflows the linear SNR to 0")
+        self.channel_config(1)  # the channel model's rules: nt, r and beta
         for b in self.b_values:
             self.users_for(b)
 
@@ -91,12 +93,28 @@ class ExperimentConfig:
             return f"budget {self.tfb} too small for {per_user} bits/user"
         if not self.relaxed_user_grid and self.tfb % per_user != 0:
             return f"B={b} (+{self.cqi_bits or 0} CQI bits) does not divide tfb={self.tfb}"
-        if self.scheme == "pu2rc":
-            try:
-                orthoset_count(b, self.nt)
-            except ValueError as e:
-                return str(e)
+        try:
+            self.trial_specs(b)
+        except ValueError as e:
+            return str(e)
         return None
+
+    def trial_specs(self, b: int) -> tuple[QuantizerSpec | None, CqiQuantizerSpec | None, int]:
+        """What a trial at B runs on: (direction quantizer, CQI quantizer, codebook sets).
+
+        Only zf and subf quantize directions, and only zf quantizes its CQI.
+        PU2RC's codebook holds 2^B/nt orthonormal sets; every other scheme
+        counts as one set when chunks are sized. Raises ValueError for a B
+        the quantizer or the codebook cannot take.
+        """
+        qspec = QuantizerSpec(self.quantizer, b) if self.scheme in ("zf", "subf") else None
+        cqi_q = None
+        if self.scheme == "zf" and self.cqi_bits:
+            # E[norm2 CQI] = nt; E[expected-SINR CQI] ~ (snr/nt)*E||h||^2 = snr
+            mean_cqi = self.nt if self.cqi_kind == "norm2" else self.snr
+            cqi_q = CqiQuantizerSpec.around_mean(self.cqi_bits, mean_cqi)
+        sets = orthoset_count(b, self.nt) if self.scheme == "pu2rc" else 1
+        return qspec, cqi_q, sets
 
     def users_for(self, b: int) -> int:
         problem = self.b_problem(b)
@@ -129,31 +147,12 @@ def feasible_b_values(cfg: ExperimentConfig) -> list[int]:
     return [b for b in range(lo, cfg.tfb // cfg.nt + 1) if cfg.b_problem(b) is None]
 
 
-def _zf_specs(cfg: ExperimentConfig, b: int) -> tuple[QuantizerSpec, CqiQuantizerSpec | None]:
-    qspec = QuantizerSpec(kind=cfg.quantizer, bits=b, nt=cfg.nt)
-    cqi_q = None
-    if cfg.cqi_bits:
-        # E[norm2 CQI] = nt; E[expected-SINR CQI] ~ (snr/nt)*E||h||^2 = snr
-        mean_cqi = cfg.nt if cfg.cqi_kind == "norm2" else cfg.snr
-        cqi_q = CqiQuantizerSpec.around_mean(cfg.cqi_bits, mean_cqi)
-    return qspec, cqi_q
-
-
-def _codebook_sets(cfg: ExperimentConfig, b: int) -> int:
-    """Orthonormal sets in each trial's codebook: 2^B/nt for PU2RC, one for RBF.
-
-    zf and subf draw no codebook and count as one set when chunks are sized.
-    """
-    return orthoset_count(b, cfg.nt) if cfg.scheme == "pu2rc" else 1
-
-
 def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     """Simulate one coherence block and return its sum rate."""
     rng = stream.generator()
-    users = cfg.users_for(b)
-    realization = draw_block(cfg.channel_config(users), rng)
+    realization = draw_block(cfg.channel_config(cfg.users_for(b)), rng)
+    qspec, cqi_q, _ = cfg.trial_specs(b)
     if cfg.scheme == "zf":
-        qspec, cqi_q = _zf_specs(cfg, b)
         out = zf_block(realization, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
                        selection=cfg.selection, rng=rng, cqi_quantizer=cqi_q)
     elif cfg.scheme == "rbf":
@@ -161,7 +160,6 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     elif cfg.scheme == "pu2rc":
         out = pu2rc_block(realization, b, cfg.snr, cfg.nt, rng)
     else:
-        qspec = QuantizerSpec(kind=cfg.quantizer, bits=b, nt=cfg.nt)
         out = subf_block(realization, qspec, cfg.snr, rng)
     return out.sum_rate
 
@@ -174,15 +172,14 @@ def _trial_chunk(cfg: ExperimentConfig, b: int, rngs: list[np.random.Generator])
     in chunk buffers and the rest of the trial runs on the stacks.
     """
     block = draw_blocks(cfg.channel_config(cfg.users_for(b)), rngs)
+    qspec, cqi_q, sets = cfg.trial_specs(b)
     if cfg.scheme == "zf":
-        qspec, cqi_q = _zf_specs(cfg, b)
         out = zf_blocks(block.h_est, block.h_delayed, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
                         cfg.selection, rngs, cqi_q)
     elif cfg.scheme == "subf":
-        qspec = QuantizerSpec(kind=cfg.quantizer, bits=b, nt=cfg.nt)
         out = subf_blocks(block.h_est, block.h_delayed, qspec, cfg.snr, rngs)
     else:
-        codebooks = haar_orthonormal_stack(rngs, cfg.nt, _codebook_sets(cfg, b))
+        codebooks = haar_orthonormal_stack(rngs, cfg.nt, sets)
         out = orthoset_blocks(block.h_est, block.h_delayed, codebooks, cfg.snr, cfg.nt)
     return out.sum_rates
 
@@ -196,7 +193,7 @@ def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEsti
     ValueError naming the first such trial's stream.
     """
     users = cfg.users_for(b)
-    step = max(1, CHUNK_ROWS // (users * _codebook_sets(cfg, b)))
+    step = max(1, CHUNK_ROWS // (users * cfg.trial_specs(b)[2]))
     rngs = rng_streams(cfg.seed, stream_offset, cfg.trials)
     results = np.concatenate([_trial_chunk(cfg, b, list(islice(rngs, step)))
                               for _ in range(0, cfg.trials, step)])

@@ -31,11 +31,10 @@ class DegeneratePivotError(ValueError):
 class QuantizerSpec:
     kind: str
     bits: int
-    nt: int
 
     def __post_init__(self):
         if self.kind not in QUANTIZER_KINDS:
-            raise ValueError(f"unknown quantizer kind {self.kind!r}")
+            raise ValueError(f"unknown quantizer kind {self.kind!r}; known: {QUANTIZER_KINDS}")
         if self.kind != "perfect" and self.bits < 1:
             raise ValueError("bits must be >= 1")
         if self.kind == "rvq_explicit" and self.bits > EXPLICIT_RVQ_MAX_BITS:
@@ -139,7 +138,7 @@ def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
 
     Allocation order is phase_2, mag_2, phase_3, mag_3, ..., restarting until
     the budget is spent, so remainders favor lower-indexed components and
-    phases first.
+    phases first. At nt = 1 there are no slots and no bits are spent.
     """
     phase_bits = np.zeros(nt - 1, dtype=int)
     mag_bits = np.zeros(nt - 1, dtype=int)
@@ -147,7 +146,7 @@ def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
     for m in range(nt - 1):
         slots.append(phase_bits[m : m + 1])
         slots.append(mag_bits[m : m + 1])
-    for i in range(bits):
+    for i in range(bits if slots else 0):
         slots[i % len(slots)] += 1
     return phase_bits, mag_bits
 
@@ -229,6 +228,4 @@ def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.nd
         return _quantize_statistical(h, spec.bits, rngs, (nt - 1) / nt)
     if spec.kind == "rvq_explicit":
         return _quantize_rvq_explicit(h, spec.bits, rngs)
-    if spec.kind == "scalar":
-        return _quantize_scalar(h, spec.bits)
-    raise ValueError(f"unknown quantizer kind {spec.kind!r}")
+    return _quantize_scalar(h, spec.bits)

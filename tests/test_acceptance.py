@@ -191,7 +191,7 @@ def test_criterion_09_scalar_and_idealized_quantizers(zf_sweep_10db):
     offsets = []
     for bits in (10, 14, 18, 24):
         h = (rng.standard_normal((4000, 4)) + 1j * rng.standard_normal((4000, 4)))
-        _, sin2 = quantize_directions(h[None], QuantizerSpec("scalar", bits, 4), [None])
+        _, sin2 = quantize_directions(h[None], QuantizerSpec("scalar", bits), [None])
         d_scalar = float(np.mean(sin2))
         d_rvq = float(np.mean(sample_rvq_sin2(rng, bits, 4, 200_000)))
         offsets.append(3.0 * (math.log2(d_scalar) - math.log2(d_rvq)))

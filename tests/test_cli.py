@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,29 @@ relaxed_user_grid = true
             load_config(p, {})
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_experiment_example_loads(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(\[experiment\]\n.*?)```", text, re.S).group(1)
+        # as written, and with every commented-out key switched on
+        enabled = re.sub(r"^; (\w+ = )", r"\1", example, flags=re.M)
+        assert enabled != example
+        for i, body in enumerate((example, enabled)):
+            ini = tmp_path / f"readme{i}.ini"
+            ini.write_text(body)
+            cfg = load_config(ini, {})
+            assert cfg.b_values == (10, 15, 20, 25, 30)
+        assert (cfg.cqi_bits, cfg.beta, cfg.r, cfg.relaxed_user_grid) == (4, 1.0, 0.95, True)
+
+    def test_preset_list_is_the_registry(self):
+        text = README.read_text(encoding="utf-8")
+        listed = re.search(r"Presets \(`fbsim preset \.\.\.`\):(.*?)\. ", text, re.S).group(1)
+        assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(PRESETS)
+
+
 class TestMainExitCodes:
     def test_preset_success(self, tmp_path, capsys):
         rc = main(["preset", "tab_intro_example", "--trials", "4", "--out", str(tmp_path)])
@@ -205,7 +229,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("body,message", [
         ("scheme = zf\nnt = 4\nb_values = 10 33\n", "B=33 (+0 CQI bits) does not divide tfb=300"),
         ("scheme = pu2rc\nnt = 3\nb_values = 4\n", "2^B=16 is not divisible by nt=3"),
-    ], ids=["zf_past_budget", "pu2rc_partial_set"])
+        ("scheme = zf\nnt = 4\nquantizer = rvq_explicit\nb_values = 6 25\n",
+         "rvq_explicit is capped at B=24"),
+    ], ids=["zf_past_budget", "pu2rc_partial_set", "explicit_rvq_past_cap"])
     def test_infeasible_b_value_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                               body, message):
         def no_trials(*args, **kwargs):
@@ -243,7 +269,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("key,value,message", [
         ("snr_db", "4000", "snr_db=4000.0 overflows the linear SNR"),
-        ("snr_db", "-4000", "snr must be > 0"),
+        ("snr_db", "-4000", "snr_db=-4000.0 underflows the linear SNR to 0"),
         ("seed", "-1", "seed must be >= 0"),
     ], ids=["snr_overflow", "snr_underflow", "negative_seed"])
     def test_out_of_range_field_is_exit_2_and_writes_nothing(self, tmp_path, capsys,

@@ -17,6 +17,7 @@ from fbsim.montecarlo import (
     sweep_b,
 )
 from fbsim.numerics import RngStream
+from fbsim.quantization import QUANTIZER_KINDS
 
 
 def _cfg(**kw):
@@ -97,6 +98,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="2\\^B=16 is not divisible by nt=3"):
             _cfg(scheme="pu2rc", nt=3, tfb=300, b_values=(4,))
 
+    @pytest.mark.parametrize("scheme", ["zf", "subf"])
+    def test_explicit_rvq_past_its_cap_rejected_at_construction(self, scheme):
+        with pytest.raises(FeedbackBudgetError, match="rvq_explicit is capped at B=24"):
+            _cfg(scheme=scheme, quantizer="rvq_explicit", tfb=300, b_values=(6, 25))
+
+    def test_rbf_ignores_the_explicit_rvq_cap(self):
+        cfg = _cfg(scheme="rbf", quantizer="rvq_explicit", tfb=300, b_values=(6, 25))
+        assert cfg.users_for(25) == 12
+
     @pytest.mark.parametrize("b", [0, -5])
     def test_b_value_below_one_rejected(self, b):
         with pytest.raises(ValueError, match="every B must be >= 1"):
@@ -128,16 +138,25 @@ class TestFeasibleGrid:
         got = feasible_b_values(_cfg(scheme="pu2rc", tfb=24, relaxed_user_grid=True))
         assert got == [2, 3, 4, 5, 6]  # 2^b divisible by 4 for all b >= 2
 
+    @pytest.mark.parametrize("scheme,grid", [
+        ("zf", [2, 3, 4, 5, 6, 10, 12, 15, 20]),
+        ("subf", [2, 3, 4, 5, 6, 10, 12, 15, 20]),
+        ("rbf", [2, 3, 4, 5, 6, 10, 12, 15, 20, 25, 30, 50, 60, 75]),
+    ])
+    def test_explicit_rvq_cap_bounds_the_grid(self, scheme, grid):
+        assert feasible_b_values(_cfg(scheme=scheme, quantizer="rvq_explicit", tfb=300)) == grid
+
     def test_cqi_bits_change_grid(self):
         got = feasible_b_values(_cfg(tfb=300, cqi_bits=4))
         assert got == [2, 6, 8, 11, 16, 21, 26, 46, 56, 71]
 
     @given(scheme=st.sampled_from(["zf", "rbf", "pu2rc", "subf"]), nt=st.integers(1, 8),
            tfb=st.integers(1, 500), cqi_bits=st.sampled_from([None, 0, 2, 4]),
-           relaxed=st.booleans())
+           relaxed=st.booleans(), quantizer=st.sampled_from(QUANTIZER_KINDS))
     @settings(max_examples=100, deadline=None)
-    def test_grid_is_every_b_the_config_accepts(self, scheme, nt, tfb, cqi_bits, relaxed):
-        cfg = _cfg(scheme=scheme, nt=nt, tfb=tfb, cqi_bits=cqi_bits, relaxed_user_grid=relaxed)
+    def test_grid_is_every_b_the_config_accepts(self, scheme, nt, tfb, cqi_bits, relaxed, quantizer):
+        cfg = _cfg(scheme=scheme, nt=nt, tfb=tfb, cqi_bits=cqi_bits, relaxed_user_grid=relaxed,
+                   quantizer=quantizer)
         accepted = []
         for b in range(max(1, math.ceil(math.log2(nt))), tfb // nt + 1):
             try:
@@ -170,7 +189,7 @@ class TestRunPoint:
     def test_chunk_size_does_not_change_results(self, case, monkeypatch):
         b, kw = CHUNK_CASES[case]
         cfg = _cfg(trials=48, b_values=(b,), **kw)
-        rows = cfg.users_for(b) * montecarlo._codebook_sets(cfg, b)
+        rows = cfg.users_for(b) * cfg.trial_specs(b)[2]
         a = run_point(cfg, b)
         monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 1)  # one trial per chunk
         b1 = run_point(cfg, b)
@@ -191,7 +210,7 @@ class TestRunPoint:
     def test_chunk_boundary_matches_run_trial(self, b, kw):
         cfg = _cfg(**kw)
         # one full chunk and one trial more
-        trials = montecarlo.CHUNK_ROWS // (cfg.users_for(b) * montecarlo._codebook_sets(cfg, b)) + 1
+        trials = montecarlo.CHUNK_ROWS // (cfg.users_for(b) * cfg.trial_specs(b)[2]) + 1
         cfg = _cfg(trials=trials, seed=3, **kw)
         per_trial = np.array([run_trial(cfg, b, RngStream(3, 7 + t)) for t in range(trials)])
         est = run_point(cfg, b, stream_offset=7)
@@ -311,6 +330,13 @@ class TestSchemesThroughEngine:
     def test_single_antenna_rates_are_finite(self, scheme, quantizer):
         est = run_point(_cfg(scheme=scheme, nt=1, tfb=20, trials=5, quantizer=quantizer), 4)
         assert math.isfinite(est.mean) and est.mean > 0.0
+
+    @pytest.mark.parametrize("scheme", ["zf", "subf"])
+    def test_single_antenna_quantizers_agree(self, scheme):
+        # at nt = 1 every quantizer feeds back the exact direction, up to its phase
+        means = [run_point(_cfg(scheme=scheme, nt=1, tfb=20, trials=50, quantizer=q), 4).mean
+                 for q in ("perfect", "scalar", "rvq_statistical", "rvq_explicit")]
+        np.testing.assert_allclose(means, means[0], rtol=1e-12)
 
     def test_training_and_delay_reduce_rate(self):
         base = run_point(_cfg(trials=400), 20)

@@ -32,7 +32,7 @@ from fbsim.quantization import (
 def _quantize(h, kind, bits, rng=None):
     """quantize_directions on one block: h is a row (nt,) or rows (K, nt)."""
     h = np.asarray(h)
-    dirs, sin2 = quantize_directions(np.atleast_2d(h)[None], QuantizerSpec(kind, bits, h.shape[-1]),
+    dirs, sin2 = quantize_directions(np.atleast_2d(h)[None], QuantizerSpec(kind, bits),
                                      [rng])
     return (dirs[0, 0], float(sin2[0, 0])) if h.ndim == 1 else (dirs[0], sin2[0])
 
@@ -40,14 +40,16 @@ def _quantize(h, kind, bits, rng=None):
 class TestQuantizerSpec:
     def test_explicit_codebook_capacity_guard(self):
         with pytest.raises(CodebookCapacityError):
-            QuantizerSpec(kind="rvq_explicit", bits=EXPLICIT_RVQ_MAX_BITS + 1, nt=4)
+            QuantizerSpec(kind="rvq_explicit", bits=EXPLICIT_RVQ_MAX_BITS + 1)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            QuantizerSpec(kind="magic", bits=4, nt=4)
+    # orthosets names PU2RC's codebook of sets, not a per-user quantizer
+    @pytest.mark.parametrize("kind", ["magic", "orthosets"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=f"unknown quantizer kind '{kind}'; known: "):
+            QuantizerSpec(kind=kind, bits=4)
 
     def test_perfect_ignores_bits(self):
-        QuantizerSpec(kind="perfect", bits=0, nt=4)
+        QuantizerSpec(kind="perfect", bits=0)
 
 
 class TestStatisticalError:
@@ -111,7 +113,7 @@ class TestExplicitRvq:
 
     def test_capacity_guard(self):
         with pytest.raises(CodebookCapacityError):
-            QuantizerSpec("rvq_explicit", EXPLICIT_RVQ_MAX_BITS + 1, 4)
+            QuantizerSpec("rvq_explicit", EXPLICIT_RVQ_MAX_BITS + 1)
 
     @pytest.mark.parametrize("nt,bits", [(2, 1), (2, 4), (4, 4), (4, 8)])
     def test_agrees_with_statistical_model(self, nt, bits):
@@ -151,6 +153,8 @@ class TestScalar:
         p, m = scalar_bit_split(7, 4)
         assert list(p) == [2, 1, 1] and list(m) == [1, 1, 1]
         assert p.sum() + m.sum() == 7
+        p, m = scalar_bit_split(5, 1)  # no phases or magnitudes to spend bits on
+        assert p.size == m.size == 0
 
     def test_two_antenna_codepoints(self):
         # 1 phase bit -> {-pi/2, +pi/2}; 1 magnitude bit -> {pi/8, 3pi/8}
@@ -299,18 +303,12 @@ class TestDispatcher:
     def test_batch_shapes_and_consistency(self, kind):
         rng = RngStream(22).generator()
         h = complex_gaussian(rng, (3, 6, 4))
-        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 6, 4), [rng] * 3)
+        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 6), [rng] * 3)
         assert dirs.shape == (3, 6, 4) and sin2.shape == (3, 6)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-9)
         u = h / np.linalg.norm(h, axis=-1, keepdims=True)
         cos2 = np.abs(np.sum(u.conj() * dirs, axis=-1)) ** 2
         np.testing.assert_allclose(cos2, 1.0 - sin2, atol=1e-9)
-
-    def test_orthosets_not_a_per_user_kind(self):
-        rng = RngStream(23).generator()
-        h = complex_gaussian(rng, (1, 2, 4))
-        with pytest.raises(ValueError):
-            quantize_directions(h, QuantizerSpec("orthosets", 4, 4), [rng])
 
 
 # (kind, bits, nt, K): K = 37 rows leave a short last explicit-RVQ scan group
@@ -329,7 +327,7 @@ class TestStackedAgainstPerRowOracles:
     def test_matches_per_row_oracle(self, kind, bits, nt, users):
         trials = 5
         h = complex_gaussian(RngStream(40).generator(), (trials, users, nt))
-        spec = QuantizerSpec(kind, bits, nt)
+        spec = QuantizerSpec(kind, bits)
         dirs, sin2 = quantize_directions(h, spec, [RngStream(41, t).generator() for t in range(trials)])
         for t in range(trials):
             want_dirs, want_sin2 = oracle_quantize_directions(h[t], spec, RngStream(41, t).generator())
@@ -348,7 +346,7 @@ class TestStackedAgainstPerRowOracles:
     def test_single_antenna_directions_are_exact(self, kind):
         h = complex_gaussian(RngStream(47).generator(), (2, 5, 1))
         rngs = [RngStream(48, t).generator() for t in range(2)]
-        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 3, 1), rngs)
+        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 3), rngs)
         np.testing.assert_array_equal(sin2, 0.0)
         np.testing.assert_allclose(dirs, h / np.abs(h), rtol=0, atol=1e-15)
         ref = RngStream(48, 1).generator()
@@ -357,7 +355,7 @@ class TestStackedAgainstPerRowOracles:
 
     def test_stream_continues_after_the_last_row(self):
         h = complex_gaussian(RngStream(42).generator(), (2, 9, 4))
-        spec = QuantizerSpec("rvq_explicit", 7, 4)  # 8 rows per scan group
+        spec = QuantizerSpec("rvq_explicit", 7)  # 8 rows per scan group
         rngs = [RngStream(43, t).generator() for t in range(2)]
         quantize_directions(h, spec, rngs)
         for t, rng in enumerate(rngs):
@@ -368,7 +366,7 @@ class TestStackedAgainstPerRowOracles:
     @pytest.mark.parametrize("group_codewords", [1, 64, 10_000])
     def test_scan_group_size_does_not_change_results(self, group_codewords, monkeypatch):
         h = complex_gaussian(RngStream(44).generator(), (3, 11, 4))
-        spec = QuantizerSpec("rvq_explicit", 5, 4)
+        spec = QuantizerSpec("rvq_explicit", 5)
         want = quantize_directions(h, spec, [RngStream(45, t).generator() for t in range(3)])
         monkeypatch.setattr(quantization, "CODEWORDS_PER_SCAN", group_codewords)
         got = quantize_directions(h, spec, [RngStream(45, t).generator() for t in range(3)])
@@ -379,7 +377,7 @@ class TestStackedAgainstPerRowOracles:
         h = complex_gaussian(RngStream(46).generator(), (4, 6, 4))
         h[2, 3, 0] = 0.0
         with pytest.raises(DegeneratePivotError):
-            quantize_directions(h, QuantizerSpec("scalar", 8, 4), [None] * 4)
+            quantize_directions(h, QuantizerSpec("scalar", 8), [None] * 4)
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=2, max_value=6))

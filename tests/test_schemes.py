@@ -24,6 +24,7 @@ from fbsim.quantization import (
 )
 from fbsim.schemes import (
     FeedbackReport,
+    TransmissionPlan,
     _orthoset_block,
     _zf_beams,
     _realized_zf_rates,
@@ -39,7 +40,7 @@ from fbsim.schemes import (
 
 def _reports_from_draw(rng, n_users, nt, bits, snr):
     h = complex_gaussian(rng, (n_users, nt))
-    dirs, sin2 = quantize_directions(h[None], QuantizerSpec("rvq_statistical", bits, nt), [rng])
+    dirs, sin2 = quantize_directions(h[None], QuantizerSpec("rvq_statistical", bits), [rng])
     dirs, sin2 = dirs[0], sin2[0]
     norms2 = np.linalg.norm(h, axis=1) ** 2
     return [
@@ -195,14 +196,14 @@ class TestZfBlock:
     def test_single_user_perfect_quantizer(self):
         rng = RngStream(8).generator()
         h = complex_gaussian(rng, (1, 4))
-        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 4),
+        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                        "norm2", 10.0, 4)
         expect = math.log2(1.0 + 10.0 * np.linalg.norm(h[0]) ** 2)
         assert abs(out.sum_rate - expect) < 1e-9
 
     def test_orthogonal_users_no_interference(self):
         h = 2.0 * np.eye(4, dtype=complex)
-        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 4),
+        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                        "norm2", 10.0, 4)
         assert sorted(out.plan.selected) == [0, 1, 2, 3]
         expect = 4 * math.log2(1.0 + (10.0 / 4) * 4.0)
@@ -213,7 +214,7 @@ class TestZfBlock:
         h = complex_gaussian(rng, (1, 4))
         h_delayed = complex_gaussian(rng, (1, 4))
         real = ChannelRealization(h=h, h_est=h, h_delayed=h_delayed)
-        out = zf_block(real, QuantizerSpec("perfect", 0, 4), "norm2", 10.0, 4)
+        out = zf_block(real, QuantizerSpec("perfect", 0), "norm2", 10.0, 4)
         u = h[0] / np.linalg.norm(h[0])
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
         assert abs(out.sum_rate - expect) < 1e-9
@@ -222,7 +223,7 @@ class TestZfBlock:
     def test_cqi_kinds_run_and_agree_for_one_user(self, cqi_kind):
         rng = RngStream(10).generator()
         h = complex_gaussian(rng, (1, 4))
-        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 4),
+        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                        cqi_kind, 10.0, 4)
         expect = math.log2(1.0 + 10.0 * np.linalg.norm(h[0]) ** 2)
         assert abs(out.sum_rate - expect) < 1e-9
@@ -233,7 +234,7 @@ class TestZfBlock:
         rng = RngStream(11).generator()
         cfg = ChannelModelConfig(nt=4, num_users=15, snr=10.0)
         real = draw_block(cfg, rng)
-        spec = QuantizerSpec("rvq_statistical", 10, 4)
+        spec = QuantizerSpec("rvq_statistical", 10)
         for selection in ("greedy", "simplified"):
             out = zf_block(real, spec, "norm2", 10.0, 4, selection=selection, rng=rng,
                            cqi_quantizer=CqiQuantizerSpec.around_mean(4, 4.0))
@@ -244,7 +245,7 @@ class TestZfBlock:
         rng = RngStream(12).generator()
         h = complex_gaussian(rng, (2, 4))
         with pytest.raises(ValueError):
-            zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 4),
+            zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                      "norm2", 10.0, 4, selection="exhaustive")
 
 
@@ -257,7 +258,7 @@ PERFECT_ZF_CASES = dict(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4)
 
 def _perfect_zf_blocks(h_est, h_delayed, snr, selection, cqi_kind):
     nt = h_est.shape[-1]
-    return zf_blocks(h_est, h_delayed, QuantizerSpec("perfect", 0, nt), cqi_kind, snr, nt,
+    return zf_blocks(h_est, h_delayed, QuantizerSpec("perfect", 0), cqi_kind, snr, nt,
                      selection, [None] * len(h_est))
 
 
@@ -275,6 +276,27 @@ class TestZfProperties:
             p = np.abs(h.conj() @ out.beamformers[t, :out.counts[t]].T) ** 2  # |h_j^H v_k|^2
             off = p[~np.eye(len(p), dtype=bool)]
             assert np.all(off <= 1e-9 * np.max(np.linalg.norm(h, axis=1) ** 2))
+
+    @given(**PERFECT_ZF_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_perfect_csi_estimated_rate_is_the_realized_rate(self, seed, trials, users, nt, snr_db,
+                                                             selection, cqi_kind):
+        snr = 10.0 ** (snr_db / 10.0)
+        rngs = [RngStream(seed, t).generator() for t in range(trials)]
+        block = draw_blocks(ChannelModelConfig(nt=nt, num_users=users, snr=snr), rngs)
+        out = _perfect_zf_blocks(block.h_est, block.h_delayed, snr, selection, cqi_kind)
+        for t in range(trials):
+            norms2 = np.linalg.norm(block.h[t], axis=1) ** 2
+            cqi = norms2 if cqi_kind == "norm2" else (snr / nt) * norms2  # no quantization error
+            reports = [FeedbackReport(user_id=k, direction=block.h[t, k] / math.sqrt(norms2[k]),
+                                      sin2_error=0.0, cqi=float(cqi[k]), cqi_kind=cqi_kind)
+                       for k in range(users)]
+            n = int(out.counts[t])
+            plan = TransmissionPlan(selected=[int(k) for k in out.selected[t, :n]],
+                                    beamformers=out.beamformers[t, :n], power_per_user=snr / n)
+            estimated, realized = estimated_plan_rate(reports, plan, snr, nt), out.sum_rates[t]
+            assert estimated == pytest.approx(realized, rel=1e-9, abs=0.0)
+            assert estimated >= realized * (1.0 - 1e-9)
 
     @given(**PERFECT_ZF_CASES, impaired=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -349,7 +371,7 @@ class TestBatchedZfAgainstPerTrialOracle:
         cqi_q = None
         if case % 2:
             cqi_q = CqiQuantizerSpec.around_mean(3, nt if cqi_kind == "norm2" else snr)
-        ruled = self._check(case, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits, nt), cqi_kind,
+        ruled = self._check(case, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits), cqi_kind,
                             selection, cqi_q)
         if quantizer in ("rvq_statistical", "idealized", "perfect"):
             assert ruled == 0
@@ -359,7 +381,7 @@ class TestBatchedZfAgainstPerTrialOracle:
         # codeword up to phase and a CQI level, so greedy meets exact ties that the engine's
         # and the oracle's rounding would otherwise break differently.
         chan = ChannelModelConfig(nt=2, num_users=30, snr=10.0)
-        self._check(0, 50, chan, QuantizerSpec("scalar", 3, 2), "norm2", "greedy",
+        self._check(0, 50, chan, QuantizerSpec("scalar", 3), "norm2", "greedy",
                     CqiQuantizerSpec.around_mean(3, 2.0))
 
 
@@ -434,7 +456,7 @@ class TestOrthosetSchemes:
 class TestSubf:
     def test_perfect_quantizer_picks_best_norm(self):
         h = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.5]], dtype=complex)
-        out = subf_block(_perfect_realization(h), QuantizerSpec("perfect", 0, 2), 10.0)
+        out = subf_block(_perfect_realization(h), QuantizerSpec("perfect", 0), 10.0)
         assert out.plan.selected == [1]
         assert abs(out.sum_rate - math.log2(1.0 + 10.0 * 4.0)) < 1e-12
         assert out.plan.power_per_user == 10.0
@@ -444,7 +466,7 @@ class TestSubf:
         h = complex_gaussian(rng, (1, 4))
         h_delayed = complex_gaussian(rng, (1, 4))
         real = ChannelRealization(h=h, h_est=h, h_delayed=h_delayed)
-        out = subf_block(real, QuantizerSpec("perfect", 0, 4), 10.0)
+        out = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
         u = h[0] / np.linalg.norm(h[0])
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
         assert abs(out.sum_rate - expect) < 1e-12
@@ -454,8 +476,8 @@ class TestSubf:
         diffs = []
         for trial in range(200):
             real = draw_block(cfg, RngStream(19, trial).generator())
-            perfect = subf_block(real, QuantizerSpec("perfect", 0, 4), 10.0)
-            coarse = subf_block(real, QuantizerSpec("rvq_statistical", 2, 4), 10.0,
+            perfect = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
+            coarse = subf_block(real, QuantizerSpec("rvq_statistical", 2), 10.0,
                                 rng=RngStream(20, trial).generator())
             diffs.append(perfect.sum_rate - coarse.sum_rate)
         assert np.mean(diffs) > 0.0
