@@ -18,6 +18,11 @@ EXPLICIT_RVQ_MAX_BITS = 24
 # least one row) per call, which bounds its working set.
 CODEWORDS_PER_SCAN = 1024
 
+# Explicit RVQ's real-arithmetic scores differ from the normalized codewords'
+# |c.u|^2 by a few ulp, so a runner-up within this relative distance of the
+# top score could win the normalized scan; such a group is scanned in full.
+NEAR_RTOL = 1e-12
+
 
 class CodebookCapacityError(ValueError):
     """Explicit RVQ requested with too many bits; use rvq_statistical instead."""
@@ -110,27 +115,54 @@ def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple
 def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Explicit RVQ: each row scans a fresh 2^B isotropic codebook for the closest codeword.
 
-    A trial draws and scans the codebooks of up to CODEWORDS_PER_SCAN // 2^B
-    rows (at least one) per call, in row order.
+    The rows of the stack, trial by trial, are scanned in groups of up to
+    CODEWORDS_PER_SCAN // 2^B rows (at least one); each row's codebook is
+    drawn from its trial's stream, in row order. Codewords are scored
+    straight from the real draws, |c.u|^2 / ||c||^2, and only each row's
+    winner is normalized. A group in which a runner-up scores within
+    NEAR_RTOL of its row's winner normalizes and scores its whole codebooks
+    instead, so rounding never decides which codeword wins.
     """
     n_trials, n_users, nt = h.shape
+    n_rows = n_trials * n_users
     n_codes = 2**bits
     group = max(1, CODEWORDS_PER_SCAN // n_codes)
-    u = _unit_rows(h).conj()
-    dirs = np.empty_like(h)
-    sin2 = np.empty((n_trials, n_users))
-    z = np.empty((min(group, n_users), 2, n_codes, nt))
-    for t, rng in enumerate(rngs):
-        for lo in range(0, n_users, group):
-            rows = slice(lo, min(lo + group, n_users))
-            zr = z[: rows.stop - lo]
-            rng.standard_normal(out=zr)
-            codebooks = _unit_rows(complex_pairs(zr))
-            cos2 = np.abs(np.einsum("gcn,gn->gc", codebooks, u[t, rows])) ** 2
-            best = np.argmax(cos2, axis=1)[:, None]
-            dirs[t, rows] = np.take_along_axis(codebooks, best[..., None], axis=1)[:, 0]
-            sin2[t, rows] = 1.0 - np.take_along_axis(cos2, best, axis=1)[:, 0]
-    return dirs, sin2
+    u = _unit_rows(h).conj().reshape(n_rows, nt)
+    # c.u = (a + ib).(p + iq) / sqrt(2): z[:, 0] @ [p, q] + z[:, 1] @ [-q, p] gives [Re, Im]
+    w = np.stack((np.stack((u.real, u.imag), -1), np.stack((-u.imag, u.real), -1)), 1)
+    ones, ones2 = np.ones(nt), np.ones(2)
+    g = min(group, n_rows)
+    z = np.empty((g, 2, n_codes, nt))
+    z2 = np.empty_like(z)
+    parts = np.empty((g, 2, n_codes, 2))
+    score = np.empty((g, n_codes))
+    norm2 = np.empty((g, n_codes))
+    near = np.empty((g, n_codes), dtype=bool)
+    dirs = np.empty((n_rows, nt), dtype=complex)
+    sin2 = np.empty(n_rows)
+    for lo in range(0, n_rows, group):
+        hi = min(lo + group, n_rows)
+        n = hi - lo
+        zr = z[:n]
+        for t in range(lo // n_users, (hi - 1) // n_users + 1):
+            rngs[t].standard_normal(out=zr[max(lo, t * n_users) - lo : min(hi, (t + 1) * n_users) - lo])
+        p = np.matmul(zr, w[lo:hi], out=parts[:n])
+        re_im = np.add(p[:, 0], p[:, 1], out=p[:, 0])
+        re_im *= re_im
+        s = np.matmul(re_im, ones2, out=score[:n])
+        np.square(zr, out=z2[:n])
+        s /= np.matmul(np.add(z2[:n, 0], z2[:n, 1], out=z2[:n, 0]), ones, out=norm2[:n])
+        rows, best = np.arange(n), np.argmax(s, axis=1)
+        top = s[rows, best]
+        np.greater_equal(s, (top * (1.0 - NEAR_RTOL))[:, None], out=near[:n])
+        if np.count_nonzero(near[:n]) == n:  # no near-tie: scan the winners alone
+            zr = zr[rows, :, best, None]
+        codebooks = _unit_rows(complex_pairs(zr))
+        cos2 = np.abs(np.einsum("gcn,gn->gc", codebooks, u[lo:hi])) ** 2
+        best = np.argmax(cos2, axis=1)[:, None]
+        dirs[lo:hi] = np.take_along_axis(codebooks, best[..., None], axis=1)[:, 0]
+        sin2[lo:hi] = 1.0 - np.take_along_axis(cos2, best, axis=1)[:, 0]
+    return dirs.reshape(h.shape), sin2.reshape(n_trials, n_users)
 
 
 def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,5 +259,9 @@ def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.nd
         nt = h.shape[-1]
         return _quantize_statistical(h, spec.bits, rngs, (nt - 1) / nt)
     if spec.kind == "rvq_explicit":
-        return _quantize_rvq_explicit(h, spec.bits, rngs)
-    return _quantize_scalar(h, spec.bits)
+        dirs, sin2 = _quantize_rvq_explicit(h, spec.bits, rngs)
+    else:
+        dirs, sin2 = _quantize_scalar(h, spec.bits)
+    if h.shape[-1] == 1:  # every direction is exact; 1 - |cos|^2 would round to +-ulp
+        sin2[:] = 0.0
+    return dirs, sin2

@@ -17,7 +17,7 @@ from fbsim.montecarlo import (
     sweep_b,
 )
 from fbsim.numerics import RngStream
-from fbsim.quantization import QUANTIZER_KINDS
+from fbsim.quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
 
 
 def _cfg(**kw):
@@ -165,6 +165,33 @@ class TestFeasibleGrid:
                 continue
             accepted.append(b)
         assert feasible_b_values(cfg) == accepted
+
+    # Built here from the rules themselves, not through b_problem or trial_specs,
+    # so a rule that the grid forgets makes the two sides disagree.
+    @pytest.mark.parametrize("cqi_bits", [None, 4])
+    @pytest.mark.parametrize("nt", [3, 4])
+    @pytest.mark.parametrize("quantizer", QUANTIZER_KINDS)
+    @pytest.mark.parametrize("scheme", ["zf", "rbf", "pu2rc", "subf"])
+    def test_grid_is_every_b_a_trial_can_run_on(self, scheme, quantizer, nt, cqi_bits):
+        cfg = _cfg(scheme=scheme, nt=nt, tfb=300, cqi_bits=cqi_bits, quantizer=quantizer)
+        grid = feasible_b_values(cfg)
+        for b in range(math.ceil(math.log2(nt)), cfg.tfb // nt + 1):
+            try:
+                if cfg.tfb % (b + (cqi_bits or 0)) != 0:
+                    raise FeedbackBudgetError("B + CQI bits must divide the budget")
+                if scheme in ("zf", "subf"):
+                    QuantizerSpec(cfg.quantizer, b)
+                if scheme == "pu2rc":
+                    orthoset_count(b, nt)
+                if scheme == "zf" and cqi_bits:
+                    CqiQuantizerSpec.around_mean(cqi_bits, nt if cfg.cqi_kind == "norm2" else cfg.snr)
+            except ValueError:
+                assert b not in grid
+                continue
+            assert b in grid
+            expensive = (quantizer == "rvq_explicit" and scheme in ("zf", "subf")) or scheme == "pu2rc"
+            if not (expensive and b > 12):
+                assert math.isfinite(run_point(replace(cfg, trials=1), b).mean)
 
     def test_empty_grid_raises_in_sweep(self):
         cfg = _cfg(tfb=7, nt=4)

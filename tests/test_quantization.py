@@ -15,9 +15,10 @@ from conftest import (
     sample_rvq_sin2,
 )
 from fbsim import quantization
-from fbsim.numerics import RngStream
+from fbsim.numerics import RngStream, complex_pairs
 from fbsim.quantization import (
     EXPLICIT_RVQ_MAX_BITS,
+    QUANTIZER_KINDS,
     CodebookCapacityError,
     CqiQuantizerSpec,
     DegeneratePivotError,
@@ -310,13 +311,23 @@ class TestDispatcher:
         cos2 = np.abs(np.sum(u.conj() * dirs, axis=-1)) ** 2
         np.testing.assert_allclose(cos2, 1.0 - sin2, atol=1e-9)
 
+    @pytest.mark.parametrize("nt", [1, 2, 4])
+    @pytest.mark.parametrize("kind", QUANTIZER_KINDS)
+    def test_sin2_in_unit_interval(self, kind, nt):
+        h = complex_gaussian(RngStream(23, nt).generator(), (50, 40, nt))
+        rngs = [RngStream(24, t).generator() for t in range(50)]
+        _, sin2 = quantize_directions(h, QuantizerSpec(kind, 4), rngs)
+        assert np.all((sin2 >= 0.0) & (sin2 <= 1.0))
+        if nt == 1:  # every direction is exact
+            np.testing.assert_array_equal(sin2, 0.0)
 
-# (kind, bits, nt, K): K = 37 rows leave a short last explicit-RVQ scan group
-# (16 rows per group at B=6, 4 at B=8, 1 at B=11).
+
+# (kind, bits, nt, K): 5 trials of K = 37 rows leave a short last explicit-RVQ
+# scan group (256 rows per group at B=2, 16 at B=6, 4 at B=8; groups span trials).
 STACK_CASES = [("perfect", 0, 4, 7), ("rvq_statistical", 10, 4, 37), ("rvq_statistical", 3, 2, 5),
                ("idealized", 8, 3, 37), ("rvq_explicit", 2, 4, 37), ("rvq_explicit", 6, 4, 37),
-               ("rvq_explicit", 8, 2, 37), ("rvq_explicit", 11, 4, 6), ("scalar", 3, 4, 37),
-               ("scalar", 6, 2, 37), ("scalar", 16, 4, 37)]
+               ("rvq_explicit", 8, 2, 37), ("rvq_explicit", 11, 4, 6),
+               ("scalar", 3, 4, 37), ("scalar", 6, 2, 37), ("scalar", 16, 4, 37), ("scalar", 4, 1, 37)]
 
 
 class TestStackedAgainstPerRowOracles:
@@ -378,6 +389,103 @@ class TestStackedAgainstPerRowOracles:
         h[2, 3, 0] = 0.0
         with pytest.raises(DegeneratePivotError):
             quantize_directions(h, QuantizerSpec("scalar", 8), [None] * 4)
+
+
+class _ReplayedDraws:
+    """A stream whose standard_normal hands out prepared draws in order."""
+
+    def __init__(self, draws):
+        self.draws, self.pos = np.ravel(draws), 0
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.draws[self.pos : self.pos + out.size].reshape(out.shape)
+        self.pos += out.size
+        return out
+
+
+def _scan_sizes(monkeypatch):
+    """Codebook sizes the explicit scan normalizes, one per scan group."""
+    sizes = []
+
+    def recording(z):
+        sizes.append(z.shape[-2])
+        return complex_pairs(z)
+
+    monkeypatch.setattr(quantization, "complex_pairs", recording)
+    return sizes
+
+
+class TestExplicitScan:
+    """The explicit scan normalizes only each row's winner, unless a
+    runner-up scores within NEAR_RTOL of it; the result is the full scan's."""
+
+    @pytest.mark.parametrize("nt", [2, 3, 4])
+    @pytest.mark.parametrize("bits", [2, 6, 8, 11])
+    def test_winner_scan_equals_full_scan(self, bits, nt, monkeypatch):
+        # 7 x 37 rows end on a 3-row group at B = 2, 6 and 8; groups span trials
+        trials, users = (7, 37) if bits < 11 else (2, 5)
+        h = complex_gaussian(RngStream(50, nt).generator(), (trials, users, nt))
+        spec = QuantizerSpec("rvq_explicit", bits)
+        sizes = _scan_sizes(monkeypatch)
+        fast = quantize_directions(h, spec, [RngStream(51, t).generator() for t in range(trials)])
+        assert set(sizes) == {1}
+        sizes.clear()
+        monkeypatch.setattr(quantization, "NEAR_RTOL", math.inf)
+        full = quantize_directions(h, spec, [RngStream(51, t).generator() for t in range(trials)])
+        assert set(sizes) == {2**bits}
+        np.testing.assert_array_equal(fast[0], full[0])
+        np.testing.assert_array_equal(fast[1], full[1])
+
+    @pytest.mark.parametrize("nt", [2, 4])
+    @pytest.mark.parametrize("scale", [2.0, 3.0, 0.3])
+    def test_codewords_equal_up_to_scale(self, scale, nt, monkeypatch):
+        # row 1's codewords 3 and 9 both point along its channel
+        bits, users = 4, 3
+        h = complex_gaussian(RngStream(52, nt).generator(), (1, users, nt))
+        z = RngStream(53, nt).generator().standard_normal((users, 2, 2**bits, nt))
+        z[1, :, 3] = np.stack((h[0, 1].real, h[0, 1].imag)) * math.sqrt(2.0)
+        z[1, :, 9] = scale * z[1, :, 3]
+        sizes = _scan_sizes(monkeypatch)
+        dirs, sin2 = quantize_directions(h, QuantizerSpec("rvq_explicit", bits), [_ReplayedDraws(z)])
+        assert sizes == [2**bits]  # the near-tie sends the group to the full scan
+        want_dirs, want_sin2 = oracle_quantize_directions(h[0], QuantizerSpec("rvq_explicit", bits),
+                                                          _ReplayedDraws(z))
+        np.testing.assert_array_equal(dirs[0], want_dirs)
+        np.testing.assert_allclose(sin2[0], want_sin2, rtol=0, atol=1e-15)
+        codebook = random_codebook(_ReplayedDraws(z[1]), bits, nt)
+        u = h[0, 1] / np.linalg.norm(h[0, 1])
+        cos2 = np.abs(codebook @ u.conj()) ** 2
+        if cos2[3] == cos2[9]:  # an exact tie goes to the lower index
+            np.testing.assert_array_equal(dirs[0, 1], codebook[3])
+
+    def test_single_antenna_picks_the_oracle_codewords(self):
+        # At nt = 1 every codeword is exact and rounding alone ranks them. The
+        # per-row oracle normalizes h as a 1-D vector, whose norm can round
+        # differently in the last bit, so h is normalized along the row axis here.
+        trials, users, bits = 5, 37, 4
+        h = complex_gaussian(RngStream(56).generator(), (trials, users, 1))
+        rngs = [RngStream(57, t).generator() for t in range(trials)]
+        dirs, sin2 = quantize_directions(h, QuantizerSpec("rvq_explicit", bits), rngs)
+        np.testing.assert_array_equal(sin2, 0.0)
+        u = (h / np.linalg.norm(h, axis=-1, keepdims=True)).conj()
+        for t in range(trials):
+            ref = RngStream(57, t).generator()
+            for k in range(users):
+                codebook = random_codebook(ref, bits, 1)
+                want = codebook[np.argmax(np.abs(codebook @ u[t, k]) ** 2)]
+                np.testing.assert_array_equal(dirs[t, k], want)
+            assert rngs[t].random() == ref.random()
+
+    def test_sixteen_bits_scans_one_row_at_a_time(self, monkeypatch):
+        h = complex_gaussian(RngStream(54).generator(), (1, 2, 4))
+        spec = QuantizerSpec("rvq_explicit", 16)
+        sizes = _scan_sizes(monkeypatch)
+        dirs, sin2 = quantize_directions(h, spec, [RngStream(55).generator()])
+        assert sizes == [1, 1]
+        want_dirs, want_sin2 = oracle_quantize_directions(h[0], spec, RngStream(55).generator())
+        np.testing.assert_array_equal(dirs[0], want_dirs)
+        np.testing.assert_allclose(sin2[0], want_sin2, rtol=0, atol=1e-15)
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=2, max_value=6))
