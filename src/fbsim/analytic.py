@@ -38,10 +38,6 @@ class AnalyticParams:
     b: float
     phi: float = 0.0
 
-    @classmethod
-    def with_training_delay(cls, snr, nt, tfb, b, r, beta) -> "AnalyticParams":
-        return cls(snr=snr, nt=nt, tfb=tfb, b=b, phi=phi_from_training_delay(r, beta, snr))
-
     def __post_init__(self):
         _check_nt(self.nt)
         if self.b < math.log2(self.nt):
@@ -100,7 +96,12 @@ class FixedPointResult(NamedTuple):
 
 
 def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
-    """Continuous rate-maximizing B for ZF, by bisection of the stationarity condition."""
+    """Continuous rate-maximizing B for ZF, by bisection of the stationarity condition.
+
+    B lies in [log2 nt, tfb/nt]. When the stationarity residual has one sign at
+    both ends, the end with the larger zf_rate_approx is returned, with
+    at_boundary set.
+    """
     _check_nt(nt)
     if snr <= 0:
         raise ValueError("snr must be > 0")
@@ -109,7 +110,7 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
         raise ValueError("tfb too small for the feasible B interval")
     flo, fhi = _bopt_residual(lo, snr, nt, tfb), _bopt_residual(hi, snr, nt, tfb)
     if flo * fhi > 0:
-        b = lo if abs(flo) < abs(fhi) else hi
+        b = max((lo, hi), key=lambda end: zf_rate_approx(AnalyticParams(snr, nt, tfb, end)))
         return FixedPointResult(b=b, at_boundary=True, residual=_bopt_residual(b, snr, nt, tfb))
     for _ in range(200):
         mid = 0.5 * (lo + hi)

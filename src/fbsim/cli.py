@@ -6,22 +6,18 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
 from . import analytic
 from .montecarlo import (
     ExperimentConfig,
-    FeedbackBudgetError,
     RateEstimate,
     feasible_b_values,
     find_bopt_empirical,
     sweep_b,
 )
-
-CSV_COLUMNS = ["scheme", "nt", "snr_db", "tfb", "b", "users",
-               "mean_rate", "std_error", "trials", "extra"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +34,9 @@ class ResultRow:
     extra: float | None = None
 
 
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
+
+
 @dataclass(frozen=True)
 class Series:
     name: str
@@ -50,11 +49,8 @@ def write_csv(path: Path, rows: list[ResultRow]) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for r in rows:
-            w.writerow([
-                r.scheme, r.nt, repr(r.snr_db), r.tfb, r.b, r.users,
-                repr(r.mean_rate), repr(r.std_error), r.trials,
-                "" if r.extra is None else repr(r.extra),
-            ])
+            w.writerow(repr(v) if isinstance(v, float) else "" if v is None else v
+                       for v in astuple(r))
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -261,10 +257,14 @@ def _write(out_dir: Path, stem: str, rows: list[ResultRow], series: list[Series]
     return csv_path, svg_path
 
 
-def run_preset(name: str, seed: int, trials: int, out_dir: Path) -> tuple[Path, Path]:
+def _preset(name: str) -> Preset:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    preset = PRESETS[name]
+    return PRESETS[name]
+
+
+def run_preset(name: str, seed: int, trials: int, out_dir: Path) -> tuple[Path, Path]:
+    preset = _preset(name)
     x = preset.axis[0] if preset.axis else "b"
     rows, series, overlays = [], [], []
     for curve in preset.curves:
@@ -348,8 +348,8 @@ def main(argv: list[str] | None = None) -> int:
                                      description="feedback-budget sum rate simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_preset = sub.add_parser("preset", help="run a named figure/table preset")
-    p_preset.add_argument("name")
+    p_preset = sub.add_parser("preset", help="run named figure/table presets (default: all)")
+    p_preset.add_argument("names", nargs="*", metavar="NAME")
     p_preset.add_argument("--seed", type=int, default=0)
     p_preset.add_argument("--trials", type=int, default=2000)
     p_preset.add_argument("--out", type=Path, default=Path("results"))
@@ -363,19 +363,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "preset":
-            csv_path, svg_path = run_preset(args.name, args.seed, args.trials, args.out)
+            names = args.names or sorted(PRESETS)
+            for name in names:  # every name is checked before any preset runs
+                _preset(name)
+            for name in names:
+                print(*run_preset(name, args.seed, args.trials, args.out), sep="\n")
         else:
             overrides = _parse_overrides(args.overrides)
             out_dir = Path(overrides.pop("out", args.out))
-            csv_path, svg_path = run_config(args.config, overrides, out_dir)
-    except (ConfigError, FeedbackBudgetError, ValueError) as e:
+            print(*run_config(args.config, overrides, out_dir), sep="\n")
+    except ValueError as e:  # ConfigError and FeedbackBudgetError are ValueErrors too
         print(f"fbsim: config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"fbsim: io error: {e}", file=sys.stderr)
         return 3
-    print(csv_path)
-    print(svg_path)
     return 0
 
 

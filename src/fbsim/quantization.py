@@ -172,18 +172,13 @@ def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
     the budget is spent, so remainders favor lower-indexed components and
     phases first. At nt = 1 there are no slots and no bits are spent.
     """
-    phase_bits = np.zeros(nt - 1, dtype=int)
-    mag_bits = np.zeros(nt - 1, dtype=int)
-    slots = []
-    for m in range(nt - 1):
-        slots.append(phase_bits[m : m + 1])
-        slots.append(mag_bits[m : m + 1])
-    for i in range(bits if slots else 0):
-        slots[i % len(slots)] += 1
-    return phase_bits, mag_bits
+    slots = 2 * (nt - 1)
+    whole, rest = divmod(bits, max(slots, 1))
+    counts = whole + (np.arange(slots) < rest)
+    return counts[0::2], counts[1::2]
 
 
-def _uniform_midpoint(value: np.ndarray, lo: float, hi: float, bits: np.ndarray) -> np.ndarray:
+def _uniform_midpoint(value: np.ndarray, lo: float, hi: float, bits: int | np.ndarray) -> np.ndarray:
     levels = 2.0**bits
     width = (hi - lo) / levels
     idx = np.clip(np.floor((value - lo) / width), 0, levels - 1)
@@ -233,14 +228,11 @@ def quantize_cqi(value: float | np.ndarray, spec: CqiQuantizerSpec) -> float | n
     Works elementwise on arrays; a scalar in gives a float out. Values <= 0 and
     non-finite values map to the lowest level.
     """
-    v = np.asarray(value, dtype=float)
-    levels = 2**spec.bits
-    width = (spec.hi_db - spec.lo_db) / levels
     with np.errstate(divide="ignore", invalid="ignore"):
-        db = 10.0 * np.log10(v)
-        idx = np.clip(np.floor((db - spec.lo_db) / width), 0, levels - 1)
-    idx = np.where((v > 0.0) & np.isfinite(db), idx, 0.0)
-    rec = 10.0 ** ((spec.lo_db + (idx + 0.5) * width) / 10.0)
+        db = 10.0 * np.log10(np.asarray(value, dtype=float))
+    # a value <= 0, inf or nan has a non-finite dB: send it to the lowest cell
+    db = np.where(np.isfinite(db), db, spec.lo_db)
+    rec = 10.0 ** (_uniform_midpoint(db, spec.lo_db, spec.hi_db, spec.bits) / 10.0)
     return float(rec) if rec.ndim == 0 else rec
 
 

@@ -9,7 +9,7 @@ from fbsim.analytic import zf_bopt_fixed_point
 from fbsim.cli import ResultRow
 from fbsim.channel import ChannelRealization
 from fbsim.numerics import SingularSetError, haar_orthonormal_sets, zf_directions
-from fbsim.quantization import DegeneratePivotError, rvq_sin2, scalar_bit_split
+from fbsim.quantization import DegeneratePivotError, rvq_sin2
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
 
 # One line per end-to-end criterion, filled in by test_acceptance.py and echoed
@@ -208,6 +208,23 @@ def quantize_rvq_explicit(h, bits, rng):
     return codebook[best], float(1.0 - cos2[best])
 
 
+def oracle_scalar_bit_split(bits, nt):
+    """Scalar quantization's bit split, handed out one bit at a time.
+
+    Slots run phase_2, mag_2, phase_3, mag_3, ..., restarting until the budget
+    is spent; at nt = 1 there are no slots.
+    """
+    phase_bits = np.zeros(nt - 1, dtype=int)
+    mag_bits = np.zeros(nt - 1, dtype=int)
+    slots = []
+    for m in range(nt - 1):
+        slots.append(phase_bits[m : m + 1])
+        slots.append(mag_bits[m : m + 1])
+    for i in range(bits if slots else 0):
+        slots[i % len(slots)] += 1
+    return phase_bits, mag_bits
+
+
 def _uniform_midpoint(value, lo, hi, bits):
     levels = 2.0**bits
     width = (hi - lo) / levels
@@ -224,7 +241,7 @@ def quantize_scalar(h, bits):
     if abs(h[0]) < 1e-12 * np.linalg.norm(h):
         raise DegeneratePivotError("first channel component is (near) zero")
     rel = h[1:] / h[0]
-    phase_bits, mag_bits = scalar_bit_split(bits, nt)
+    phase_bits, mag_bits = oracle_scalar_bit_split(bits, nt)
     phases = _uniform_midpoint(np.angle(rel), -math.pi, math.pi, phase_bits)
     mags = _uniform_midpoint(np.arctan(np.abs(rel)), 0.0, math.pi / 2.0, mag_bits)
     rec = np.concatenate(([1.0 + 0.0j], np.tan(mags) * np.exp(1j * phases)))

@@ -91,6 +91,40 @@ class TestBitOptimizers:
         assert r2["exact"] > rep["exact"]
         assert r2["loglog_tfb"] > rep["loglog_tfb"]
 
+    @pytest.mark.parametrize("snr_db,nt,tfb,want", [
+        (5.0, 8, 75, 75 / 8),  # the low end's rate is 6.907, the high end's 7.980
+        (-10.0, 6, 20, math.log2(6)),  # 0.514 at the low end, 0.484 at the high end
+        (1.0, 7, 50, 50 / 7),  # the residual is negative at both ends, positive between
+        (1.0, 8, 75, 75 / 8),
+    ])
+    def test_fixed_point_boundary_is_the_higher_rate_end(self, snr_db, nt, tfb, want):
+        fp = A.zf_bopt_fixed_point(10.0 ** (snr_db / 10.0), nt, tfb)
+        assert fp.at_boundary and fp.b == want
+
+    def test_fixed_point_boundary_is_never_the_lower_rate_end(self):
+        boundary = 0
+        for snr_db in range(-10, 41):
+            snr = 10.0 ** (snr_db / 10.0)
+            for nt in range(2, 9):
+                for tfb in (20, 30, 50, 75, 100, 150, 200, 300, 500, 1000, 2000):
+                    lo, hi = math.log2(nt), tfb / nt
+                    if not lo < hi:
+                        continue
+                    fp = A.zf_bopt_fixed_point(snr, nt, tfb)
+                    if not fp.at_boundary:
+                        continue
+                    boundary += 1
+                    assert fp.b in (lo, hi)
+                    rate = lambda b: A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, b))
+                    assert rate(fp.b) >= rate(hi if fp.b == lo else lo), (snr_db, nt, tfb)
+        assert boundary == 2026
+
+    def test_infeasible_regime_is_raised_by_name(self):
+        with pytest.raises(A.InfeasibleRegimeError, match="must be >= e"):
+            A.subf_bopt(2, 7)  # log 14 < e
+        with pytest.raises(A.InfeasibleRegimeError, match="below -1/e"):
+            A.zf_bopt_lambert(0.1, 4, 300)  # -10 dB
+
     def test_lambert_reports_non_convergence(self):
         with pytest.raises(A.ConvergenceError, match="3 iterations"):
             A.zf_bopt_lambert(10.0, 4, 300, max_iter=3)
@@ -133,8 +167,9 @@ class TestTrainingDelay:
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_with_training_delay_constructor(self):
-        p = A.AnalyticParams.with_training_delay(10.0, 4, 300, 20, r=0.95, beta=1.0)
-        assert abs(p.phi - A.phi_from_training_delay(0.95, 1.0, 10.0)) < 1e-15
+        phi = A.phi_from_training_delay(0.95, 1.0, 10.0)
+        p = A.AnalyticParams(10.0, 4, 300, 20, phi=phi)
+        assert p.phi == phi
         assert A.zf_rate_approx(p) < A.zf_rate_approx(A.AnalyticParams(10.0, 4, 300, 20))
 
 

@@ -46,6 +46,14 @@ class TestCsv:
         first = p.read_text().splitlines()[0]
         assert first == "scheme,nt,snr_db,tfb,b,users,mean_rate,std_error,trials,extra"
 
+    def test_exact_text(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, _rows())
+        assert p.read_text() == (
+            "scheme,nt,snr_db,tfb,b,users,mean_rate,std_error,trials,extra\n"
+            "zf,4,10.0,300,20,15,12.34567890123,0.0123456,100,\n"
+            "pu2rc,4,5.0,300,4,75,7.5,0.25,100,0.00123456789\n")
+
 
 class TestSvg:
     def test_chart_structure(self, tmp_path):
@@ -198,6 +206,27 @@ class TestMainExitCodes:
 
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
         assert main(["preset", "nope", "--out", str(tmp_path)]) == 2
+
+    def test_no_name_runs_every_preset(self, tmp_path, capsys):
+        every = tmp_path / "every"
+        assert main(["preset", "--trials", "4", "--out", str(every)]) == 0
+        names = sorted(PRESETS)
+        assert capsys.readouterr().out.splitlines() == [
+            str(every / f"{name}.{ext}") for name in names for ext in ("csv", "svg")]
+        assert len(list(every.iterdir())) == 2 * len(names)
+        for name in names:
+            for path in run_preset(name, seed=0, trials=4, out_dir=tmp_path / "one"):
+                assert (every / path.name).read_bytes() == path.read_bytes()
+
+    def test_unknown_name_runs_no_preset(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a preset ran before every name was checked")
+
+        monkeypatch.setattr(montecarlo, "run_point", no_trials)
+        out = tmp_path / "r"
+        assert main(["preset", "tab_intro_example", "nope", "--out", str(out)]) == 2
+        assert "unknown preset 'nope'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_config_success(self, tmp_path):
         ini = tmp_path / "exp.ini"

@@ -10,6 +10,7 @@ from conftest import (
     explicit_rvq_sin2_batch,
     oracle_quantize_cqi,
     oracle_quantize_directions,
+    oracle_scalar_bit_split,
     quantize_to_orthosets,
     random_codebook,
     sample_rvq_sin2,
@@ -156,6 +157,14 @@ class TestScalar:
         assert p.sum() + m.sum() == 7
         p, m = scalar_bit_split(5, 1)  # no phases or magnitudes to spend bits on
         assert p.size == m.size == 0
+
+    @pytest.mark.parametrize("nt", range(1, 9))
+    def test_bit_split_equals_one_bit_at_a_time(self, nt):
+        for bits in range(65):
+            got, want = scalar_bit_split(bits, nt), oracle_scalar_bit_split(bits, nt)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
     def test_two_antenna_codepoints(self):
         # 1 phase bit -> {-pi/2, +pi/2}; 1 magnitude bit -> {pi/8, 3pi/8}
