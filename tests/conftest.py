@@ -8,7 +8,7 @@ import numpy as np
 from fbsim.analytic import zf_bopt_fixed_point
 from fbsim.cli import ResultRow
 from fbsim.channel import ChannelRealization
-from fbsim.numerics import SingularSetError, haar_orthonormal_sets, zf_directions
+from fbsim.numerics import SingularSetError, complex_pairs, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import DegeneratePivotError, rvq_sin2
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
 
@@ -87,6 +87,22 @@ def zf_rate_linear_regime(nt: int, b: float) -> float:
 def haar_orthonormal_set(rng: np.random.Generator, n: int) -> np.ndarray:
     """Single Haar orthonormal set; shape (n, n), vectors in the columns."""
     return haar_orthonormal_sets(rng, n, 1)[0]
+
+
+def oracle_haar_stack(rngs, n: int, count: int) -> np.ndarray:
+    """haar_orthonormal_stack by LAPACK: the same draws, a stacked QR, then the phase fix.
+
+    QR leaves each column's phase free; scaling column j by the phase of
+    R[j, j] makes R's diagonal positive and real, so Q is Haar distributed.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    z = np.empty((len(rngs), 2, count * n, n))
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=z[t])
+    q, r = np.linalg.qr(complex_pairs(z).reshape(len(rngs), count, n, n))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def quantize_to_orthosets(h, codebook) -> tuple[int, int, float]:
@@ -202,7 +218,7 @@ def random_codebook(rng: np.random.Generator, bits: int, nt: int) -> np.ndarray:
 def quantize_rvq_explicit(h, bits, rng):
     """Explicit RVQ of one row: scan a fresh 2^B isotropic codebook; returns (codeword, sin2)."""
     codebook = random_codebook(rng, bits, h.shape[-1])
-    u = h / np.linalg.norm(h)
+    u = _unit_rows(h[None])[0]  # the engine's axis norm: at nt = 1 the pick hangs on its last bit
     cos2 = np.abs(codebook @ u.conj()) ** 2
     best = int(np.argmax(cos2))
     return codebook[best], float(1.0 - cos2[best])

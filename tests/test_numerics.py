@@ -11,12 +11,14 @@ from conftest import (
     haar_orthonormal_set,
     lambert_w_m1_bisect,
     max_gamma_expectation,
+    oracle_haar_stack,
 )
 from fbsim.numerics import (
     RngStream,
     SingularSetError,
     complex_pairs,
     haar_orthonormal_sets,
+    haar_orthonormal_stack,
     lambert_w_m1,
     rng_streams,
     stream_seed_words,
@@ -135,13 +137,13 @@ class TestHaar:
         q = haar_orthonormal_sets(rng, 4, 8)
         assert q.shape == (8, 4, 4)
         eye = np.einsum("sij,sik->sjk", q.conj(), q)
-        assert np.max(np.abs(eye - np.eye(4))) < 1e-10
+        assert np.max(np.abs(eye - np.eye(4))) < 1e-13
 
     def test_single_set_shape(self):
         rng = RngStream(3).generator()
         q = haar_orthonormal_set(rng, 3)
         assert q.shape == (3, 3)
-        assert np.max(np.abs(q.conj().T @ q - np.eye(3))) < 1e-10
+        assert np.max(np.abs(q.conj().T @ q - np.eye(3))) < 1e-13
 
     def test_column_entry_isotropy(self):
         # |first entry of a Haar column|^2 has mean 1/n
@@ -155,6 +157,46 @@ class TestHaar:
         rng = RngStream(0).generator()
         with pytest.raises(ValueError):
             haar_orthonormal_sets(rng, 0, 1)
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("sets", [1, 16, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_matches_phase_fixed_lapack_qr(self, n, sets, trials):
+        rngs = list(rng_streams(50 + n, 0, trials))
+        refs = list(rng_streams(50 + n, 0, trials))
+        q = haar_orthonormal_stack(rngs, n, sets)
+        assert q.shape == (trials, sets, n, n)
+        np.testing.assert_allclose(q, oracle_haar_stack(refs, n, sets), rtol=0, atol=1e-12)
+        for rng, ref in zip(rngs, refs):  # each stream continues from the same point
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n,sets", [(4, 8192), (8, 1024)])
+    def test_orthogonality_of_large_stacks(self, n, sets):
+        q = haar_orthonormal_stack([RngStream(60 + n).generator()], n, sets)
+        eye = np.swapaxes(q, -1, -2).conj() @ q
+        assert np.max(np.abs(eye - np.eye(n))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("sets", [1, 5])
+    def test_a_trial_does_not_depend_on_its_stack(self, n, sets):
+        q = haar_orthonormal_stack(list(rng_streams(65, 0, 3)), n, sets)
+        for t in range(3):
+            one = haar_orthonormal_stack([RngStream(65, t).generator()], n, sets)[0]
+            np.testing.assert_array_equal(one, q[t])
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_haar_law_of_the_entries(self, n):
+        # Every entry of a Haar unitary has |q|^2 ~ Beta(1, n - 1), with mean
+        # 1/n and variance (n - 1) / (n^2 (n + 1)), and a uniform phase, so
+        # E[exp(i k arg q)] = 0 with E|exp(i k arg q)|^2 = 1. Each check is 4 SE.
+        q = haar_orthonormal_stack(list(rng_streams(70 + n, 0, 4)), n, 4000).reshape(-1, n, n)
+        draws = q.shape[0]
+        p = np.abs(q) ** 2
+        se = math.sqrt((n - 1) / (n**2 * (n + 1)) / draws)
+        assert np.max(np.abs(p.mean(axis=0) - 1.0 / n)) <= 4 * se
+        phase = q / np.abs(q)
+        for k in (1, 2):
+            assert np.max(np.abs(np.mean(phase**k, axis=0))) <= 4 / math.sqrt(draws)
 
 
 class TestZfDirections:
