@@ -169,13 +169,13 @@ def _subf_approx(cfg, b):
     return analytic.subf_rate_approx(cfg.snr, cfg.nt, cfg.tfb, b)
 
 
-def _lambert_bopt(cfg, b):
-    return analytic.zf_bopt_lambert(cfg.snr, cfg.nt, cfg.tfb)
+def _fixed_point_bopt(cfg, b):
+    return analytic.zf_bopt_fixed_point(cfg.snr, cfg.nt, cfg.tfb).b
 
 
 SWEEP_LABELS = ("bits per user B", "sum rate (bps/Hz)")
 BOPT_CURVES = tuple(Curve(f"empirical B_opt, Nt={nt}", dict(nt=nt),
-                          (f"Lambert-W B_opt, Nt={nt}", _lambert_bopt)) for nt in (2, 4))
+                          (f"fixed-point B_opt, Nt={nt}", _fixed_point_bopt)) for nt in (2, 4))
 
 PRESETS = {
     "tab_intro_example": Preset(*SWEEP_LABELS, (

@@ -181,37 +181,24 @@ def _sum_leading(z: np.ndarray, axis: int) -> np.ndarray:
     return np.add.reduce(z.view(np.float64), axis=axis).view(np.complex128)
 
 
-def zf_directions_batch(quantized_channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing directions for a stack of channel sets, shape (..., n, nt).
-
-    Row k of each set's result is the unit-norm vector orthogonal to every
-    other row's channel, obtained from the pseudo-inverse of the conjugated
-    channel matrix. Also returns a boolean mask, False where a set is
-    (numerically) rank deficient; the directions of such a set are meaningless.
-    """
-    a = np.conj(quantized_channels)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    ok = ~(s[..., -1] < RANK_RTOL * s[..., 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pinv = (np.swapaxes(vh, -1, -2).conj() / s[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
-        v = pinv / np.linalg.norm(pinv, axis=-2, keepdims=True)
-    return np.swapaxes(v, -1, -2), ok
-
-
 def zf_directions(quantized_channels: np.ndarray) -> np.ndarray:
     """Zero-forcing directions for one set of quantized channels, (n, nt).
 
-    The single-set case of zf_directions_batch; raises SingularSetError if the
-    rows are (numerically) dependent.
+    Row k is the unit-norm vector orthogonal to every other row's channel,
+    from the SVD pseudo-inverse of the conjugated channel matrix. Raises
+    SingularSetError if the rows are (numerically) dependent. The engine
+    builds the same beams from its selection's inverse Gram matrix
+    (schemes._zf_beams); the tests hold it to this reference.
     """
     h = np.atleast_2d(np.asarray(quantized_channels))
     n, nt = h.shape
     if not 1 <= n <= nt:
         raise ValueError(f"need 1 <= count <= {nt}, got {n} channels")
-    v, ok = zf_directions_batch(h)
-    if not ok:
+    u, s, vh = np.linalg.svd(h.conj(), full_matrices=False)
+    if s[-1] < RANK_RTOL * s[0]:
         raise SingularSetError("quantized channel set is rank deficient")
-    return v
+    pinv = (vh.conj().T / s) @ u.conj().T
+    return (pinv / np.linalg.norm(pinv, axis=0)).T
 
 
 def lambert_w_m1(x: float) -> float:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .numerics import haar_orthonormal_sets, zf_directions_batch
-from .numerics import zf_directions  # noqa: F401  (the single-set beams, part of this interface)
+from .numerics import haar_orthonormal_sets
+from .numerics import zf_directions  # noqa: F401  (bench/layers.py traces it under this name)
 from .quantization import (
     CqiQuantizerSpec,
     QuantizerSpec,
@@ -70,10 +70,11 @@ def _cqi_scale(cqi_kind: str, snr: float, nt: int) -> float:
 def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_num):
     """Estimated ZF sum rates of the candidate sets S_t + {c}, one per row (t, c) of cand_sets.
 
-    Trial t has selected the j users selected[t], with Gram columns
-    cols[t] = G[:, S] and inverse Gram matrix inv[t] = A = G_S^{-1}. User k's
-    post-ZF gain in S is 1 / A_kk. Adding candidate c with b = G[S, c] leaves
-    the Schur complement s = G_cc - b^H A b, the squared norm of d_c projected
+    With the Gram matrix G = D D^H of the quantized channels (rows d_k), trial
+    t has selected the j users selected[t], with Gram columns cols[t, k] =
+    G[S, k] and inverse Gram matrix inv[t] = A = G_S^{-1}. User k's post-ZF
+    gain in S is 1 / A_kk. Adding candidate c with b = G[S, c] leaves the
+    Schur complement s = G_cc - b^H A b, the squared norm of d_c projected
     orthogonal to S; the gains become 1 / (A_kk + |(Ab)_k|^2 / s) for k in S
     and s for c. Returns each set's rate (-inf if invalid, or dependent on S
     by DEPENDENT_RTOL), s and Ab.
@@ -95,20 +96,23 @@ def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_
 
 
 def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
-               greedy: bool) -> tuple[np.ndarray, np.ndarray]:
+               greedy: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ZF user selection on quantized channels for a stack of T trials.
 
     `dirs` (T, K, nt) holds unit-norm quantized channels d_k and `cqi` (T, K)
     their CQI. Each step scores the candidate sets of the trials still
     running with _estimated_rates_batched and grows the chosen set's inverse
-    Gram matrix A by the block-inverse update; only the columns G[:, S] of
-    the Gram matrix are formed.
+    Gram matrix A by the block-inverse update; only the rows G[S, :] of the
+    Gram matrix are formed.
 
     Greedy starts from the largest CQI and adds the candidate with the best
     estimated sum rate (ties: see TIE_RTOL) while that rate improves.
     Simplified (greedy=False) tries the top-j users by CQI for j = 1..nt and
     keeps the best prefix, the smaller one on ties. Returns (selected,
-    counts): trial t serves users selected[t, :counts[t]], in selection order.
+    counts, served): trial t serves users selected[t, :counts[t]], in
+    selection order, and served[t] is that set's A, zero-padded to (m, m).
+    Steps that do not raise the count (a rejected greedy candidate, a losing
+    simplified prefix) still grow the working A, so only the others copy it.
     """
     n_trials, n_users, _ = dirs.shape
     steps = min(nt, n_users)
@@ -116,7 +120,8 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     conj = dirs.conj()
     g_diag = np.einsum("tkn,tkn->tk", dirs, conj).real
     inv = np.zeros((n_trials, steps, steps), dtype=complex)  # A, grown block by block
-    cols = np.zeros((n_trials, n_users, steps), dtype=complex)  # G[:, S]
+    served = np.zeros_like(inv)
+    cols = np.zeros((n_trials, n_users, steps), dtype=complex)  # cols[:, k] = G[S, k]
     selected = np.zeros((n_trials, steps), dtype=int)
     taken = np.zeros((n_trials, n_users), dtype=bool)
     best = np.full(n_trials, -np.inf)
@@ -154,52 +159,58 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
                 u, s_c = ab_p[at], s_p[at]
             if greedy:
                 active &= new > best
-                best = np.where(active, new, best)
+                grew = active
                 counts += active
             else:
                 active &= new > -np.inf
-                better = active & (new > best)
-                best = np.where(better, new, best)
-                counts = np.where(better, j + 1, counts)
+                grew = active & (new > best)
+                counts = np.where(grew, j + 1, counts)
+            best = np.where(grew, new, best)
             selected[:, j] = c
-            if j == steps - 1 or not active.any():
-                break
             inv[:, :j, :j] += u[:, :, None] * u.conj()[:, None, :] / s_c[:, None, None]
             inv[:, :j, j] = -u / s_c[:, None]
             inv[:, j, :j] = -u.conj() / s_c[:, None]
             inv[:, j, j] = 1.0 / s_c
+            np.copyto(served, inv, where=grew[:, None, None])
+            if j == steps - 1 or not active.any():
+                break
             cols[:, :, j] = np.einsum("tn,tkn->tk", dirs[t, c], conj)
             taken[t, c] = True
-    return selected, counts
+    return selected, counts, served
 
 
-def _zf_beams(dirs: np.ndarray, selected: np.ndarray,
-              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zf_beams(dirs: np.ndarray, selected: np.ndarray, counts: np.ndarray,
+              served: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ZF beams of each trial's selected set, zero-padded to (T, m, nt).
 
-    A rank-deficient set (degenerate feedback) falls back to its first user,
-    so the returned counts can be smaller than the ones passed in.
+    served[t] is the inverse Gram matrix A of trial t's served set D_S, zero
+    past counts[t] (see _zf_select). Beam k is row k of A D_S, normalized,
+    which is orthogonal to every other served d_j. A trial whose A has a
+    non-positive served diagonal entry (degenerate feedback) falls back to
+    its first user, so the returned counts can be smaller than the ones
+    passed in.
     """
     n_trials, m = selected.shape
-    counts = counts.copy()
-    beams = np.zeros((n_trials, m, dirs.shape[2]), dtype=complex)
-    for n in range(m, 0, -1):  # fallbacks to one user are done last
-        idx = np.flatnonzero(counts == n)
-        if idx.size:
-            v, ok = zf_directions_batch(dirs[idx[:, None], selected[idx, :n]])
-            beams[idx[ok], :n] = v[ok]
-            counts[idx[~ok]] = 1
-    return beams, counts
+    d = dirs[np.arange(n_trials)[:, None], selected]  # D_S, (T, m, nt)
+    on = np.arange(m) < counts[:, None]
+    ok = np.all((np.diagonal(served, axis1=1, axis2=2).real > 0) | ~on, axis=1)
+    first = np.zeros((m, m))
+    first[0, 0] = 1.0  # the A that serves the first user alone
+    v = np.where(ok[:, None, None], served, first) @ d
+    norm = np.linalg.norm(v, axis=2, keepdims=True)
+    return v / np.where(norm > 0, norm, 1.0), np.where(ok, counts, 1)
 
 
-def _realized_zf_rates(h_true_sel: np.ndarray, bfs: np.ndarray, snr: float) -> np.ndarray:
-    """Realized rates of n users under ZF beams bfs (..., n, nt) and power snr/n each."""
-    n = bfs.shape[-2]
+def _realized_zf_rates(h_true_sel: np.ndarray, bfs: np.ndarray, power) -> np.ndarray:
+    """Realized rates of users h_true_sel (..., m, nt) under ZF beams bfs (..., m, nt).
+
+    `power` is the power per beam (a scalar, or (..., 1) per set). A zero
+    beam realizes rate 0 and adds no interference.
+    """
     p = np.abs(h_true_sel.conj() @ np.swapaxes(bfs, -1, -2)) ** 2  # p[k, j] = |h_k^H v_j|^2
-    s = snr / n
     diag = np.diagonal(p, axis1=-2, axis2=-1)
-    sig = s * diag
-    interf = s * (p.sum(axis=-1) - diag)
+    sig = power * diag
+    interf = power * (p.sum(axis=-1) - diag)
     return np.log2(1.0 + sig / (1.0 + interf))
 
 
@@ -208,8 +219,8 @@ def _select_plan(reports: list[FeedbackReport], snr: float, nt: int, greedy: boo
         raise ValueError("need at least one feedback report")
     dirs = np.array([r.direction for r in reports])[None]
     cqi = np.array([r.cqi for r in reports])[None]
-    selected, counts = _zf_select(dirs, cqi, _cqi_scale(reports[0].cqi_kind, snr, nt), nt, greedy)
-    beams, counts = _zf_beams(dirs, selected, counts)
+    selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(reports[0].cqi_kind, snr, nt), nt, greedy)
+    beams, counts = _zf_beams(dirs, selected, counts, served)
     n = int(counts[0])
     return TransmissionPlan(
         selected=[reports[k].user_id for k in selected[0, :n]],
@@ -291,14 +302,11 @@ def zf_blocks(
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
     dirs, _, cqi = _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer)
-    selected, counts = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt, selection == "greedy")
-    beams, counts = _zf_beams(dirs, selected, counts)
-    rates = np.zeros(selected.shape)
-    for n in range(1, selected.shape[1] + 1):
-        idx = np.flatnonzero(counts == n)
-        if idx.size:
-            h_sel = h_delayed[idx[:, None], selected[idx, :n]]
-            rates[idx, :n] = _realized_zf_rates(h_sel, beams[idx, :n], snr)
+    selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt,
+                                          selection == "greedy")
+    beams, counts = _zf_beams(dirs, selected, counts, served)
+    h_sel = h_delayed[np.arange(len(selected))[:, None], selected]
+    rates = _realized_zf_rates(h_sel, beams, (snr / counts)[:, None])
     return Blocks(selected, counts, beams, rates)
 
 
@@ -327,12 +335,13 @@ def zf_block(
     ]
     select = zf_greedy_select if selection == "greedy" else zf_simplified_select
     plan = select(reports, snr, nt)
-    h_sel = realization.h_delayed[plan.selected]
-    rates = _realized_zf_rates(h_sel[None], plan.beamformers[None], snr)[0]
-    # summed over the zero-padded row zf_blocks sums, so the bits agree at any width
-    row = np.zeros(min(nt, len(reports)))
-    row[: len(rates)] = rates
-    return BlockOutcome(plan=plan, realized_rates=rates, sum_rate=float(row.sum()))
+    # zero-padded to zf_blocks' width min(nt, K), so both run the same kernel shapes and agree bit for bit
+    n = len(plan.selected)
+    h_sel, bfs = np.zeros((2, 1, min(nt, len(reports)), nt), dtype=complex)
+    h_sel[0, :n] = realization.h_delayed[plan.selected]
+    bfs[0, :n] = plan.beamformers
+    rates = _realized_zf_rates(h_sel, bfs, snr / n)[0]
+    return BlockOutcome(plan=plan, realized_rates=rates[:n], sum_rate=float(rates.sum()))
 
 
 def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndarray,
@@ -376,13 +385,10 @@ def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndar
     w = codebooks[trials, s_star]  # (T, nt, nt), beams in columns
     served = np.arange(nt) < counts[:, None]
     bfs = np.where(served[..., None], np.swapaxes(w, 1, 2)[t, beam], 0.0)
-    rates = np.zeros((n_trials, nt))
-    for n in range(1, nt + 1):
-        idx = np.flatnonzero(counts == n)
-        if idx.size:
-            p_tx = np.abs(h_delayed[idx[:, None], selected[idx, :n]].conj() @ w[idx]) ** 2  # (I, n, nt)
-            own = np.take_along_axis(p_tx, beam[idx, :n, None], axis=2)[..., 0]
-            rates[idx, :n] = np.log2(1.0 + own / (nt / snr + (p_tx.sum(axis=2) - own)))
+    h_tx = h_delayed[t, np.where(served, selected, 0)]  # user 0 stands in on unserved beams
+    p_tx = np.abs(h_tx.conj() @ w) ** 2  # (T, nt, nt)
+    own = np.take_along_axis(p_tx, beam[..., None], axis=2)[..., 0]
+    rates = np.where(served, np.log2(1.0 + own / (nt / snr + (p_tx.sum(axis=2) - own))), 0.0)
     return Blocks(selected, counts, bfs, rates, sets=s_star)
 
 

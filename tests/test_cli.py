@@ -120,7 +120,7 @@ class TestPresets:
         assert start == len(rows) and not drawn_by_label
         if name in ("fig4_bopt_vs_tfb", "fig5_bopt_vs_snr"):
             for r in rows:
-                assert r.extra == analytic.zf_bopt_lambert(10.0 ** (r.snr_db / 10.0), r.nt, r.tfb)
+                assert r.extra == analytic.zf_bopt_fixed_point(10.0 ** (r.snr_db / 10.0), r.nt, r.tfb).b
 
 
 class TestConfigFiles:

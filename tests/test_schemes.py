@@ -27,6 +27,7 @@ from fbsim.schemes import (
     TransmissionPlan,
     _orthoset_block,
     _zf_beams,
+    _zf_select,
     _realized_zf_rates,
     pu2rc_block,
     rbf_block,
@@ -92,7 +93,7 @@ class TestRealizedSinr:
         rng = RngStream(0).generator()
         h = complex_gaussian(rng, (3, 4))
         bfs = zf_directions(complex_gaussian(rng, (3, 4)))
-        rates = _realized_zf_rates(h, bfs, snr=10.0)
+        rates = _realized_zf_rates(h, bfs, 10.0 / 3)
         for k in range(3):
             others = [bfs[j] for j in range(3) if j != k]
             sinr = zf_realized_sinr(h[k], bfs[k], others, 10.0, 3)
@@ -178,18 +179,51 @@ def _perfect_realization(h):
     return ChannelRealization(h=h, h_est=h, h_delayed=h)
 
 
+def _served_gram_inverse(dirs, selected, counts, m):
+    """np.linalg.inv of each trial's served Gram matrix D_S D_S^H, zero-padded to (T, m, m)."""
+    out = np.zeros((len(dirs), m, m), dtype=complex)
+    for t, n in enumerate(counts):
+        d = dirs[t, selected[t, :n]]
+        out[t, :n, :n] = np.linalg.inv(d @ d.conj().T)
+    return out
+
+
 class TestZfBeams:
     def test_rank_deficient_set_falls_back_to_its_first_user(self):
+        # A dependent set leaves its A with a non-positive diagonal; trial 1's A is forged so.
         rng = RngStream(21).generator()
-        d = complex_gaussian(rng, (2, 3, 4))
+        d = complex_gaussian(rng, (3, 3, 4))
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        d[1, 2] = d[1, 0]  # trial 1 selects a repeated direction
-        selected = np.array([[0, 1, 2], [2, 1, 0]])
-        beams, counts = _zf_beams(d, selected, np.array([3, 3]))
-        assert list(counts) == [3, 1]
+        selected = np.array([[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+        counts = np.array([3, 3, 2])
+        served = _served_gram_inverse(d, selected, counts, 3)
+        served[1, 1, 1] = -1.0
+        beams, got = _zf_beams(d, selected, counts, served)
+        assert list(got) == [3, 1, 2]
         np.testing.assert_allclose(beams[0], zf_directions(d[0]), atol=1e-12)
         np.testing.assert_allclose(beams[1, 0], d[1, 2], atol=1e-12)
         assert not beams[1, 1:].any()
+        np.testing.assert_allclose(beams[2, :2], zf_directions(d[2, [1, 2]]), atol=1e-12)
+        assert not beams[2, 2:].any()
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_served_inverse_is_the_served_sets_own(self, greedy):
+        # Low SNR stops greedy short of min(nt, K), and the best simplified prefix short of the
+        # last one tried (continuous directions never meet the dependence rule, so simplified
+        # tries every prefix). Steps after the served count grow the working A, which the
+        # served copy must not see.
+        nt, users, trials = 4, 9, 50
+        rng = RngStream(23).generator()
+        for snr in (0.3, 3.0, 30.0, 300.0):
+            dirs = complex_gaussian(rng, (trials, users, nt))
+            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+            cqi = rng.exponential(size=(trials, users))
+            selected, counts, served = _zf_select(dirs, cqi, snr, nt, greedy)
+            assert np.any(counts < nt) and np.any(counts > 1)
+            want = _served_gram_inverse(dirs, selected, counts, nt)
+            for t in range(trials):
+                err = np.linalg.norm(served[t] - want[t])
+                assert err <= 1e-12 * np.linalg.norm(want[t]), f"snr {snr}, trial {t}"
 
 
 class TestZfBlock:
@@ -374,6 +408,17 @@ class TestBatchedZfAgainstPerTrialOracle:
         ruled = self._check(case, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits), cqi_kind,
                             selection, cqi_q)
         if quantizer in ("rvq_statistical", "idealized", "perfect"):
+            assert ruled == 0
+
+    @pytest.mark.parametrize("selection", ["greedy", "simplified"])
+    @pytest.mark.parametrize("quantizer,bits", [("scalar", 3), ("rvq_statistical", 4)])
+    def test_high_snr_coarse_codebooks(self, quantizer, bits, selection):
+        # At 50 dB selection serves its worst-conditioned sets, where the beams from the
+        # selection's inverse Gram matrix and the SVD reference differ most.
+        chan = ChannelModelConfig(nt=4, num_users=30, snr=1e5)
+        ruled = self._check(1, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits), "norm2",
+                            selection, None)
+        if quantizer == "rvq_statistical":
             assert ruled == 0
 
     def test_greedy_ties_on_a_coarse_codebook(self):
