@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import complex_pairs
+from .numerics import complex_normals
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,13 @@ class ChannelRealization:
 def draw_blocks(cfg: ChannelModelConfig, rngs) -> ChannelRealization:
     """Coherence blocks of T trials under cfg's training/delay model; fields (T, num_users, nt).
 
-    Block t draws from rngs[t] with one standard_normal call, whose values
-    equal those of consecutive calls of the same total size: the channel
-    (or, with training error, the estimate and then the error) and, with
-    delay, the innovation, each as real then imaginary parts.
+    Block t draws from rngs[t] with complex_normals, in this order: the
+    channel (or, with training error, the estimate and then the error) and,
+    with delay, the innovation.
     """
     sigma2 = cfg.estimation_error_var
     draws = 1 + (sigma2 != 0.0) + (cfg.r != 1.0)
-    z = np.empty((len(rngs), draws, 2, cfg.num_users, cfg.nt))
-    for t, rng in enumerate(rngs):
-        rng.standard_normal(out=z[t])
-    g = complex_pairs(z)
+    g = complex_normals(rngs, draws, cfg.num_users, cfg.nt)
     if sigma2 == 0.0:
         h = h_est = g[:, 0]
     else:

@@ -67,35 +67,25 @@ def stream_seed_words(seed: int, first: int, count: int) -> np.ndarray:
     Row i equals SeedSequence(entropy=seed, spawn_key=(first + i,))
     .generate_state(4, np.uint64), the words RngStream(seed, first + i)
     seeds PCG64 with. That SeedSequence hashes the seed's 32-bit words (at
-    least 4), then the stream id's (1 or 2); the seed part is the same for
-    every stream, so SeedSequence itself mixes it once. The hash multiplier
-    advances with every call and never with the data, so the 4 calls that
-    mix one id word into the pool run as one (rows, 4) array step, as do
-    generate_state's 8 calls.
+    least 4), then the stream id's word (ids from 2^32 on have two and go
+    through SeedSequence itself); the seed part is the same for every
+    stream, so SeedSequence mixes it once. The hash multiplier advances with
+    every call and never with the data, so the 4 calls that mix the id word
+    into the pool run as one (count, 4) array step, as do generate_state's 8.
     """
     if seed < 0 or first < 0:
         raise ValueError(f"seed and stream ids must be >= 0, got seed={seed}, first={first}")
-    if first + count > 2**63:  # ids past 63 bits: SeedSequence itself
+    if first + count > 2**32:
         return np.array([np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(4, np.uint64)
                          for i in range(count)]).reshape(count, 4)
     n_seed = max(_POOL_SIZE, -(-seed.bit_length() // 32))  # padded to the pool before a spawn key
     pool = np.random.SeedSequence(np.array([seed >> 32 * i & _MASK32 for i in range(n_seed)], np.uint32)).pool
-    xor_a, mul_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (n_seed + 2))
+    xor_a, mul_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (n_seed + 1))
     xor_b, mul_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    ids = np.arange(first, first + count, dtype=np.uint64)
-    words = np.stack([ids & np.uint64(_MASK32), ids >> np.uint64(32)], axis=1).astype(np.uint32)
-    out = np.empty((count, 4), dtype=np.uint64)
-    for n_id in (1, 2):  # ids past 32 bits have a second word
-        rows = np.flatnonzero((words[:, 1] > 0) == (n_id == 2))
-        if not rows.size:
-            continue
-        p = pool
-        for j in range(n_id):
-            calls = slice(_POOL_SIZE * (n_seed + j), _POOL_SIZE * (n_seed + j + 1))
-            p = _mix(p, _hash(words[rows, j : j + 1], xor_a[calls], mul_a[calls]))
-        v = _hash(np.tile(p, 2), xor_b, mul_b).astype(np.uint64)  # 8 words cycling through the pool
-        out[rows] = v[:, 0::2] | v[:, 1::2] << np.uint64(32)  # paired little-endian
-    return out
+    ids = np.arange(first, first + count, dtype=np.uint32)[:, None]
+    p = _mix(pool, _hash(ids, xor_a[-_POOL_SIZE:], mul_a[-_POOL_SIZE:]))  # the calls after the seed's
+    v = _hash(np.tile(p, 2), xor_b, mul_b).astype(np.uint64)  # 8 words cycling through the pool
+    return v[:, 0::2] | v[:, 1::2] << np.uint64(32)  # paired little-endian
 
 
 class _SeedWords(ISeedSequence):
@@ -126,10 +116,25 @@ def complex_pairs(z: np.ndarray) -> np.ndarray:
     """Circularly symmetric unit-variance complex Gaussians from standard normals z.
 
     Real parts are z[..., 0, :, :] and imaginary parts z[..., 1, :, :], so one
-    standard_normal call into z draws, bit for bit, what separate calls for
-    the real and then the imaginary parts would.
+    standard_normal call into z draws, bit for bit, what separate calls for the
+    real and then the imaginary parts would. Each part is multiplied by 1/sqrt(2)
+    straight into the result, which gives the bits of (re + 1j * im) / sqrt(2).
     """
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
+    out = np.empty(z.shape[:-3] + z.shape[-2:], dtype=complex)
+    np.multiply(z[..., 0, :, :], 1.0 / math.sqrt(2.0), out=out.real)
+    np.multiply(z[..., 1, :, :], 1.0 / math.sqrt(2.0), out=out.imag)
+    return out
+
+
+def complex_normals(rngs, *shape: int) -> np.ndarray:
+    """Complex Gaussians (T, *shape), trial t from one standard_normal call of rngs[t].
+
+    That call draws, bit for bit, what one complex_pairs call per leading index would.
+    """
+    z = np.empty((len(rngs), *shape[:-2], 2, *shape[-2:]))
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=z[t])
+    return complex_pairs(z)
 
 
 def haar_orthonormal_sets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -144,21 +149,18 @@ def haar_orthonormal_sets(rng: np.random.Generator, n: int, count: int) -> np.nd
 def haar_orthonormal_stack(rngs, n: int, count: int) -> np.ndarray:
     """`count` Haar orthonormal sets per generator, shape (T, count, n, n).
 
-    Trial t draws from rngs[t] with one standard_normal call (real parts,
-    then imaginary parts). Classical Gram-Schmidt run twice (CGS2) then
-    orthonormalizes the columns of every set at once. Each column is divided
-    by its own norm, so R has a positive real diagonal and Q is Haar
-    distributed with no phase fix (Mezzadri, Notices AMS 54(5), 2007). A
-    set's Q depends, bit for bit, only on its own draws, not on T or count.
+    Trial t draws its entries with complex_normals. Classical Gram-Schmidt
+    run twice (CGS2) then orthonormalizes the columns of every set at once.
+    Each column is divided by its own norm, so R has a positive real
+    diagonal and Q is Haar distributed with no phase fix (Mezzadri, Notices
+    AMS 54(5), 2007). A set's Q depends, bit for bit, only on its own draws,
+    not on T or count.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    z = np.empty((len(rngs), 2, count * n, n))
-    for t, rng in enumerate(rngs):
-        rng.standard_normal(out=z[t])
     # q[j, :, s] is column j of set s: with the sets along the last axis,
     # each step below is one elementwise pass over the whole stack.
-    q = np.ascontiguousarray(complex_pairs(z).reshape(-1, n, n).T)
+    q = np.ascontiguousarray(complex_normals(rngs, count * n, n).reshape(-1, n, n).T)
     qh = np.empty_like(q)  # conjugates of the finished columns
     for j in range(n):
         v = q[j]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,17 +200,19 @@ def _zf_beams(dirs: np.ndarray, selected: np.ndarray, counts: np.ndarray,
     return v / np.where(norm > 0, norm, 1.0), np.where(ok, counts, 1)
 
 
-def _realized_zf_rates(h_true_sel: np.ndarray, bfs: np.ndarray, power) -> np.ndarray:
-    """Realized rates of users h_true_sel (..., m, nt) under ZF beams bfs (..., m, nt).
+def _sinr(own, total, power):
+    """SINR of a user with gain `own` on its beam and `total` on all beams, each at `power`."""
+    return power * own / (1.0 + power * (total - own))
 
-    `power` is the power per beam (a scalar, or (..., 1) per set). A zero
-    beam realizes rate 0 and adds no interference.
+
+def _realized_rates(h: np.ndarray, beams: np.ndarray, power) -> np.ndarray:
+    """Realized rates of users h (..., n, nt), user k served by row k of beams (..., m, nt), m >= n.
+
+    Every scheme realizes its rates here. Each beam is sent at `power` (a scalar, or (..., 1) per
+    set), so beams past n are idle and still interfere; a zero beam adds no interference.
     """
-    p = np.abs(h_true_sel.conj() @ np.swapaxes(bfs, -1, -2)) ** 2  # p[k, j] = |h_k^H v_j|^2
-    diag = np.diagonal(p, axis1=-2, axis2=-1)
-    sig = power * diag
-    interf = power * (p.sum(axis=-1) - diag)
-    return np.log2(1.0 + sig / (1.0 + interf))
+    p = np.abs(h.conj() @ np.swapaxes(beams, -1, -2)) ** 2  # p[k, j] = |h_k^H v_j|^2
+    return np.log2(1.0 + _sinr(np.diagonal(p, axis1=-2, axis2=-1), p.sum(axis=-1), power))
 
 
 def _select_plan(reports: list[FeedbackReport], snr: float, nt: int, greedy: bool) -> TransmissionPlan:
@@ -241,9 +242,9 @@ def zf_simplified_select(reports: list[FeedbackReport], snr: float, nt: int) -> 
 
 @dataclass(frozen=True)
 class Blocks:
-    """Outcome of T coherence blocks of one scheme; trial t serves selected[t, :counts[t]]."""
+    """Outcome of T coherence blocks of one scheme, from _transmit; trial t serves selected[t, :counts[t]]."""
 
-    selected: np.ndarray  # (T, m) user indices
+    selected: np.ndarray  # (T, m) user indices; 0 past counts[t]
     counts: np.ndarray  # (T,)
     beamformers: np.ndarray  # (T, m, nt), unit-norm rows; zero rows past counts[t]
     realized_rates: np.ndarray  # (T, m), zero past counts[t]
@@ -252,6 +253,19 @@ class Blocks:
     @property
     def sum_rates(self) -> np.ndarray:
         return self.realized_rates.sum(axis=1)
+
+
+def _transmit(h_delayed: np.ndarray, selected: np.ndarray, counts: np.ndarray, beams: np.ndarray,
+              power, sets: np.ndarray | None = None) -> Blocks:
+    """Blocks of T trials that send every beam (T, m, nt) at `power` (scalar or (T,)) on h_delayed.
+
+    Trial t serves selected[t, :counts[t]]; its beams past counts[t] serve no one.
+    """
+    on = np.arange(selected.shape[1]) < counts[:, None]
+    selected = np.where(on, selected, 0)
+    h = h_delayed[np.arange(len(selected))[:, None], selected]
+    rates = np.where(on, _realized_rates(h, beams, np.reshape(power, (-1, 1))), 0.0)
+    return Blocks(selected, counts, np.where(on[..., None], beams, 0.0), rates, sets)
 
 
 def _block_outcome(out: Blocks, power_per_user: float) -> BlockOutcome:
@@ -305,9 +319,7 @@ def zf_blocks(
     selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt,
                                           selection == "greedy")
     beams, counts = _zf_beams(dirs, selected, counts, served)
-    h_sel = h_delayed[np.arange(len(selected))[:, None], selected]
-    rates = _realized_zf_rates(h_sel, beams, (snr / counts)[:, None])
-    return Blocks(selected, counts, beams, rates)
+    return _transmit(h_delayed, selected, counts, beams, snr / counts)
 
 
 def zf_block(
@@ -337,11 +349,10 @@ def zf_block(
     plan = select(reports, snr, nt)
     # zero-padded to zf_blocks' width min(nt, K), so both run the same kernel shapes and agree bit for bit
     n = len(plan.selected)
-    h_sel, bfs = np.zeros((2, 1, min(nt, len(reports)), nt), dtype=complex)
-    h_sel[0, :n] = realization.h_delayed[plan.selected]
-    bfs[0, :n] = plan.beamformers
-    rates = _realized_zf_rates(h_sel, bfs, snr / n)[0]
-    return BlockOutcome(plan=plan, realized_rates=rates[:n], sum_rate=float(rates.sum()))
+    pad = min(nt, len(reports)) - n
+    out = _transmit(realization.h_delayed[None], np.array([plan.selected + [0] * pad]), np.array([n]),
+                    np.pad(plan.beamformers, ((0, pad), (0, 0)))[None], snr / n)
+    return _block_outcome(out, snr / n)
 
 
 def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndarray,
@@ -353,8 +364,8 @@ def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndar
     its SINR there, with power snr/nt on every beam of the set. Each (set,
     beam) serves its user with the largest fed-back SINR, if that is > 0
     (lowest index on ties); the set with the largest sum of log2(1 + SINR)
-    transmits, and its rates are realized on h_delayed. Users are listed in
-    beam order.
+    transmits all of its beams, and its rates are realized on h_delayed.
+    Served beams come first, in beam order; idle beams still interfere.
     """
     n_trials, n_users, _ = h_est.shape
     cells = codebooks.shape[1] * nt  # (set, beam) pairs per trial
@@ -365,7 +376,7 @@ def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndar
     t = trials[:, None]
     p_set = p.reshape(n_trials, n_users, -1, nt)[t, users, best // nt]  # (T, K, nt): the user's set
     p_best = p[t, users, best]
-    fb = p_best / (nt / snr + (p_set.sum(axis=2) - p_best))
+    fb = _sinr(p_best, p_set.sum(axis=2), snr / nt)
 
     # Per (set, beam): the largest fed-back SINR, then the lowest user index that reaches it.
     cell = best + cells * t
@@ -379,17 +390,10 @@ def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndar
 
     tx_user = sched_user.reshape(n_trials, -1, nt)[trials, s_star]  # (T, nt); n_users: no user
     on = tx_user < n_users
-    counts = on.sum(axis=1)
     beam = np.argsort(~on, axis=1, kind="stable")  # served beams first, in beam order
-    selected = np.take_along_axis(tx_user, beam, axis=1)
-    w = codebooks[trials, s_star]  # (T, nt, nt), beams in columns
-    served = np.arange(nt) < counts[:, None]
-    bfs = np.where(served[..., None], np.swapaxes(w, 1, 2)[t, beam], 0.0)
-    h_tx = h_delayed[t, np.where(served, selected, 0)]  # user 0 stands in on unserved beams
-    p_tx = np.abs(h_tx.conj() @ w) ** 2  # (T, nt, nt)
-    own = np.take_along_axis(p_tx, beam[..., None], axis=2)[..., 0]
-    rates = np.where(served, np.log2(1.0 + own / (nt / snr + (p_tx.sum(axis=2) - own))), 0.0)
-    return Blocks(selected, counts, bfs, rates, sets=s_star)
+    w = beams[t, s_star[:, None] * nt + beam]  # (T, nt, nt): the set's beam rows
+    return _transmit(h_delayed, np.take_along_axis(tx_user, beam, axis=1), on.sum(axis=1), w,
+                     snr / nt, sets=s_star)
 
 
 def _orthoset_block(realization: ChannelRealization, codebook: np.ndarray,
@@ -423,13 +427,9 @@ def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: QuantizerSp
     """
     dirs = quantize_directions(h_est, quantizer, rngs)[0]
     reported = snr * np.abs(np.sum(h_est.conj() * dirs, axis=2)) ** 2
-    t = np.arange(len(h_est))
-    k = np.argmax(reported, axis=1)
-    bf = dirs[t, k]
-    gain = (h_delayed[t, k].conj()[:, None, :] @ bf[:, :, None])[:, 0, 0]  # h^H bf, as np.vdot gives it
-    # math.log2 and Python's abs: np.log2 and np.abs differ from them in the last bit on some inputs
-    rates = np.array([[math.log2(1.0 + snr * abs(g) ** 2)] for g in gain.tolist()])
-    return Blocks(k[:, None], np.ones(len(t), dtype=int), bf[:, None], rates)
+    k = np.argmax(reported, axis=1)[:, None]
+    bf = np.take_along_axis(dirs, k[..., None], axis=1)
+    return _transmit(h_delayed, k, np.ones(len(k), dtype=int), bf, snr)
 
 
 def subf_block(realization: ChannelRealization, quantizer: QuantizerSpec, snr: float,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbsim import montecarlo
+from fbsim import montecarlo, schemes
 from fbsim.montecarlo import (
     ExperimentConfig,
     FeedbackBudgetError,
@@ -346,6 +346,43 @@ class TestSchemesThroughEngine:
         cfg = _cfg(scheme=scheme, trials=8, relaxed_user_grid=True)
         r = run_trial(cfg, b, RngStream(0, 0))
         assert math.isfinite(r) and r >= 0.0
+
+    @staticmethod
+    def _forge_fallback(select):
+        """_zf_select, with a non-positive served diagonal forged into every set of two or more
+        users, as a dependent set would leave it (see TestZfBeams)."""
+        def forged(*args):
+            selected, counts, served = select(*args)
+            served[counts > 1, 1, 1] = -1.0
+            return selected, counts, served
+        return forged
+
+    # zf at 0 dB: greedy stops short of min(nt, K); rbf and pu2rc with 3 users on 4 beams
+    @pytest.mark.parametrize("scheme,b,kw", [
+        ("zf", 20, dict(snr_db=0.0)), ("zf_fallback", 20, dict()),
+        ("rbf", 4, dict(scheme="rbf", tfb=12)), ("pu2rc", 4, dict(scheme="pu2rc", tfb=12)),
+        ("subf", 20, dict(scheme="subf"))])
+    def test_blocks_are_padded_past_each_count(self, scheme, b, kw, monkeypatch):
+        # every kernel pads its Blocks one way: user 0, zero beams and zero rates past counts[t]
+        if scheme == "zf_fallback":
+            monkeypatch.setattr(schemes, "_zf_select", self._forge_fallback(schemes._zf_select))
+        kernel = {"rbf": "orthoset_blocks", "pu2rc": "orthoset_blocks", "subf": "subf_blocks"}
+        name = kernel.get(scheme, "zf_blocks")
+        outs = []
+        monkeypatch.setattr(montecarlo, name, _recording(getattr(montecarlo, name), outs))
+        run_point(_cfg(trials=40, **kw), b)
+        counts = np.concatenate([o.counts for o in outs])
+        m = 1 if scheme == "subf" else 4
+        assert all(o.selected.shape[1] == m for o in outs)
+        assert counts.min() >= 1 and (scheme == "subf" or np.any(counts < m))
+        if scheme == "zf_fallback":
+            assert counts.max() == 1
+        for o in outs:
+            past = np.arange(m) >= o.counts[:, None]
+            assert not o.selected[past].any()
+            assert not o.beamformers[past].any()
+            assert not o.realized_rates[past].any()
+            assert np.all(o.realized_rates[~past] > 0.0)
 
     def test_quantizer_variants_run(self):
         for quant in ("rvq_statistical", "rvq_explicit", "scalar", "idealized", "perfect"):

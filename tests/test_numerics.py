@@ -130,6 +130,22 @@ class TestComplexGaussian:
         z = complex_pairs(RngStream(2).generator().standard_normal((2, 5, 4)))
         np.testing.assert_array_equal(z, complex_gaussian(RngStream(2).generator(), (5, 4)))
 
+    @pytest.mark.parametrize("layout", ["lone_set", "channel_stack", "rvq_winners"])
+    def test_bits_equal_the_complex_formula(self, layout):
+        # conftest's oracles call complex_pairs too, so only this literal formula pins its bits
+        rng = RngStream(3).generator()
+        if layout == "lone_set":
+            z = rng.standard_normal((2, 4, 4))
+        elif layout == "channel_stack":
+            z = rng.standard_normal((5, 3, 2, 7, 4))  # (T, draws, 2, K, nt)
+        else:  # explicit RVQ's winning codewords of a scan group, (g, 2, 1, nt)
+            codes = rng.standard_normal((6, 2, 16, 4))
+            z = codes[np.arange(6), :, rng.integers(0, 16, 6), None]
+        want = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
+        got = complex_pairs(z)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
 
 class TestHaar:
     def test_orthonormality(self):

@@ -15,7 +15,7 @@ from conftest import (
     zf_realized_sinr,
 )
 from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
-from fbsim.numerics import RngStream, SingularSetError, zf_directions
+from fbsim.numerics import RngStream, SingularSetError, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import (
     CqiQuantizerSpec,
     QuantizerSpec,
@@ -28,7 +28,7 @@ from fbsim.schemes import (
     _orthoset_block,
     _zf_beams,
     _zf_select,
-    _realized_zf_rates,
+    _realized_rates,
     pu2rc_block,
     rbf_block,
     subf_block,
@@ -89,14 +89,21 @@ class TestRealizedSinr:
         expect = 2.5 / 3.5
         assert abs(zf_realized_sinr(h, own, other, snr=10.0, n=2) - expect) < 1e-12
 
-    def test_batched_rates_match_scalar_evaluation(self):
+    # three ZF beams; one beam (single-user beamforming); two users on a set of four
+    # orthonormal beams, whose two idle beams still interfere (RBF/PU2RC)
+    @pytest.mark.parametrize("users,m,zf", [(3, 3, True), (1, 1, False), (2, 4, False)])
+    def test_batched_rates_match_scalar_evaluation(self, users, m, zf):
         rng = RngStream(0).generator()
-        h = complex_gaussian(rng, (3, 4))
-        bfs = zf_directions(complex_gaussian(rng, (3, 4)))
-        rates = _realized_zf_rates(h, bfs, 10.0 / 3)
-        for k in range(3):
-            others = [bfs[j] for j in range(3) if j != k]
-            sinr = zf_realized_sinr(h[k], bfs[k], others, 10.0, 3)
+        h = complex_gaussian(rng, (users, 4))
+        if zf:
+            bfs = zf_directions(complex_gaussian(rng, (m, 4)))
+        else:
+            bfs = haar_orthonormal_sets(rng, 4, 1)[0].T[:m]
+        rates = _realized_rates(h, bfs, 10.0 / m)  # every beam at power snr/m
+        assert rates.shape == (users,)
+        for k in range(users):
+            others = [bfs[j] for j in range(m) if j != k]
+            sinr = zf_realized_sinr(h[k], bfs[k], others, 10.0, m)
             assert abs(rates[k] - math.log2(1.0 + sinr)) < 1e-12
 
 
