@@ -25,10 +25,11 @@ from .schemes import (
 
 SCHEMES = ("zf", "rbf", "pu2rc", "subf")
 
-# run_point stacks trials into chunks of about this many user rows per
-# codebook set (trials x users x sets), which bounds the batched engine's
-# working set.
-CHUNK_ROWS = 1024
+# run_point stacks trials into chunks of about this many rows, counted by
+# ExperimentConfig.trial_rows. A row weighs about 100-200 bytes at a chunk's
+# traced peak in every scheme, so a chunk peaks near 2 MiB, below what one
+# PU2RC B=12 trial needs (2.85 MiB on NumPy 2.4).
+CHUNK_ROWS = 16384
 
 
 class FeedbackBudgetError(ValueError):
@@ -103,9 +104,8 @@ class ExperimentConfig:
         """What a trial at B runs on: (direction quantizer, CQI quantizer, codebook sets).
 
         Only zf and subf quantize directions, and only zf quantizes its CQI.
-        PU2RC's codebook holds 2^B/nt orthonormal sets; every other scheme
-        counts as one set when chunks are sized. Raises ValueError for a B
-        the quantizer or the codebook cannot take.
+        PU2RC's codebook holds 2^B/nt orthonormal sets and RBF's one. Raises
+        ValueError for a B the quantizer or the codebook cannot take.
         """
         qspec = QuantizerSpec(self.quantizer, b) if self.scheme in ("zf", "subf") else None
         cqi_q = None
@@ -115,6 +115,15 @@ class ExperimentConfig:
             cqi_q = CqiQuantizerSpec.around_mean(self.cqi_bits, mean_cqi)
         sets = orthoset_count(b, self.nt) if self.scheme == "pu2rc" else 1
         return qspec, cqi_q, sets
+
+    def trial_rows(self, b: int) -> int:
+        """Rows a trial at B holds when run_point sizes its chunks (see CHUNK_ROWS).
+
+        RBF/PU2RC score every user on every codebook set: users x sets rows.
+        ZF and SUBF hold nt-wide channels and directions: users x nt rows.
+        """
+        width = self.trial_specs(b)[2] if self.scheme in ("rbf", "pu2rc") else self.nt
+        return self.users_for(b) * width
 
     def users_for(self, b: int) -> int:
         problem = self.b_problem(b)
@@ -189,11 +198,12 @@ def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEsti
 
     Trial t uses stream (seed, stream_offset + t), so each trial's result is
     the same however the trials are chunked. Every scheme runs in chunks of
-    about CHUNK_ROWS user rows per codebook set. A non-finite sum rate raises
+    CHUNK_ROWS // cfg.trial_rows(b) trials (at least one), which bounds a
+    chunk's working set whatever a trial holds. A non-finite sum rate raises
     ValueError naming the first such trial's stream.
     """
     users = cfg.users_for(b)
-    step = max(1, CHUNK_ROWS // (users * cfg.trial_specs(b)[2]))
+    step = max(1, CHUNK_ROWS // cfg.trial_rows(b))
     rngs = rng_streams(cfg.seed, stream_offset, cfg.trials)
     results = np.concatenate([_trial_chunk(cfg, b, list(islice(rngs, step)))
                               for _ in range(0, cfg.trials, step)])

@@ -86,12 +86,16 @@ def rvq_sin2(u: np.ndarray, bits: int, nt: int) -> np.ndarray:
 
 
 def _place_at_angle(h: np.ndarray, g: np.ndarray, sin2: np.ndarray) -> np.ndarray:
-    """Unit vectors at angle theta from each row of h, along the part of g orthogonal to it."""
+    """Unit vectors at angle theta from each row of h, along the part of g orthogonal to it.
+
+    Works in place on g, which it returns.
+    """
     u = _unit_rows(h)
-    proj = np.sum(u.conj() * g, axis=-1, keepdims=True)
-    e = g - proj * u
-    e = _unit_rows(e)
-    return np.sqrt(1.0 - sin2)[..., None] * u + np.sqrt(sin2)[..., None] * e
+    g -= np.sum(u.conj() * g, axis=-1, keepdims=True) * u
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    g *= np.sqrt(sin2)[..., None]
+    u *= np.sqrt(1.0 - sin2)[..., None]
+    return np.add(u, g, out=g)
 
 
 def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple[np.ndarray, np.ndarray]:

@@ -76,16 +76,16 @@ def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_
     Schur complement s = G_cc - b^H A b, the squared norm of d_c projected
     orthogonal to S; the gains become 1 / (A_kk + |(Ab)_k|^2 / s) for k in S
     and s for c. Returns each set's rate (-inf if invalid, or dependent on S
-    by DEPENDENT_RTOL), s and Ab.
+    by DEPENDENT_RTOL), s and Ab. Ab is formed once per (trial, user), so no
+    candidate copies its trial's A.
     """
     t, c = cand_sets[:, 0], cand_sets[:, 1]
     j = selected.shape[1]
-    a = inv[t]
     b = cols[t, c]  # G[S, c], (P, j)
-    ab = np.einsum("pik,pk->pi", a, b)
+    ab = np.einsum("tik,tck->tci", inv, cols)[t, c]
     g_cc = g_diag[t, c]
     s = g_cc - np.einsum("pk,pk->p", b.conj(), ab).real
-    inv_diag = np.diagonal(a, axis1=1, axis2=2).real + np.abs(ab) ** 2 / s[:, None]  # new A_kk, k in S
+    inv_diag = np.diagonal(inv, axis1=1, axis2=2).real[t] + np.abs(ab) ** 2 / s[:, None]  # new A_kk, k in S
     w = scale_num / (j + 1)
     gains = np.take_along_axis(cqi, selected, axis=1)[t]
     rate = np.sum(np.log2(1.0 + w * gains / inv_diag), axis=1)
@@ -116,8 +116,7 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     n_trials, n_users, _ = dirs.shape
     steps = min(nt, n_users)
     t = np.arange(n_trials)
-    conj = dirs.conj()
-    g_diag = np.einsum("tkn,tkn->tk", dirs, conj).real
+    g_diag = np.einsum("tkn,tkn->tk", dirs, dirs.conj()).real
     inv = np.zeros((n_trials, steps, steps), dtype=complex)  # A, grown block by block
     served = np.zeros_like(inv)
     cols = np.zeros((n_trials, n_users, steps), dtype=complex)  # cols[:, k] = G[S, k]
@@ -173,7 +172,7 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
             np.copyto(served, inv, where=grew[:, None, None])
             if j == steps - 1 or not active.any():
                 break
-            cols[:, :, j] = np.einsum("tn,tkn->tk", dirs[t, c], conj)
+            cols[:, :, j] = np.einsum("tn,tkn->tk", dirs[t, c].conj(), dirs).conj()
             taken[t, c] = True
     return selected, counts, served
 

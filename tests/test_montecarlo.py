@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from fbsim.montecarlo import (
     run_trial,
     sweep_b,
 )
-from fbsim.numerics import RngStream
+from fbsim.numerics import RngStream, rng_streams
 from fbsim.quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
 
 
@@ -216,7 +217,7 @@ class TestRunPoint:
     def test_chunk_size_does_not_change_results(self, case, monkeypatch):
         b, kw = CHUNK_CASES[case]
         cfg = _cfg(trials=48, b_values=(b,), **kw)
-        rows = cfg.users_for(b) * cfg.trial_specs(b)[2]
+        rows = cfg.trial_rows(b)
         a = run_point(cfg, b)
         monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 1)  # one trial per chunk
         b1 = run_point(cfg, b)
@@ -237,7 +238,7 @@ class TestRunPoint:
     def test_chunk_boundary_matches_run_trial(self, b, kw):
         cfg = _cfg(**kw)
         # one full chunk and one trial more
-        trials = montecarlo.CHUNK_ROWS // (cfg.users_for(b) * cfg.trial_specs(b)[2]) + 1
+        trials = montecarlo.CHUNK_ROWS // cfg.trial_rows(b) + 1
         cfg = _cfg(trials=trials, seed=3, **kw)
         per_trial = np.array([run_trial(cfg, b, RngStream(3, 7 + t)) for t in range(trials)])
         est = run_point(cfg, b, stream_offset=7)
@@ -260,10 +261,12 @@ class TestRunPoint:
         monkeypatch.setattr(montecarlo, "_trial_chunk", poisoned)
 
     def test_non_finite_zf_rate_names_its_stream(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 5 * 4)  # chunks of 4 trials; stream 9 is in the second
+        cfg = _cfg(trials=16)
+        # chunks of 4 trials; stream 9 is in the second
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 4 * cfg.trial_rows(20))
         self._poison(monkeypatch, [7], np.nan)  # stream 2 + 7
         with pytest.raises(ValueError, match=r"B=20 on stream \(seed=0, stream_id=9\)"):
-            run_point(_cfg(trials=16), 20, stream_offset=2)
+            run_point(cfg, 20, stream_offset=2)
 
     def test_non_finite_trial_rate_names_its_stream(self, monkeypatch):
         self._poison(monkeypatch, [4, 6], math.inf)
@@ -320,11 +323,10 @@ class TestStackedDrawsAcrossChunks:
         selection = "simplified" if channel in ("training", "delay") else "greedy"
         cfg = _cfg(tfb=60, relaxed_user_grid=True, trials=7, seed=11, quantizer=quantizer,
                    selection=selection, cqi_kind="expected_sinr", **CHANNEL_MODELS[channel])
-        users = cfg.users_for(b)
         chunks, singles = [], []
         for name, outcomes in (("zf_blocks", chunks), ("zf_block", singles)):
             monkeypatch.setattr(montecarlo, name, _recording(getattr(montecarlo, name), outcomes))
-        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 3 * users)  # chunks of 3, 3 and 1 trials
+        monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 3 * cfg.trial_rows(b))  # chunks of 3, 3 and 1 trials
         est = run_point(cfg, b, stream_offset=5)
         per_trial = np.array([run_trial(cfg, b, RngStream(11, 5 + t)) for t in range(7)])
 
@@ -338,6 +340,36 @@ class TestStackedDrawsAcrossChunks:
             np.testing.assert_array_equal(got, per_trial)
             assert est.mean == float(per_trial.mean())
             assert est.std_error == float(per_trial.std(ddof=1) / math.sqrt(7))
+
+
+def _chunk_peak(cfg, b, trials):
+    """Traced peak bytes of one warm chunk of `trials` trials at B."""
+    montecarlo._trial_chunk(cfg, b, list(rng_streams(cfg.seed, 0, trials)))
+    rngs = list(rng_streams(cfg.seed, 0, trials))
+    tracemalloc.start()
+    try:
+        montecarlo._trial_chunk(cfg, b, rngs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """At the default chunk rule, each scheme's largest chunk on a benchmark
+    point (nt 4, T_fb 300, 100 trials) needs no more memory than the one
+    trial a PU2RC B=12 chunk holds. The bound is measured in the same run,
+    so no NumPy version's byte counts are written into the test."""
+
+    def test_chunk_peaks_stay_within_one_pu2rc_b12_trial(self):
+        point = dict(nt=4, tfb=300, trials=100)
+        bound = _chunk_peak(_cfg(scheme="pu2rc", **point), 12, 1)
+        peaks = {}
+        for name, b, kw in [("zf_greedy", 4, dict(scheme="zf")), ("subf", 5, dict(scheme="subf", snr_db=0.0)),
+                            ("rbf", 2, dict(scheme="rbf", snr_db=0.0)), ("pu2rc", 6, dict(scheme="pu2rc"))]:
+            cfg = _cfg(**point, **kw)
+            trials = min(cfg.trials, montecarlo.CHUNK_ROWS // cfg.trial_rows(b))
+            peaks[f"{name} B={b} ({trials} trials)"] = _chunk_peak(cfg, b, trials)
+        assert all(peak <= bound for peak in peaks.values()), (bound, peaks)
 
 
 class TestSchemesThroughEngine:
