@@ -95,23 +95,8 @@ class FixedPointResult(NamedTuple):
     residual: float
 
 
-def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
-    """Continuous rate-maximizing B for ZF, by bisection of the stationarity condition.
-
-    B lies in [log2 nt, tfb/nt]. When the stationarity residual has one sign at
-    both ends, the end with the larger zf_rate_approx is returned, with
-    at_boundary set.
-    """
-    _check_nt(nt)
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
-    lo, hi = math.log2(nt), tfb / nt
-    if not lo < hi:
-        raise ValueError("tfb too small for the feasible B interval")
-    flo, fhi = _bopt_residual(lo, snr, nt, tfb), _bopt_residual(hi, snr, nt, tfb)
-    if flo * fhi > 0:
-        b = max((lo, hi), key=lambda end: zf_rate_approx(AnalyticParams(snr, nt, tfb, end)))
-        return FixedPointResult(b=b, at_boundary=True, residual=_bopt_residual(b, snr, nt, tfb))
+def _bisect_root(lo: float, hi: float, flo: float, snr: float, nt: int, tfb: float) -> float:
+    """The residual's root in [lo, hi], whose ends differ in sign; flo is the residual at lo."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = _bopt_residual(mid, snr, nt, tfb)
@@ -121,7 +106,58 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return FixedPointResult(b=mid, at_boundary=False, residual=fmid)
+    return mid
+
+
+def _positive_residual(lo: float, hi: float, snr: float, nt: int, tfb: float) -> float | None:
+    """A B in [lo, hi] with a positive residual, by golden-section search for its maximum.
+
+    The residual must be unimodal on [lo, hi]. Returns None if the maximum is not positive.
+    """
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = _bopt_residual(c, snr, nt, tfb), _bopt_residual(d, snr, nt, tfb)
+    while hi - lo > 1e-12 * hi:
+        if max(fc, fd) > 0.0:
+            return c if fc > 0.0 else d
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = _bopt_residual(c, snr, nt, tfb)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = _bopt_residual(d, snr, nt, tfb)
+    return None
+
+
+def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
+    """Continuous rate-maximizing B for ZF: the best root of the stationarity condition or end.
+
+    B lies in [log2 nt, tfb/nt]. The residual plus one is (snr/nt)*ln2/(nt-1)*g(B),
+    g(B) = B*2^(-B/(nt-1))*L^2 with L = ln(tfb*nt/B). d ln g/dB = (1 - 2/L)/B - ln2/(nt-1)
+    falls while L > 2 and is negative once L <= 2, so g rises, then falls: the residual has
+    at most one root on each side of its maximum. Ends of opposite sign hold one root,
+    found by bisection. Two negative ends hold two roots or none; a golden-section search
+    for a positive residual between them tells which, and splits them for bisection. Of the
+    roots and the two ends, the B with the largest zf_rate_approx is returned; at_boundary
+    says an end won, and residual is the residual at the B returned.
+    """
+    _check_nt(nt)
+    if snr <= 0:
+        raise ValueError("snr must be > 0")
+    lo, hi = math.log2(nt), tfb / nt
+    if not lo < hi:
+        raise ValueError("tfb too small for the feasible B interval")
+    flo, fhi = _bopt_residual(lo, snr, nt, tfb), _bopt_residual(hi, snr, nt, tfb)
+    roots = []
+    if flo * fhi <= 0:
+        roots.append(_bisect_root(lo, hi, flo, snr, nt, tfb))
+    elif flo < 0 and (peak := _positive_residual(lo, hi, snr, nt, tfb)) is not None:
+        roots += [_bisect_root(lo, peak, flo, snr, nt, tfb),
+                  _bisect_root(peak, hi, _bopt_residual(peak, snr, nt, tfb), snr, nt, tfb)]
+    b = max([*roots, lo, hi], key=lambda x: zf_rate_approx(AnalyticParams(snr, nt, tfb, x)))
+    return FixedPointResult(b=b, at_boundary=b in (lo, hi), residual=_bopt_residual(b, snr, nt, tfb))
 
 
 def zf_bopt_lambert(snr: float, nt: int, tfb: float, tol: float = 1e-6,

@@ -2,8 +2,11 @@
 
 import csv
 import math
+import tempfile
 
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from fbsim.analytic import zf_bopt_fixed_point
 from fbsim.cli import ResultRow
@@ -11,6 +14,14 @@ from fbsim.channel import ChannelRealization
 from fbsim.numerics import SingularSetError, complex_pairs, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import DegeneratePivotError, rvq_sin2
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
+
+# Property tests run the same examples on every run and keep no example database,
+# so Tier-1 is deterministic. Hypothesis still caches the constants it finds in
+# the source; that cache goes to a directory removed at exit, not .hypothesis/.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="fbsim-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # One line per end-to-end criterion, filled in by test_acceptance.py and echoed
 # at the end of the run so the verdicts are visible even when output is captured.

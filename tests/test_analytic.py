@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bopt_scaling_report, zf_rate_linear_regime
 from fbsim import analytic as A
@@ -53,6 +55,16 @@ class TestRateApprox:
         assert abs(zf_rate_linear_regime(4, 9) - 12.0) < 1e-12
 
 
+# zf_bopt_fixed_point's B may fall short of the best of a grid by rounding only.
+BOPT_RTOL = 1e-12
+
+
+def _zf_rates(snr, nt, tfb, b):
+    """zf_rate_approx at phi = 0 for an array of B."""
+    div = np.log(tfb * nt / np.asarray(b))
+    return nt * np.log2(1.0 + (snr / nt) * div / (1.0 + (snr / nt) * 2.0 ** (-np.asarray(b) / (nt - 1)) * div))
+
+
 class TestBitOptimizers:
     def test_fixed_point_frozen_values(self):
         fp10 = A.zf_bopt_fixed_point(10.0, 4, 300)
@@ -94,14 +106,32 @@ class TestBitOptimizers:
     @pytest.mark.parametrize("snr_db,nt,tfb,want", [
         (5.0, 8, 75, 75 / 8),  # the low end's rate is 6.907, the high end's 7.980
         (-10.0, 6, 20, math.log2(6)),  # 0.514 at the low end, 0.484 at the high end
-        (1.0, 7, 50, 50 / 7),  # the residual is negative at both ends, positive between
-        (1.0, 8, 75, 75 / 8),
+        (2.0, 7, 30, 30 / 7),  # the one root, B = 2.976, gives 4.5715 and the high end 4.5764
     ])
     def test_fixed_point_boundary_is_the_higher_rate_end(self, snr_db, nt, tfb, want):
         fp = A.zf_bopt_fixed_point(10.0 ** (snr_db / 10.0), nt, tfb)
         assert fp.at_boundary and fp.b == want
+        assert fp.residual == A._bopt_residual(want, 10.0 ** (snr_db / 10.0), nt, tfb)
 
-    def test_fixed_point_boundary_is_never_the_lower_rate_end(self):
+    @pytest.mark.parametrize("snr_db,nt,tfb,want", [
+        (0.0, 8, 150, 11.18149772213756),  # 4.601; the low end, returned before, gives 4.534
+        (1.0, 7, 50, 6.807095521173909),
+        (1.0, 8, 75, 9.343104788438524),
+    ])
+    def test_fixed_point_finds_the_maximum_between_two_negative_ends(self, snr_db, nt, tfb, want):
+        # The residual is negative at both ends and has two roots: a minimum, then a maximum.
+        snr = 10.0 ** (snr_db / 10.0)
+        lo, hi = math.log2(nt), tfb / nt
+        assert A._bopt_residual(lo, snr, nt, tfb) < 0 and A._bopt_residual(hi, snr, nt, tfb) < 0
+        fp = A.zf_bopt_fixed_point(snr, nt, tfb)
+        assert not fp.at_boundary and abs(fp.residual) < 1e-9
+        assert fp.b == pytest.approx(want, rel=1e-9)
+        rate = lambda b: A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, b))
+        assert rate(fp.b) > max(rate(lo), rate(hi))
+
+    def test_fixed_point_is_the_best_b_on_the_grid(self):
+        # Every (SNR, nt, T_fb) of the grid: the returned B's rate is at least the rate at each
+        # of 200 evenly spaced B of the interval, and an end is returned only where it wins.
         boundary = 0
         for snr_db in range(-10, 41):
             snr = 10.0 ** (snr_db / 10.0)
@@ -111,13 +141,26 @@ class TestBitOptimizers:
                     if not lo < hi:
                         continue
                     fp = A.zf_bopt_fixed_point(snr, nt, tfb)
-                    if not fp.at_boundary:
-                        continue
-                    boundary += 1
-                    assert fp.b in (lo, hi)
-                    rate = lambda b: A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, b))
-                    assert rate(fp.b) >= rate(hi if fp.b == lo else lo), (snr_db, nt, tfb)
-        assert boundary == 2026
+                    boundary += fp.at_boundary
+                    assert fp.at_boundary == (fp.b in (lo, hi))
+                    got = A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, fp.b))
+                    assert got == pytest.approx(_zf_rates(snr, nt, tfb, fp.b), rel=1e-13)
+                    best = _zf_rates(snr, nt, tfb, np.linspace(lo, hi, 200)).max()
+                    assert got >= best * (1.0 - BOPT_RTOL), (snr_db, nt, tfb)
+        assert boundary == 2009
+
+    @given(snr_db=st.floats(-10.0, 40.0), nt=st.integers(2, 8), tfb=st.integers(20, 2000))
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_point_is_the_best_b_anywhere(self, snr_db, nt, tfb):
+        snr, lo, hi = 10.0 ** (snr_db / 10.0), math.log2(nt), tfb / nt
+        if not lo < hi:
+            with pytest.raises(ValueError, match="tfb too small"):
+                A.zf_bopt_fixed_point(snr, nt, tfb)
+            return
+        fp = A.zf_bopt_fixed_point(snr, nt, tfb)
+        assert lo <= fp.b <= hi
+        best = _zf_rates(snr, nt, tfb, np.linspace(lo, hi, 200)).max()
+        assert _zf_rates(snr, nt, tfb, fp.b) >= best * (1.0 - BOPT_RTOL)
 
     def test_infeasible_regime_is_raised_by_name(self):
         with pytest.raises(A.InfeasibleRegimeError, match="must be >= e"):
