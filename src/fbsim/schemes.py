@@ -67,30 +67,35 @@ def _cqi_scale(cqi_kind: str, snr: float, nt: int) -> float:
 
 
 def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_num):
-    """Estimated ZF sum rates of the candidate sets S_t + {c}, one per row (t, c) of cand_sets.
+    """Estimated ZF sum rates of the sets S_t + {c} on the dense (T, K) grid of (trial t, user c).
 
     With the Gram matrix G = D D^H of the quantized channels (rows d_k), trial
-    t has selected the j users selected[t], with Gram columns cols[t, k] =
+    t has selected the j users selected[t], with Gram columns cols[t, :, k] =
     G[S, k] and inverse Gram matrix inv[t] = A = G_S^{-1}. User k's post-ZF
     gain in S is 1 / A_kk. Adding candidate c with b = G[S, c] leaves the
     Schur complement s = G_cc - b^H A b, the squared norm of d_c projected
     orthogonal to S; the gains become 1 / (A_kk + |(Ab)_k|^2 / s) for k in S
-    and s for c. Returns each set's rate (-inf if invalid, or dependent on S
-    by DEPENDENT_RTOL), s and Ab. Ab is formed once per (trial, user), so no
-    candidate copies its trial's A.
+    and s for c. Every (t, c) is scored at once, by one batched matmul and
+    real-view contractions; the rows (t, c) of cand_sets (P, 2) are the
+    candidates. Returns rate (T, K), s (T, K) and Ab (T, j, K); rate is -inf
+    off the candidates, where it is not finite, and on sets dependent on S by
+    DEPENDENT_RTOL. Only s needs that test: _zf_select grows A only by
+    candidates with s > 0, so A's diagonal and every new A_kk are positive.
     """
-    t, c = cand_sets[:, 0], cand_sets[:, 1]
-    j = selected.shape[1]
-    b = cols[t, c]  # G[S, c], (P, j)
-    ab = np.einsum("tik,tck->tci", inv, cols)[t, c]
-    g_cc = g_diag[t, c]
-    s = g_cc - np.einsum("pk,pk->p", b.conj(), ab).real
-    inv_diag = np.diagonal(inv, axis1=1, axis2=2).real[t] + np.abs(ab) ** 2 / s[:, None]  # new A_kk, k in S
+    n_trials, j, n_users = cols.shape
+    ab = inv @ cols  # (Ab)_i = sum_l A_il G[S_l, c]
+    re = np.einsum("tix,tix->tx", cols.view(float), ab.view(float))  # re*re and im*im sums, interleaved
+    s = g_diag - (re[:, 0::2] + re[:, 1::2])  # G_cc - Re(b^H Ab)
+    x = ab.real ** 2 + ab.imag ** 2
+    x /= s[:, None, :]
+    x += np.diagonal(inv, axis1=1, axis2=2).real[:, :, None]  # the new A_kk, k in S
     w = scale_num / (j + 1)
-    gains = np.take_along_axis(cqi, selected, axis=1)[t]
-    rate = np.sum(np.log2(1.0 + w * gains / inv_diag), axis=1)
-    rate = rate + np.log2(1.0 + w * cqi[t, c] * s)
-    ok = (s > DEPENDENT_RTOL * g_cc) & np.all(inv_diag > 0, axis=1) & np.isfinite(rate)
+    np.divide(w * np.take_along_axis(cqi, selected, axis=1)[:, :, None], x, out=x)  # SINR of k in S
+    x += 1.0
+    rate = np.log2(x, out=x).sum(axis=1) + np.log2(1.0 + w * cqi * s)
+    ok = np.zeros((n_trials, n_users), dtype=bool)
+    ok[cand_sets[:, 0], cand_sets[:, 1]] = True
+    ok &= (s > DEPENDENT_RTOL * g_diag) & np.isfinite(rate)
     return np.where(ok, rate, -np.inf), s, ab
 
 
@@ -116,10 +121,11 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     n_trials, n_users, _ = dirs.shape
     steps = min(nt, n_users)
     t = np.arange(n_trials)
-    g_diag = np.einsum("tkn,tkn->tk", dirs, dirs.conj()).real
+    dirs_h = np.conj(dirs, order="C")  # C order: a strided dirs has no real view
+    g_diag = np.einsum("tkx,tkx->tk", dirs_h.view(float), dirs_h.view(float))
     inv = np.zeros((n_trials, steps, steps), dtype=complex)  # A, grown block by block
     served = np.zeros_like(inv)
-    cols = np.zeros((n_trials, n_users, steps), dtype=complex)  # cols[:, k] = G[S, k]
+    cols = np.zeros((n_trials, steps, n_users), dtype=complex)  # cols[:, :, k] = G[S, k]
     selected = np.zeros((n_trials, steps), dtype=int)
     taken = np.zeros((n_trials, n_users), dtype=bool)
     best = np.full(n_trials, -np.inf)
@@ -135,26 +141,18 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
                 u, s_c = np.zeros((n_trials, 0), dtype=complex), g_diag[t, c]
             else:
                 if greedy:
-                    cand = active[:, None] & ~taken  # every user not yet selected
+                    pairs = np.argwhere(active[:, None] & ~taken)  # every user not yet selected
                 else:
-                    cand = np.zeros((n_trials, n_users), dtype=bool)
-                    cand[t, order[:, j]] = active  # the next user by CQI is forced
-                flat = np.flatnonzero(cand)
-                pairs = np.stack(np.divmod(flat, n_users), axis=1)
-                rate_p, s_p, ab_p = _estimated_rates_batched(
-                    cols[:, :, :j], pairs, inv[:, :j, :j], selected[:, :j], g_diag, cqi, scale_num)
-                rate = np.full(n_trials * n_users, -np.inf)
-                rate[flat] = rate_p
-                rate = rate.reshape(n_trials, n_users)
+                    pairs = np.stack([t, order[:, j]], axis=1)[active]  # the next user by CQI
+                rate, s, ab = _estimated_rates_batched(
+                    cols[:, :j], pairs, inv[:, :j, :j], selected[:, :j], g_diag, cqi, scale_num)
                 if greedy:
                     top = rate.max(axis=1, keepdims=True)
                     c = np.argmax(rate >= top - TIE_RTOL * np.abs(top), axis=1)
                 else:
                     c = order[:, j]
-                new = rate[t, c]
-                # Ab and s of each trial's chosen set; trials no longer active are never read again
-                at = np.minimum(np.searchsorted(flat, t * n_users + c), len(flat) - 1)
-                u, s_c = ab_p[at], s_p[at]
+                # trials no longer active read -inf here and are never read again
+                new, u, s_c = rate[t, c], ab[t, :, c], s[t, c]
             if greedy:
                 active &= new > best
                 grew = active
@@ -172,7 +170,7 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
             np.copyto(served, inv, where=grew[:, None, None])
             if j == steps - 1 or not active.any():
                 break
-            cols[:, :, j] = np.einsum("tn,tkn->tk", dirs[t, c].conj(), dirs).conj()
+            cols[:, j] = (dirs_h @ dirs[t, c][:, :, None])[:, :, 0]  # G[c, k]
             taken[t, c] = True
     return selected, counts, served
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _bare_set_rates,
+    _dependent,
     complex_gaussian,
     estimated_plan_rate,
     oracle_draw_block,
@@ -14,6 +16,7 @@ from conftest import (
     quantize_to_orthosets,
     zf_realized_sinr,
 )
+from fbsim import schemes
 from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
 from fbsim.numerics import RngStream, SingularSetError, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import (
@@ -231,6 +234,54 @@ class TestZfBeams:
             for t in range(trials):
                 err = np.linalg.norm(served[t] - want[t])
                 assert err <= 1e-12 * np.linalg.norm(want[t]), f"snr {snr}, trial {t}"
+
+
+class TestCandidateScoring:
+    """Every rate _estimated_rates_batched scores on its dense (trial, user) grid, against a
+    fresh inverse of each candidate set's Gram sub-block (conftest's _bare_set_rates)."""
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("greedy", [True, False])
+    @pytest.mark.parametrize("kind,bits", [("rvq_statistical", 6), ("scalar", 2)])
+    def test_every_candidate_matches_the_per_set_oracle(self, monkeypatch, kind, bits, greedy,
+                                                        contiguous):
+        # scalar quantization at 2 bits leaves few distinct directions: exactly dependent sets
+        nt, users, trials, snr = 4, 12, 30, 10.0
+        rngs = [RngStream(31, t).generator() for t in range(trials)]
+        h = draw_blocks(ChannelModelConfig(nt=nt, num_users=users, snr=snr), rngs).h_est
+        dirs = quantize_directions(h, QuantizerSpec(kind, bits), rngs)[0]
+        if not contiguous:  # every other antenna slot of a wider buffer
+            wide = np.zeros((trials, users, 2 * nt), dtype=complex)
+            wide[..., ::2] = dirs
+            dirs = wide[..., ::2]
+        cqi = np.linalg.norm(h, axis=-1) ** 2
+        calls, score = [], schemes._estimated_rates_batched
+
+        def recording(cols, cand_sets, inv, selected, *rest):
+            out = score(cols, cand_sets, inv, selected, *rest)
+            calls.append((cand_sets, selected.copy(), out[0]))
+            return out
+
+        monkeypatch.setattr(schemes, "_estimated_rates_batched", recording)
+        _zf_select(dirs, cqi, snr, nt, greedy)
+        grams = dirs @ np.swapaxes(dirs, 1, 2).conj()
+        scored = dependent = 0
+        for cand_sets, selected, rate in calls:
+            assert rate.shape == (trials, users)
+            cand = np.zeros((trials, users), dtype=bool)
+            cand[cand_sets[:, 0], cand_sets[:, 1]] = True
+            assert np.all(rate[~cand] == -np.inf)
+            for t, c in cand_sets:
+                s = [int(k) for k in selected[t]]
+                if _dependent(grams[t], s, c):
+                    dependent += 1
+                    assert rate[t, c] == -np.inf, (t, s, c)
+                    continue
+                want = _bare_set_rates(grams[t], [s + [c]], cqi[t], snr, len(s) + 1)[0]
+                assert rate[t, c] == pytest.approx(want, rel=1e-12, abs=0.0), (t, s, c)
+                scored += 1
+        assert scored > (100 if greedy else 30)
+        assert (dependent > 0) == (kind == "scalar")
 
 
 class TestZfBlock:
