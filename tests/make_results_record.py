@@ -13,12 +13,12 @@ that moved:
 
 from __future__ import annotations
 
-import csv
 import json
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+from conftest import read_csv
 from fbsim.cli import PRESETS, run_preset
 from fbsim.montecarlo import ExperimentConfig, run_point
 from fbsim.quantization import QUANTIZER_KINDS
@@ -61,14 +61,8 @@ def point_rows() -> list[dict]:
 
 def preset_rows(out_dir: Path) -> dict[str, list[dict]]:
     """Every preset's CSV rows at TRIALS trials, seed SEED, as written under out_dir."""
-    out = {}
-    for name in sorted(PRESETS):
-        csv_path, _ = run_preset(name, SEED, TRIALS, out_dir)
-        with open(csv_path, newline="", encoding="utf-8") as f:
-            out[name] = [{k: (v if k == "scheme" else None if v == "" else
-                              int(v) if k in ("nt", "tfb", "b", "users", "trials") else float(v))
-                          for k, v in row.items()} for row in csv.DictReader(f)]
-    return out
+    return {name: [asdict(row) for row in read_csv(run_preset(name, SEED, TRIALS, out_dir)[0])]
+            for name in sorted(PRESETS)}
 
 
 def build(out_dir: Path) -> dict:

@@ -114,7 +114,7 @@ class TestBitOptimizers:
         assert fp.residual == A._bopt_residual(want, 10.0 ** (snr_db / 10.0), nt, tfb)
 
     @pytest.mark.parametrize("snr_db,nt,tfb,want", [
-        (0.0, 8, 150, 11.18149772213756),  # 4.601; the low end, returned before, gives 4.534
+        (0.0, 8, 150, 11.18149772213756),  # 4.601; the low end gives 4.534
         (1.0, 7, 50, 6.807095521173909),
         (1.0, 8, 75, 9.343104788438524),
     ])
