@@ -79,8 +79,9 @@ def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_
     real-view contractions; the rows (t, c) of cand_sets (P, 2) are the
     candidates. Returns rate (T, K), s (T, K) and Ab (T, j, K); rate is -inf
     off the candidates, where it is not finite, and on sets dependent on S by
-    DEPENDENT_RTOL. Only s needs that test: _zf_select grows A only by
-    candidates with s > 0, so A's diagonal and every new A_kk are positive.
+    DEPENDENT_RTOL. Only s needs that test: _zf_select starts A at 1 / G_cc
+    and grows it only by candidates with s > 0, so A's diagonal and every new
+    A_kk are positive.
     """
     n_trials, j, n_users = cols.shape
     ab = inv @ cols  # (Ab)_i = sum_l A_il G[S_l, c]
@@ -104,23 +105,28 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     """ZF user selection on quantized channels for a stack of T trials.
 
     `dirs` (T, K, nt) holds unit-norm quantized channels d_k and `cqi` (T, K)
-    their CQI. Each step scores the candidate sets of the trials still
-    running with _estimated_rates_batched and grows the chosen set's inverse
-    Gram matrix A by the block-inverse update; only the rows G[S, :] of the
-    Gram matrix are formed.
+    their CQI. Step 0 serves the largest CQI alone; each later step scores
+    the candidates of the trials still running with _estimated_rates_batched,
+    picks the best estimated sum rate (ties: see TIE_RTOL) and grows the
+    chosen set's inverse Gram matrix A by the block-inverse update; only the
+    rows G[S, :] of the Gram matrix are formed.
 
-    Greedy starts from the largest CQI and adds the candidate with the best
-    estimated sum rate (ties: see TIE_RTOL) while that rate improves.
-    Simplified (greedy=False) tries the top-j users by CQI for j = 1..nt and
-    keeps the best prefix, the smaller one on ties. Returns (selected,
-    counts, served): trial t serves users selected[t, :counts[t]], in
-    selection order, and served[t] is that set's A, zero-padded to (m, m).
-    Steps that do not raise the count (a rejected greedy candidate, a losing
-    simplified prefix) still grow the working A, so only the others copy it.
+    Greedy's candidates are the users not yet selected, while the rate
+    improves. Simplified (greedy=False) gathers each trial's top min(nt, K)
+    users in stable descending CQI order and scores only the next one until a
+    prefix is dependent; it keeps the best prefix, the smaller one on ties.
+    Returns (selected, counts, served): trial t serves users
+    selected[t, :counts[t]], in selection order, and served[t] is that set's
+    A, zero-padded to (m, m). Steps that do not raise the count (a rejected
+    greedy candidate, a losing simplified prefix) still grow the working A,
+    so only the others copy it.
     """
+    steps, t = min(nt, dirs.shape[1]), np.arange(len(dirs))
+    span = dirs.shape[1]  # step j scores the users not yet selected among the first j + span
+    if not greedy:  # the top `steps` users by CQI; step j scores user j
+        order = np.argsort(-cqi, axis=1, kind="stable")[:, :steps]
+        dirs, cqi, span = dirs[t[:, None], order], np.take_along_axis(cqi, order, axis=1), 1
     n_trials, n_users, _ = dirs.shape
-    steps = min(nt, n_users)
-    t = np.arange(n_trials)
     dirs_h = np.conj(dirs, order="C")  # C order: a strided dirs has no real view
     g_diag = np.einsum("tkx,tkx->tk", dirs_h.view(float), dirs_h.view(float))
     inv = np.zeros((n_trials, steps, steps), dtype=complex)  # A, grown block by block
@@ -129,38 +135,25 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     selected = np.zeros((n_trials, steps), dtype=int)
     taken = np.zeros((n_trials, n_users), dtype=bool)
     best = np.full(n_trials, -np.inf)
-    # simplified serves the top user when no prefix has a valid rate
-    counts = np.zeros(n_trials, dtype=int) if greedy else np.ones(n_trials, dtype=int)
+    counts = np.zeros(n_trials, dtype=int)
     active = np.ones(n_trials, dtype=bool)
-    order = None if greedy else np.argsort(-cqi, axis=1, kind="stable")
     with np.errstate(all="ignore"):
         for j in range(steps):
-            if greedy and j == 0:
+            if j == 0:
                 c = np.argmax(cqi, axis=1)
                 new = np.log2(1.0 + scale_num * cqi[t, c])
                 u, s_c = np.zeros((n_trials, 0), dtype=complex), g_diag[t, c]
             else:
-                if greedy:
-                    pairs = np.argwhere(active[:, None] & ~taken)  # every user not yet selected
-                else:
-                    pairs = np.stack([t, order[:, j]], axis=1)[active]  # the next user by CQI
+                cand = np.argwhere(active[:, None] & ~taken[:, :j + span])
                 rate, s, ab = _estimated_rates_batched(
-                    cols[:, :j], pairs, inv[:, :j, :j], selected[:, :j], g_diag, cqi, scale_num)
-                if greedy:
-                    top = rate.max(axis=1, keepdims=True)
-                    c = np.argmax(rate >= top - TIE_RTOL * np.abs(top), axis=1)
-                else:
-                    c = order[:, j]
+                    cols[:, :j], cand, inv[:, :j, :j], selected[:, :j], g_diag, cqi, scale_num)
+                top = rate.max(axis=1, keepdims=True)
+                c = np.argmax(rate >= top - TIE_RTOL * np.abs(top), axis=1)
                 # trials no longer active read -inf here and are never read again
                 new, u, s_c = rate[t, c], ab[t, :, c], s[t, c]
-            if greedy:
-                active &= new > best
-                grew = active
-                counts += active
-            else:
-                active &= new > -np.inf
-                grew = active & (new > best)
-                counts = np.where(grew, j + 1, counts)
+            active &= new > (best if greedy else -np.inf)
+            grew = active & (new > best)
+            counts = np.where(grew, j + 1, counts)
             best = np.where(grew, new, best)
             selected[:, j] = c
             inv[:, :j, :j] += u[:, :, None] * u.conj()[:, None, :] / s_c[:, None, None]
@@ -172,29 +165,23 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
                 break
             cols[:, j] = (dirs_h @ dirs[t, c][:, :, None])[:, :, 0]  # G[c, k]
             taken[t, c] = True
+    if not greedy:
+        selected = np.take_along_axis(order, selected, axis=1)
     return selected, counts, served
 
 
-def _zf_beams(dirs: np.ndarray, selected: np.ndarray, counts: np.ndarray,
-              served: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zf_beams(dirs: np.ndarray, selected: np.ndarray, served: np.ndarray) -> np.ndarray:
     """ZF beams of each trial's selected set, zero-padded to (T, m, nt).
 
     served[t] is the inverse Gram matrix A of trial t's served set D_S, zero
-    past counts[t] (see _zf_select). Beam k is row k of A D_S, normalized,
-    which is orthogonal to every other served d_j. A trial whose A has a
-    non-positive served diagonal entry (degenerate feedback) falls back to
-    its first user, so the returned counts can be smaller than the ones
-    passed in.
+    past its count (see _zf_select). Beam k is row k of A D_S, normalized,
+    which is orthogonal to every other served d_j; the zero rows of A give
+    zero beams.
     """
-    n_trials, m = selected.shape
-    d = dirs[np.arange(n_trials)[:, None], selected]  # D_S, (T, m, nt)
-    on = np.arange(m) < counts[:, None]
-    ok = np.all((np.diagonal(served, axis1=1, axis2=2).real > 0) | ~on, axis=1)
-    first = np.zeros((m, m))
-    first[0, 0] = 1.0  # the A that serves the first user alone
-    v = np.where(ok[:, None, None], served, first) @ d
+    d = dirs[np.arange(len(selected))[:, None], selected]  # D_S, (T, m, nt)
+    v = served @ d
     norm = np.linalg.norm(v, axis=2, keepdims=True)
-    return v / np.where(norm > 0, norm, 1.0), np.where(ok, counts, 1)
+    return v / np.where(norm > 0, norm, 1.0)
 
 
 def _sinr(own, total, power):
@@ -218,7 +205,7 @@ def _select_plan(reports: list[FeedbackReport], snr: float, nt: int, greedy: boo
     dirs = np.array([r.direction for r in reports])[None]
     cqi = np.array([r.cqi for r in reports])[None]
     selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(reports[0].cqi_kind, snr, nt), nt, greedy)
-    beams, counts = _zf_beams(dirs, selected, counts, served)
+    beams = _zf_beams(dirs, selected, served)
     n = int(counts[0])
     return TransmissionPlan(
         selected=[reports[k].user_id for k in selected[0, :n]],
@@ -315,8 +302,7 @@ def zf_blocks(
     dirs, _, cqi = _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer)
     selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt,
                                           selection == "greedy")
-    beams, counts = _zf_beams(dirs, selected, counts, served)
-    return _transmit(h_delayed, selected, counts, beams, snr / counts)
+    return _transmit(h_delayed, selected, counts, _zf_beams(dirs, selected, served), snr / counts)
 
 
 def zf_block(

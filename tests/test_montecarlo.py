@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbsim import montecarlo, schemes
+from fbsim import montecarlo
 from fbsim.montecarlo import (
     ExperimentConfig,
     FeedbackBudgetError,
@@ -201,9 +201,14 @@ class TestFeasibleGrid:
 
 
 # (B, config fields) per scheme for the chunking tests: one set or many,
-# perfect CSI or training error and delay, and every kind of subf quantizer.
+# perfect CSI or training error and delay, both ZF selections (coarse simplified
+# feedback has exactly dependent users and exact CQI ties), and every kind of
+# subf quantizer.
 CHUNK_CASES = {
     "zf": (20, dict()),
+    "zf_simplified_scalar_cqi_bits": (3, dict(selection="simplified", quantizer="scalar", cqi_bits=2)),
+    "zf_simplified_expected_sinr": (20, dict(selection="simplified", cqi_kind="expected_sinr",
+                                             beta=1.0, r=0.9)),
     "rbf": (4, dict(scheme="rbf")),
     "pu2rc_one_set": (2, dict(scheme="pu2rc")),
     "pu2rc_16_sets_training_delay": (6, dict(scheme="pu2rc", tfb=300, beta=1.0, r=0.9)),
@@ -379,25 +384,13 @@ class TestSchemesThroughEngine:
         r = run_trial(cfg, b, RngStream(0, 0))
         assert math.isfinite(r) and r >= 0.0
 
-    @staticmethod
-    def _forge_fallback(select):
-        """_zf_select, with a non-positive served diagonal forged into every set of two or more
-        users, as a dependent set would leave it (see TestZfBeams)."""
-        def forged(*args):
-            selected, counts, served = select(*args)
-            served[counts > 1, 1, 1] = -1.0
-            return selected, counts, served
-        return forged
-
     # zf at 0 dB: greedy stops short of min(nt, K); rbf and pu2rc with 3 users on 4 beams
     @pytest.mark.parametrize("scheme,b,kw", [
-        ("zf", 20, dict(snr_db=0.0)), ("zf_fallback", 20, dict()),
+        ("zf", 20, dict(snr_db=0.0)),
         ("rbf", 4, dict(scheme="rbf", tfb=12)), ("pu2rc", 4, dict(scheme="pu2rc", tfb=12)),
         ("subf", 20, dict(scheme="subf"))])
     def test_blocks_are_padded_past_each_count(self, scheme, b, kw, monkeypatch):
         # every kernel pads its Blocks one way: user 0, zero beams and zero rates past counts[t]
-        if scheme == "zf_fallback":
-            monkeypatch.setattr(schemes, "_zf_select", self._forge_fallback(schemes._zf_select))
         kernel = {"rbf": "orthoset_blocks", "pu2rc": "orthoset_blocks", "subf": "subf_blocks"}
         name = kernel.get(scheme, "zf_blocks")
         outs = []
@@ -407,8 +400,6 @@ class TestSchemesThroughEngine:
         m = 1 if scheme == "subf" else 4
         assert all(o.selected.shape[1] == m for o in outs)
         assert counts.min() >= 1 and (scheme == "subf" or np.any(counts < m))
-        if scheme == "zf_fallback":
-            assert counts.max() == 1
         for o in outs:
             past = np.arange(m) >= o.counts[:, None]
             assert not o.selected[past].any()
