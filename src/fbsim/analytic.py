@@ -9,6 +9,9 @@ from typing import NamedTuple
 from .numerics import lambert_w_m1
 
 LN2 = math.log(2.0)
+# zf_bopt_lambert stops once a step is at most LAMBERT_TOL, or fails after LAMBERT_MAX_ITER steps.
+LAMBERT_TOL = 1e-6
+LAMBERT_MAX_ITER = 500
 
 
 class InfeasibleRegimeError(ValueError):
@@ -25,35 +28,24 @@ def _check_nt(nt: int) -> None:
         raise ValueError(f"the closed forms need nt >= 2, got {nt}")
 
 
-def phi_from_training_delay(r: float, beta: float, snr: float) -> float:
-    """Combined training-plus-delay interference coefficient."""
-    return 1.0 - r**2 + 1.0 / (1.0 + beta * snr)
-
-
 @dataclass(frozen=True)
 class AnalyticParams:
     snr: float
     nt: int
     tfb: float
     b: float
-    phi: float = 0.0
 
     def __post_init__(self):
         _check_nt(self.nt)
+        if not (math.isfinite(self.snr) and self.snr > 0.0):
+            raise ValueError(f"snr must be finite and > 0, got {self.snr}")
+        for name in ("tfb", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b < math.log2(self.nt):
             raise ValueError(f"b must be >= log2(nt)={math.log2(self.nt):.3f}")
         if self.tfb < self.b:
             raise ValueError("tfb must be >= b")
-        if self.phi < 0.0:
-            raise ValueError("phi must be >= 0")
-
-
-def zf_loss_bound(snr: float, nt: int, b: float) -> float:
-    """Sum rate penalty of quantized CSI without user selection."""
-    _check_nt(nt)
-    if b < 0:
-        raise ValueError("b must be >= 0")
-    return nt * math.log2(1.0 + snr * 2.0 ** (-b / (nt - 1)))
 
 
 def _diversity_log(tfb: float, nt: int, b: float) -> float:
@@ -64,17 +56,12 @@ def _diversity_log(tfb: float, nt: int, b: float) -> float:
 
 
 def zf_rate_approx(p: AnalyticParams) -> float:
-    """Closed-form ZF sum rate approximation (natural log inside, rate in bps/Hz).
-
-    With phi > 0 this is the training/delay variant, whose extra interference
-    term phi*nt/(nt-1)*snr sits alongside the quantization interference.
-    """
+    """Closed-form ZF sum rate approximation (natural log inside, rate in bps/Hz)."""
     s, nt = p.snr, p.nt
     div = _diversity_log(p.tfb, nt, p.b)
     sig = (s / nt) * div
     interf = (s / nt) * 2.0 ** (-p.b / (nt - 1)) * div
-    denom = 1.0 + p.phi * nt / (nt - 1) * s + interf
-    return nt * math.log2(1.0 + sig / denom)
+    return nt * math.log2(1.0 + sig / (1.0 + interf))
 
 
 def zf_penalty_approx(p: AnalyticParams) -> float:
@@ -82,6 +69,14 @@ def zf_penalty_approx(p: AnalyticParams) -> float:
     s, nt = p.snr, p.nt
     div = _diversity_log(p.tfb, nt, p.b)
     return nt * math.log2(1.0 + (s / nt) * 2.0 ** (-p.b / (nt - 1)) * div)
+
+
+def _b_interval(nt: int, tfb: float) -> tuple[float, float]:
+    """The ZF B optimizers' interval [log2 nt, tfb/nt]: a B of at least nt users."""
+    lo, hi = math.log2(nt), tfb / nt
+    if not lo < hi:
+        raise ValueError("tfb too small for the feasible B interval")
+    return lo, hi
 
 
 def _bopt_residual(b: float, snr: float, nt: int, tfb: float) -> float:
@@ -146,9 +141,7 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
     _check_nt(nt)
     if snr <= 0:
         raise ValueError("snr must be > 0")
-    lo, hi = math.log2(nt), tfb / nt
-    if not lo < hi:
-        raise ValueError("tfb too small for the feasible B interval")
+    lo, hi = _b_interval(nt, tfb)
     flo, fhi = _bopt_residual(lo, snr, nt, tfb), _bopt_residual(hi, snr, nt, tfb)
     roots = []
     if flo * fhi <= 0:
@@ -160,16 +153,17 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
     return FixedPointResult(b=b, at_boundary=b in (lo, hi), residual=_bopt_residual(b, snr, nt, tfb))
 
 
-def zf_bopt_lambert(snr: float, nt: int, tfb: float, tol: float = 1e-6,
-                    max_iter: int = 500) -> float:
+def zf_bopt_lambert(snr: float, nt: int, tfb: float) -> float:
     """Lambert W form of the ZF B optimizer, iterating on its self-referential log term.
 
-    Raises ConvergenceError if the step is still above tol after max_iter iterations.
+    The converged B is clamped to [log2 nt, tfb/nt], which must not be empty. Raises
+    ConvergenceError if the step is still above LAMBERT_TOL after LAMBERT_MAX_ITER iterations.
     """
     _check_nt(nt)
-    b = max((nt - 1) * math.log2(snr / nt), math.log2(nt), 1.0)
+    lo, hi = _b_interval(nt, tfb)
+    b = max((nt - 1) * math.log2(snr / nt), lo, 1.0)
     prev_delta = 0.0
-    for _ in range(max_iter):
+    for _ in range(LAMBERT_MAX_ITER):
         l_term = math.log(tfb * nt / b) ** 2
         arg = -nt / (snr * l_term)
         if arg < -1.0 / math.e:
@@ -181,48 +175,21 @@ def zf_bopt_lambert(snr: float, nt: int, tfb: float, tol: float = 1e-6,
         if delta * prev_delta < 0:
             b_new = 0.5 * (b + b_new)  # damp oscillation
             delta = b_new - b
-        if abs(delta) <= tol:
-            return b_new
+        if abs(delta) <= LAMBERT_TOL:
+            return min(max(b_new, lo), hi)
         b, prev_delta = b_new, delta
-    raise ConvergenceError(f"no convergence to tol={tol} in {max_iter} iterations (last B={b:.6f})")
+    raise ConvergenceError(
+        f"no convergence to tol={LAMBERT_TOL} in {LAMBERT_MAX_ITER} iterations (last B={b:.6f})")
 
 
-def rbf_matching_budget(t_zf: float, nt: int, snr: float, b_opt: float) -> tuple[float, float]:
-    """Users and total feedback bits RBF needs to match optimized ZF at budget t_zf."""
-    if b_opt <= 0:
-        raise ValueError("b_opt must be > 0")
-    ratio = t_zf * nt / b_opt
-    k = ratio * (1.0 + (snr / nt) * math.log(ratio)) ** (nt - 1)
-    return k, k * math.log2(nt)
+def subf_rate_approx(snr: float, nt: int, tfb: float, b: float) -> float:
+    """Single-user beamforming rate approximation, the form the B optimizer differentiates.
 
-
-def subf_rate_approx(snr: float, nt: int, tfb: float, b: float, form: str = "simplified") -> float:
-    """Single-user beamforming rate approximation.
-
-    form="full" keeps the (1 - 2^{-B/(nt-1)}) structure; form="simplified"
-    drops the small 2^{-B/(nt-1)} log(B) term, which is the version the B
-    optimizer differentiates.
+    It drops the small 2^{-B/(nt-1)} log(B) term of the (1 - 2^{-B/(nt-1)}) form.
     """
     _check_nt(nt)
     div = _diversity_log(tfb, nt, b)
-    q = 2.0 ** (-b / (nt - 1))
-    if form == "full":
-        inner = 1.0 + snr * (1.0 + (1.0 - q) * div)
-    elif form == "simplified":
-        inner = 1.0 + snr * (div - q * math.log(tfb * nt))
-    else:
-        raise ValueError(f"unknown form {form!r}")
+    inner = 1.0 + snr * (div - 2.0 ** (-b / (nt - 1)) * math.log(tfb * nt))
     if inner <= 0.0:
         raise ValueError("rate approximation argument is nonpositive for these parameters")
     return math.log2(inner)
-
-
-def subf_bopt(nt: int, tfb: float, snr: float | None = None) -> float:
-    """Closed-form B optimizer for single-user beamforming; independent of SNR."""
-    del snr  # the optimizer does not depend on it
-    log_term = math.log(tfb * nt)
-    arg = -1.0 / log_term
-    if arg < -1.0 / math.e:
-        raise InfeasibleRegimeError(f"log(tfb*nt)={log_term:.3f} must be >= e")
-    b = -(nt - 1) / LN2 * lambert_w_m1(arg)
-    return min(max(b, 1.0), float(tfb))

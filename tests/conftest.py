@@ -8,10 +8,11 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fbsim.analytic import zf_bopt_fixed_point
+from fbsim.analytic import LN2, AnalyticParams, InfeasibleRegimeError, _check_nt, zf_bopt_fixed_point
 from fbsim.cli import ResultRow
 from fbsim.channel import ChannelRealization
-from fbsim.numerics import SingularSetError, complex_pairs, haar_orthonormal_sets, zf_directions
+from fbsim.numerics import (SingularSetError, complex_pairs, haar_orthonormal_sets, lambert_w_m1,
+                            zf_directions)
 from fbsim.quantization import DegeneratePivotError, rvq_sin2
 from fbsim.schemes import DEPENDENT_RTOL, TIE_RTOL
 
@@ -93,6 +94,61 @@ def zf_rate_linear_regime(nt: int, b: float) -> float:
     B >= 6) the slope of zf_rate_approx is far smaller.
     """
     return nt * b / (nt - 1)
+
+
+def zf_loss_bound(snr: float, nt: int, b: float) -> float:
+    """Sum rate penalty of quantized CSI without user selection."""
+    _check_nt(nt)
+    if b < 0:
+        raise ValueError("b must be >= 0")
+    return nt * math.log2(1.0 + snr * 2.0 ** (-b / (nt - 1)))
+
+
+def phi_from_training_delay(r: float, beta: float, snr: float) -> float:
+    """Combined training-plus-delay interference coefficient."""
+    return 1.0 - r**2 + 1.0 / (1.0 + beta * snr)
+
+
+def zf_rate_training_delay(p: AnalyticParams, phi: float) -> float:
+    """The training/delay variant of zf_rate_approx.
+
+    Its extra interference term phi*nt/(nt-1)*snr sits alongside the quantization
+    interference, so it equals zf_rate_approx at snr / (1 + phi*nt/(nt-1)*snr).
+    """
+    s, nt = p.snr, p.nt
+    div = math.log(p.tfb * nt / p.b)
+    sig = (s / nt) * div
+    interf = (s / nt) * 2.0 ** (-p.b / (nt - 1)) * div
+    denom = 1.0 + phi * nt / (nt - 1) * s + interf
+    return nt * math.log2(1.0 + sig / denom)
+
+
+def rbf_matching_budget(t_zf: float, nt: int, snr: float, b_opt: float) -> tuple[float, float]:
+    """Users and total feedback bits RBF needs to match optimized ZF at budget t_zf."""
+    if b_opt <= 0:
+        raise ValueError("b_opt must be > 0")
+    ratio = t_zf * nt / b_opt
+    k = ratio * (1.0 + (snr / nt) * math.log(ratio)) ** (nt - 1)
+    return k, k * math.log2(nt)
+
+
+def subf_rate_full(snr: float, nt: int, tfb: float, b: float) -> float:
+    """Single-user beamforming rate approximation with the (1 - 2^{-B/(nt-1)}) structure.
+
+    fbsim.analytic.subf_rate_approx drops its small 2^{-B/(nt-1)} log(B) term.
+    """
+    q = 2.0 ** (-b / (nt - 1))
+    return math.log2(1.0 + snr * (1.0 + (1.0 - q) * math.log(tfb * nt / b)))
+
+
+def subf_bopt(nt: int, tfb: float) -> float:
+    """Closed-form B optimizer for single-user beamforming; independent of SNR."""
+    log_term = math.log(tfb * nt)
+    arg = -1.0 / log_term
+    if arg < -1.0 / math.e:
+        raise InfeasibleRegimeError(f"log(tfb*nt)={log_term:.3f} must be >= e")
+    b = -(nt - 1) / LN2 * lambert_w_m1(arg)
+    return min(max(b, 1.0), float(tfb))
 
 
 def haar_orthonormal_set(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -5,26 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bopt_scaling_report, zf_rate_linear_regime
+from conftest import (bopt_scaling_report, phi_from_training_delay, rbf_matching_budget, subf_bopt,
+                      subf_rate_full, zf_loss_bound, zf_rate_linear_regime, zf_rate_training_delay)
 from fbsim import analytic as A
 from fbsim.numerics import RngStream
 
 
 class TestLossBound:
     def test_frozen_anchor_values(self):
-        assert abs(A.zf_loss_bound(10.0, 4, 10) - 3.9772346050975265) < 1e-9
-        assert abs(A.zf_loss_bound(10.0, 4, 17) - 1.0370304695539692) < 1e-9
+        assert abs(zf_loss_bound(10.0, 4, 10) - 3.9772346050975265) < 1e-9
+        assert abs(zf_loss_bound(10.0, 4, 17) - 1.0370304695539692) < 1e-9
         # rounded headline values
-        assert round(A.zf_loss_bound(10.0, 4, 10), 2) == 3.98
-        assert round(A.zf_loss_bound(10.0, 4, 17), 2) == 1.04
+        assert round(zf_loss_bound(10.0, 4, 10), 2) == 3.98
+        assert round(zf_loss_bound(10.0, 4, 17), 2) == 1.04
 
     def test_monotone_decreasing_in_bits(self):
-        vals = [A.zf_loss_bound(10.0, 4, b) for b in range(1, 30)]
+        vals = [zf_loss_bound(10.0, 4, b) for b in range(1, 30)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
-            A.zf_loss_bound(10.0, 4, -1)
+            zf_loss_bound(10.0, 4, -1)
 
 
 class TestRateApprox:
@@ -48,8 +49,22 @@ class TestRateApprox:
             A.AnalyticParams(10.0, 4, 300, 1.0)  # below log2(nt)
         with pytest.raises(ValueError):
             A.AnalyticParams(10.0, 4, 10, 20)  # budget below b
-        with pytest.raises(ValueError):
-            A.AnalyticParams(10.0, 4, 300, 20, phi=-0.1)
+        valid = dict(snr=10.0, nt=4, tfb=300, b=20)
+        for name, value in [("snr", 0.0), ("snr", -1.0), ("snr", math.nan), ("snr", math.inf),
+                            ("tfb", math.nan), ("tfb", math.inf), ("b", math.nan), ("b", math.inf)]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                A.AnalyticParams(**{**valid, name: value})
+
+    @given(snr_db=st.lists(st.floats(-60.0, 300.0), min_size=2, max_size=2), nt=st.integers(2, 8),
+           b_extra=st.floats(0.0, 100.0), tfb_extra=st.floats(0.0, 5000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rate_is_finite_and_non_decreasing_in_snr(self, snr_db, nt, b_extra, tfb_extra):
+        # Where the rate saturates, a higher SNR can round it down by a few ulps.
+        b = math.log2(nt) + b_extra
+        lo, hi = (A.zf_rate_approx(A.AnalyticParams(10.0 ** (x / 10.0), nt, b + tfb_extra, b))
+                  for x in sorted(snr_db))
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert hi >= lo * (1.0 - 1e-12)
 
     def test_linear_regime_diagnostic(self):
         assert abs(zf_rate_linear_regime(4, 9) - 12.0) < 1e-12
@@ -93,6 +108,8 @@ class TestBitOptimizers:
             A.zf_bopt_fixed_point(-1.0, 4, 300)
         with pytest.raises(ValueError):
             A.zf_bopt_fixed_point(10.0, 4, 4)
+        with pytest.raises(ValueError, match="tfb too small"):
+            A.zf_bopt_lambert(100.0, 8, 20)  # T_fb/nt = 2.5 < log2 nt = 3
 
     def test_scaling_report(self):
         rep = bopt_scaling_report(10.0, 4, 300)
@@ -132,7 +149,9 @@ class TestBitOptimizers:
     def test_fixed_point_is_the_best_b_on_the_grid(self):
         # Every (SNR, nt, T_fb) of the grid: the returned B's rate is at least the rate at each
         # of 200 evenly spaced B of the interval, and an end is returned only where it wins.
-        boundary = 0
+        # The Lambert form either leaves the W_-1 branch or returns a B of the interval, and
+        # returns an end only where the fixed point does.
+        boundary = infeasible = 0
         for snr_db in range(-10, 41):
             snr = 10.0 ** (snr_db / 10.0)
             for nt in range(2, 9):
@@ -147,7 +166,15 @@ class TestBitOptimizers:
                     assert got == pytest.approx(_zf_rates(snr, nt, tfb, fp.b), rel=1e-13)
                     best = _zf_rates(snr, nt, tfb, np.linspace(lo, hi, 200)).max()
                     assert got >= best * (1.0 - BOPT_RTOL), (snr_db, nt, tfb)
+                    try:
+                        lw = A.zf_bopt_lambert(snr, nt, tfb)
+                    except A.InfeasibleRegimeError:
+                        infeasible += 1
+                        continue
+                    assert lo <= lw <= hi and (lw not in (lo, hi) or lw == fp.b), (snr_db, nt, tfb)
         assert boundary == 2009
+        assert infeasible == 768
+        assert A.zf_bopt_lambert(10.0**0.5, 8, 75) == 75 / 8  # the iteration alone gives 22.78
 
     @given(snr_db=st.floats(-10.0, 40.0), nt=st.integers(2, 8), tfb=st.integers(20, 2000))
     @settings(max_examples=200, deadline=None)
@@ -164,27 +191,29 @@ class TestBitOptimizers:
 
     def test_infeasible_regime_is_raised_by_name(self):
         with pytest.raises(A.InfeasibleRegimeError, match="must be >= e"):
-            A.subf_bopt(2, 7)  # log 14 < e
+            subf_bopt(2, 7)  # log 14 < e
         with pytest.raises(A.InfeasibleRegimeError, match="below -1/e"):
             A.zf_bopt_lambert(0.1, 4, 300)  # -10 dB
 
-    def test_lambert_reports_non_convergence(self):
+    def test_lambert_reports_non_convergence(self, monkeypatch):
+        converged = A.zf_bopt_lambert(10.0, 4, 300)
+        monkeypatch.setattr(A, "LAMBERT_MAX_ITER", 30)
+        assert A.zf_bopt_lambert(10.0, 4, 300) == converged
+        monkeypatch.setattr(A, "LAMBERT_MAX_ITER", 3)
         with pytest.raises(A.ConvergenceError, match="3 iterations"):
-            A.zf_bopt_lambert(10.0, 4, 300, max_iter=3)
-        assert A.zf_bopt_lambert(10.0, 4, 300, max_iter=30) == A.zf_bopt_lambert(10.0, 4, 300)
+            A.zf_bopt_lambert(10.0, 4, 300)
 
 
 class TestSingleAntenna:
     """The closed forms divide by nt - 1; nt = 1 is a ValueError, not a ZeroDivisionError."""
 
     @pytest.mark.parametrize("call", [
-        lambda: A.zf_loss_bound(10.0, 1, 5),
         lambda: A.zf_rate_approx(A.AnalyticParams(10.0, 1, 300, 5)),
         lambda: A.zf_penalty_approx(A.AnalyticParams(10.0, 1, 300, 5)),
         lambda: A.zf_bopt_fixed_point(10.0, 1, 300),
         lambda: A.zf_bopt_lambert(10.0, 1, 300),
         lambda: A.subf_rate_approx(10.0, 1, 300, 5),
-    ], ids=["loss_bound", "rate_approx", "penalty", "fixed_point", "lambert", "subf"])
+    ], ids=["rate_approx", "penalty", "fixed_point", "lambert", "subf"])
     def test_rejected(self, call):
         with pytest.raises(ValueError, match="nt >= 2"):
             call()
@@ -192,8 +221,8 @@ class TestSingleAntenna:
 
 class TestTrainingDelay:
     def test_phi_definition(self):
-        assert abs(A.phi_from_training_delay(1.0, 1.0, 10.0) - 1.0 / 11.0) < 1e-15
-        phi = A.phi_from_training_delay(0.95, 1.0, 10.0)
+        assert abs(phi_from_training_delay(1.0, 1.0, 10.0) - 1.0 / 11.0) < 1e-15
+        phi = phi_from_training_delay(0.95, 1.0, 10.0)
         assert abs(phi - (1.0 - 0.95**2 + 1.0 / 11.0)) < 1e-15
 
     def test_snr_shift_identity(self):
@@ -204,52 +233,46 @@ class TestTrainingDelay:
             b = float(rng.uniform(math.log2(nt) + 0.5, 30.0))
             tfb = float(b + rng.uniform(50.0, 500.0))
             phi = float(rng.uniform(0.0, 0.5))
-            lhs = A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, b, phi=phi))
+            lhs = zf_rate_training_delay(A.AnalyticParams(snr, nt, tfb, b), phi)
             snr_eff = snr / (1.0 + phi * nt / (nt - 1) * snr)
             rhs = A.zf_rate_approx(A.AnalyticParams(snr_eff, nt, tfb, b))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_with_training_delay_constructor(self):
-        phi = A.phi_from_training_delay(0.95, 1.0, 10.0)
-        p = A.AnalyticParams(10.0, 4, 300, 20, phi=phi)
-        assert p.phi == phi
-        assert A.zf_rate_approx(p) < A.zf_rate_approx(A.AnalyticParams(10.0, 4, 300, 20))
+        p = A.AnalyticParams(10.0, 4, 300, 20)
+        assert zf_rate_training_delay(p, 0.0) == A.zf_rate_approx(p)
+        assert zf_rate_training_delay(p, phi_from_training_delay(0.95, 1.0, 10.0)) < A.zf_rate_approx(p)
 
 
 class TestMatchingBudget:
     def test_frozen_values(self):
-        k, t = A.rbf_matching_budget(300, 4, 10.0**0.5, 20)
+        k, t = rbf_matching_budget(300, 4, 10.0**0.5, 20)
         assert abs(k - 4563.359608982287) < 1e-6
         assert abs(t - 9126.719217964574) < 1e-6
         assert abs(t - k * math.log2(4)) < 1e-9
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
-            A.rbf_matching_budget(300, 4, 1.0, 0.0)
+            rbf_matching_budget(300, 4, 1.0, 0.0)
 
 
 class TestSubf:
     def test_optimizer_frozen_value_and_rounding(self):
-        b = A.subf_bopt(4, 300)
+        b = subf_bopt(4, 300)
         assert abs(b - 13.353729670367848) < 1e-9
         assert round(b) == 13
 
-    def test_snr_invariance(self):
-        assert A.subf_bopt(4, 300, snr=1.0) == A.subf_bopt(4, 300, snr=10.0)
-
     def test_smaller_budget_frozen_value(self):
-        assert abs(A.subf_bopt(4, 70) - 11.837935335679154) < 1e-9
+        assert abs(subf_bopt(4, 70) - 11.837935335679154) < 1e-9
 
     def test_rate_forms(self):
-        full = A.subf_rate_approx(10.0, 4, 300, 13, form="full")
-        simp = A.subf_rate_approx(10.0, 4, 300, 13, form="simplified")
+        full = subf_rate_full(10.0, 4, 300, 13)
+        simp = A.subf_rate_approx(10.0, 4, 300, 13)
         assert full > 0 and simp > 0
         assert abs(full - simp) < 1.0  # the dropped term is small near the optimum
-        with pytest.raises(ValueError):
-            A.subf_rate_approx(10.0, 4, 300, 13, form="??")
 
     def test_simplified_form_peaks_near_optimizer(self):
-        b_star = A.subf_bopt(4, 300)
-        r = lambda b: A.subf_rate_approx(10.0, 4, 300, b, form="simplified")
+        b_star = subf_bopt(4, 300)
+        r = lambda b: A.subf_rate_approx(10.0, 4, 300, b)
         assert r(b_star) >= r(b_star - 3.0)
         assert r(b_star) >= r(b_star + 3.0)

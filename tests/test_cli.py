@@ -195,6 +195,20 @@ class TestReadme:
         listed = re.search(r"Presets \(`fbsim preset \.\.\.`\):(.*?)\. ", text, re.S).group(1)
         assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(PRESETS)
 
+    def test_library_names_resolve(self):
+        # Names only: the library example's 5000-trial run is not executed.
+        text = README.read_text(encoding="utf-8")
+        example = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+        imports = re.findall(r"^from fbsim import .+$", example, re.M)
+        assert imports
+        namespace = {}
+        for line in imports:
+            exec(line, namespace)
+        names = set(re.findall(r"\banalytic\.(\w+)", text))
+        assert names
+        for name in names:
+            assert hasattr(namespace["analytic"], name), name
+
 
 class TestMainExitCodes:
     def test_preset_success(self, tmp_path, capsys):
