@@ -22,10 +22,12 @@ class ConvergenceError(ValueError):
     """An iterative solver used up its iterations without meeting its tolerance."""
 
 
-def _check_nt(nt: int) -> None:
-    # the quantization-error exponents divide by nt - 1
+def _check(snr: float, nt: int) -> None:
+    # the quantization-error exponents divide by nt - 1, and the closed forms take logs of snr
     if nt < 2:
         raise ValueError(f"the closed forms need nt >= 2, got {nt}")
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"snr must be finite and > 0, got {snr}")
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,7 @@ class AnalyticParams:
     b: float
 
     def __post_init__(self):
-        _check_nt(self.nt)
-        if not (math.isfinite(self.snr) and self.snr > 0.0):
-            raise ValueError(f"snr must be finite and > 0, got {self.snr}")
+        _check(self.snr, self.nt)
         for name in ("tfb", "b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -138,9 +138,7 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
     roots and the two ends, the B with the largest zf_rate_approx is returned; at_boundary
     says an end won, and residual is the residual at the B returned.
     """
-    _check_nt(nt)
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
+    _check(snr, nt)
     lo, hi = _b_interval(nt, tfb)
     flo, fhi = _bopt_residual(lo, snr, nt, tfb), _bopt_residual(hi, snr, nt, tfb)
     roots = []
@@ -159,7 +157,7 @@ def zf_bopt_lambert(snr: float, nt: int, tfb: float) -> float:
     The converged B is clamped to [log2 nt, tfb/nt], which must not be empty. Raises
     ConvergenceError if the step is still above LAMBERT_TOL after LAMBERT_MAX_ITER iterations.
     """
-    _check_nt(nt)
+    _check(snr, nt)
     lo, hi = _b_interval(nt, tfb)
     b = max((nt - 1) * math.log2(snr / nt), lo, 1.0)
     prev_delta = 0.0
@@ -187,7 +185,7 @@ def subf_rate_approx(snr: float, nt: int, tfb: float, b: float) -> float:
 
     It drops the small 2^{-B/(nt-1)} log(B) term of the (1 - 2^{-B/(nt-1)}) form.
     """
-    _check_nt(nt)
+    _check(snr, nt)
     div = _diversity_log(tfb, nt, b)
     inner = 1.0 + snr * (div - 2.0 ** (-b / (nt - 1)) * math.log(tfb * nt))
     if inner <= 0.0:

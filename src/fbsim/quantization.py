@@ -85,17 +85,26 @@ def rvq_sin2(u: np.ndarray, bits: int, nt: int) -> np.ndarray:
     return inner ** (1.0 / (nt - 1))
 
 
-def _place_at_angle(h: np.ndarray, g: np.ndarray, sin2: np.ndarray) -> np.ndarray:
-    """Unit vectors at angle theta from each row of h, along the part of g orthogonal to it.
+def _sq_norms(h: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of h, one contraction over the real view of its C-ordered rows."""
+    x = np.ascontiguousarray(h).view(float)  # strided rows have no real view
+    return np.einsum("...x,...x->...", x, x)
 
-    Works in place on g, which it returns.
+
+def _place_at_angle(h: np.ndarray, g: np.ndarray, sin2: np.ndarray) -> np.ndarray:
+    """Unit vectors at angle theta from each C-ordered row of h, along the part of g orthogonal to it.
+
+    With sin2 = sin^2(theta) and g_perp = g - (<h, g> / ||h||^2) h, the direction is
+    sqrt((1 - sin2) / ||h||^2) h + sqrt(sin2 / ||g_perp||^2) g_perp, formed in place on g.
     """
-    u = _unit_rows(h)
-    g -= np.sum(u.conj() * g, axis=-1, keepdims=True) * u
-    g /= np.linalg.norm(g, axis=-1, keepdims=True)
-    g *= np.sqrt(sin2)[..., None]
-    u *= np.sqrt(1.0 - sin2)[..., None]
-    return np.add(u, g, out=g)
+    h2, scratch = _sq_norms(h), np.conj(h)
+    norm = np.sqrt(h2)  # <h, g> / ||h|| / ||h|| rounds like a projection on h / ||h||
+    coef = np.einsum("...x,...x->...", scratch, g) / norm / norm
+    g -= np.multiply(coef[..., None], h, out=scratch)
+    gv = g.view(float)
+    gv *= np.sqrt(sin2 / _sq_norms(g))[..., None]
+    gv += np.multiply(h.view(float), np.sqrt((1.0 - sin2) / h2)[..., None], out=scratch.view(float))
+    return g
 
 
 def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +255,7 @@ def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.nd
     Block t draws from rngs[t] (None for the kinds that draw nothing), in the
     same order and amounts as when it is quantized alone.
     """
+    h = np.ascontiguousarray(h)  # any layout quantizes bit for bit like its C-ordered copy
     if spec.kind == "perfect":
         return _unit_rows(h), np.zeros(h.shape[:2])
     if spec.kind == "rvq_statistical":

@@ -12,6 +12,7 @@ from .numerics import zf_directions  # noqa: F401  (bench/layers.py traces it un
 from .quantization import (
     CqiQuantizerSpec,
     QuantizerSpec,
+    _sq_norms,
     build_orthosets_codebook,
     quantize_cqi,
     quantize_directions,
@@ -127,8 +128,7 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
         order = np.argsort(-cqi, axis=1, kind="stable")[:, :steps]
         dirs, cqi, span = dirs[t[:, None], order], np.take_along_axis(cqi, order, axis=1), 1
     n_trials, n_users, _ = dirs.shape
-    dirs_h = np.conj(dirs, order="C")  # C order: a strided dirs has no real view
-    g_diag = np.einsum("tkx,tkx->tk", dirs_h.view(float), dirs_h.view(float))
+    dirs_h, g_diag = np.conj(dirs, order="C"), _sq_norms(dirs)
     inv = np.zeros((n_trials, steps, steps), dtype=complex)  # A, grown block by block
     served = np.zeros_like(inv)
     cols = np.zeros((n_trials, steps, n_users), dtype=complex)  # cols[:, :, k] = G[S, k]
@@ -268,14 +268,9 @@ def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
     Block t quantizes its directions with rngs[t].
     """
     dirs, sin2 = quantize_directions(h_est, quantizer, rngs)
-    norms2 = np.linalg.norm(h_est, axis=-1) ** 2
-    if cqi_kind == "norm2":
-        cqi = norms2
-    elif cqi_kind == "expected_sinr":
-        cos2 = 1.0 - sin2
-        cqi = norms2 * cos2 / (nt / snr + norms2 * sin2)
-    else:
-        raise ValueError(f"unsupported CQI kind for ZF: {cqi_kind!r}")
+    cqi = norms2 = _sq_norms(h_est)
+    if cqi_kind == "expected_sinr":
+        cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
     if cqi_quantizer is not None:
         cqi = quantize_cqi(cqi, cqi_quantizer)
     return dirs, sin2, cqi

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fbsim.analytic import LN2, AnalyticParams, InfeasibleRegimeError, _check_nt, zf_bopt_fixed_point
+from fbsim.analytic import LN2, AnalyticParams, InfeasibleRegimeError, _check, zf_bopt_fixed_point
 from fbsim.cli import ResultRow
 from fbsim.channel import ChannelRealization
 from fbsim.numerics import (SingularSetError, complex_pairs, haar_orthonormal_sets, lambert_w_m1,
@@ -98,7 +98,7 @@ def zf_rate_linear_regime(nt: int, b: float) -> float:
 
 def zf_loss_bound(snr: float, nt: int, b: float) -> float:
     """Sum rate penalty of quantized CSI without user selection."""
-    _check_nt(nt)
+    _check(snr, nt)
     if b < 0:
         raise ValueError("b must be >= 0")
     return nt * math.log2(1.0 + snr * 2.0 ** (-b / (nt - 1)))

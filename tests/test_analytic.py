@@ -111,6 +111,12 @@ class TestBitOptimizers:
         with pytest.raises(ValueError, match="tfb too small"):
             A.zf_bopt_lambert(100.0, 8, 20)  # T_fb/nt = 2.5 < log2 nt = 3
 
+    @pytest.mark.parametrize("snr", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("solver", [A.zf_bopt_fixed_point, A.zf_bopt_lambert])
+    def test_snr_must_be_finite_and_positive(self, solver, snr):
+        with pytest.raises(ValueError, match=r"snr must be finite and > 0, got "):
+            solver(snr, 4, 300)
+
     def test_scaling_report(self):
         rep = bopt_scaling_report(10.0, 4, 300)
         assert abs(rep["exact"] - 23.10629366899957) < 1e-6

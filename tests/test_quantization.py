@@ -95,6 +95,20 @@ class TestStatisticalError:
         assert abs(np.linalg.norm(direction) - 1.0) < 1e-9
         assert 0.0 <= sin2 <= 1.0
 
+    @given(seed=st.integers(0, 2**32 - 1), nt=st.integers(2, 8),
+           sin2=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_placed_directions_are_unit_rows_at_the_drawn_angle(self, seed, nt, sin2):
+        sin2 = np.array([*sin2, 0.0, 1.0])  # both ends in every example
+        rng = RngStream(seed).generator()
+        h = complex_gaussian(rng, (1, len(sin2), nt))
+        g = complex_gaussian(rng, h.shape)
+        dirs = quantization._place_at_angle(h, g, sin2[None])[0]
+        u = h[0] / np.linalg.norm(h[0], axis=-1, keepdims=True)
+        np.testing.assert_allclose(np.sum(np.abs(dirs) ** 2, axis=-1), 1.0, rtol=0, atol=1e-14)
+        cos2 = np.abs(np.sum(u.conj() * dirs, axis=-1)) ** 2
+        np.testing.assert_allclose(cos2, 1.0 - sin2, rtol=0, atol=1e-14)
+
 
 class TestExplicitRvq:
     # A row's codebook is the first draw from its stream, so the same stream
@@ -330,6 +344,18 @@ class TestDispatcher:
         if nt == 1:  # every direction is exact
             np.testing.assert_array_equal(sin2, 0.0)
 
+    @pytest.mark.parametrize("kind", QUANTIZER_KINDS)
+    def test_strided_stacks_quantize_like_contiguous_ones(self, kind):
+        # a permuted or Fortran-ordered stack has no contiguous last axis, so no real view
+        h = complex_gaussian(RngStream(25).generator(), (3, 9, 4))[..., [2, 0, 3, 1]]
+        spec = QuantizerSpec(kind, 5)
+        want = quantize_directions(np.ascontiguousarray(h), spec,
+                                   [RngStream(26, t).generator() for t in range(3)])
+        for stack in (h, np.asfortranarray(h)):
+            got = quantize_directions(stack, spec, [RngStream(26, t).generator() for t in range(3)])
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
 
 # (kind, bits, nt, K): 5 trials of K = 37 rows leave a short last explicit-RVQ
 # scan group (256 rows per group at B=2, 16 at B=6, 4 at B=8; groups span trials).
@@ -358,6 +384,11 @@ class TestStackedAgainstPerRowOracles:
             elif kind == "rvq_explicit":
                 np.testing.assert_array_equal(dirs[t], want_dirs)  # the same codewords
                 np.testing.assert_allclose(sin2[t], want_sin2, rtol=0, atol=1e-15)
+            elif kind in ("rvq_statistical", "idealized"):
+                # the same errors, placed by real-view contractions instead of the oracle's
+                # unit-row projection: last-bit differences
+                np.testing.assert_allclose(dirs[t], want_dirs, rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(sin2[t], want_sin2)
             else:
                 np.testing.assert_array_equal(dirs[t], want_dirs)
                 np.testing.assert_array_equal(sin2[t], want_sin2)

@@ -20,6 +20,7 @@ from fbsim import schemes
 from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
 from fbsim.numerics import RngStream, SingularSetError, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import (
+    QUANTIZER_KINDS,
     CqiQuantizerSpec,
     QuantizerSpec,
     build_orthosets_codebook,
@@ -413,6 +414,24 @@ class TestZfProperties:
                                       selection, cqi_kind).sum_rates
         np.testing.assert_allclose(rotated, rates, rtol=0, atol=1e-9)
         np.testing.assert_allclose(permuted, rates, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("selection", ["greedy", "simplified"])
+    @pytest.mark.parametrize("kind", QUANTIZER_KINDS)
+    def test_strided_stacks_give_the_contiguous_blocks(self, kind, selection):
+        # permuted and Fortran-ordered channels have no contiguous last axis, so no real view
+        chan = ChannelModelConfig(nt=4, num_users=9, snr=10.0, beta=1.0, r=0.9)
+        block = draw_blocks(chan, [RngStream(27, t).generator() for t in range(3)])
+        perm = [2, 0, 3, 1]
+        h_est, h_delayed = block.h_est[..., perm], block.h_delayed[..., perm]
+
+        def run(h_est, h_delayed):
+            return zf_blocks(h_est, h_delayed, QuantizerSpec(kind, 5), "expected_sinr", 10.0, 4,
+                             selection, [RngStream(28, t).generator() for t in range(3)])
+
+        want = run(np.ascontiguousarray(h_est), np.ascontiguousarray(h_delayed))
+        for got in (run(h_est, h_delayed), run(np.asfortranarray(h_est), np.asfortranarray(h_delayed))):
+            for name in ("selected", "counts", "beamformers", "realized_rates"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 # (quantizer, bits): scalar and explicit RVQ at B <= 6 give duplicate codewords.
