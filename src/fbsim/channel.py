@@ -65,7 +65,7 @@ def draw_blocks(cfg: ChannelModelConfig, rngs) -> ChannelRealization:
     draws = 1 + (sigma2 != 0.0) + (cfg.r != 1.0)
     g = complex_normals(rngs, draws, cfg.num_users, cfg.nt)
     if sigma2 == 0.0:
-        h = h_est = g[:, 0]
+        h = h_est = np.ascontiguousarray(g[:, 0])  # with delay, g[:, 0] is every other slab of g
     else:
         # MMSE: estimate and error orthogonal, variances (1 - sigma2) and sigma2.
         h_est = math.sqrt(1.0 - sigma2) * g[:, 0]

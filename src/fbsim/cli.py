@@ -294,8 +294,11 @@ def _coerce(key: str, raw: str):
         return tuple(int(v) for v in raw.replace(",", " ").split())
     if key in ("scheme", "quantizer", "cqi_kind", "selection"):
         return raw
-    if key in ("relaxed_user_grid",):
-        return raw.lower() in ("1", "true", "yes", "on")
+    if key == "relaxed_user_grid":
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ConfigError(f"{key} must be one of {', '.join(states)}; got {raw!r}")
+        return states[raw.lower()]
     if key in ("snr_db", "r", "beta"):
         return float(raw)
     return int(raw)

@@ -170,7 +170,7 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
         out = pu2rc_block(realization, b, cfg.snr, cfg.nt, rng)
     else:
         out = subf_block(realization, qspec, cfg.snr, rng)
-    return out.sum_rate
+    return float(out.sum_rates[0])
 
 
 def _trial_chunk(cfg: ExperimentConfig, b: int, rngs: list[np.random.Generator]) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,27 +34,9 @@ DEPENDENT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class FeedbackReport:
-    user_id: int
-    direction: np.ndarray
-    sin2_error: float
-    cqi: float
-    cqi_kind: str
-
-
-@dataclass(frozen=True)
 class TransmissionPlan:
-    selected: list[int]
+    selected: np.ndarray  # (n,) user indices, in selection order
     beamformers: np.ndarray  # (n, nt), unit-norm rows
-    power_per_user: float
-
-
-@dataclass(frozen=True)
-class BlockOutcome:
-    plan: TransmissionPlan
-    realized_rates: np.ndarray
-    sum_rate: float
-    extra: dict = field(default_factory=dict)
 
 
 def _cqi_scale(cqi_kind: str, snr: float, nt: int) -> float:
@@ -199,29 +181,24 @@ def _realized_rates(h: np.ndarray, beams: np.ndarray, power) -> np.ndarray:
     return np.log2(1.0 + _sinr(np.diagonal(p, axis1=-2, axis2=-1), p.sum(axis=-1), power))
 
 
-def _select_plan(reports: list[FeedbackReport], snr: float, nt: int, greedy: bool) -> TransmissionPlan:
-    if not reports:
-        raise ValueError("need at least one feedback report")
-    dirs = np.array([r.direction for r in reports])[None]
-    cqi = np.array([r.cqi for r in reports])[None]
-    selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(reports[0].cqi_kind, snr, nt), nt, greedy)
-    beams = _zf_beams(dirs, selected, served)
-    n = int(counts[0])
-    return TransmissionPlan(
-        selected=[reports[k].user_id for k in selected[0, :n]],
-        beamformers=beams[0, :n],
-        power_per_user=snr / n,
-    )
+def _select_plan(dirs: np.ndarray, cqi: np.ndarray, nt: int, snr: float, cqi_kind: str,
+                 greedy: bool) -> TransmissionPlan:
+    """_zf_select and _zf_beams on one block's directions (K, nt) and CQI (K,)."""
+    selected, counts, served = _zf_select(dirs[None], cqi[None], _cqi_scale(cqi_kind, snr, nt), nt, greedy)
+    n = counts[0]
+    return TransmissionPlan(selected[0, :n], _zf_beams(dirs[None], selected, served)[0, :n])
 
 
-def zf_greedy_select(reports: list[FeedbackReport], snr: float, nt: int) -> TransmissionPlan:
-    """Greedy user selection on quantized channels, maximizing estimated sum rate."""
-    return _select_plan(reports, snr, nt, greedy=True)
+def zf_greedy_select(dirs: np.ndarray, cqi: np.ndarray, nt: int, snr: float,
+                     cqi_kind: str) -> TransmissionPlan:
+    """Greedy user selection on one block's quantized channels, maximizing estimated sum rate."""
+    return _select_plan(dirs, cqi, nt, snr, cqi_kind, greedy=True)
 
 
-def zf_simplified_select(reports: list[FeedbackReport], snr: float, nt: int) -> TransmissionPlan:
+def zf_simplified_select(dirs: np.ndarray, cqi: np.ndarray, nt: int, snr: float,
+                         cqi_kind: str) -> TransmissionPlan:
     """Low-complexity selection: try only the top-j users by CQI, j = 1..nt."""
-    return _select_plan(reports, snr, nt, greedy=False)
+    return _select_plan(dirs, cqi, nt, snr, cqi_kind, greedy=False)
 
 
 @dataclass(frozen=True)
@@ -252,18 +229,8 @@ def _transmit(h_delayed: np.ndarray, selected: np.ndarray, counts: np.ndarray, b
     return Blocks(selected, counts, np.where(on[..., None], beams, 0.0), rates, sets)
 
 
-def _block_outcome(out: Blocks, power_per_user: float) -> BlockOutcome:
-    """The one block of a one-trial Blocks, as a BlockOutcome."""
-    n = int(out.counts[0])
-    plan = TransmissionPlan(selected=[int(k) for k in out.selected[0, :n]],
-                            beamformers=out.beamformers[0, :n], power_per_user=power_per_user)
-    extra = {} if out.sets is None else {"set_index": int(out.sets[0]), "num_scheduled": n}
-    return BlockOutcome(plan=plan, realized_rates=out.realized_rates[0, :n],
-                        sum_rate=float(out.sum_rates[0]), extra=extra)
-
-
 def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
-    """Quantized directions, their sin^2 errors and the CQI of T blocks' estimates (T, K, nt).
+    """Quantized directions and CQI of T blocks' estimates (T, K, nt).
 
     Block t quantizes its directions with rngs[t].
     """
@@ -273,7 +240,7 @@ def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
         cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
     if cqi_quantizer is not None:
         cqi = quantize_cqi(cqi, cqi_quantizer)
-    return dirs, sin2, cqi
+    return dirs, cqi
 
 
 def zf_blocks(
@@ -294,7 +261,7 @@ def zf_blocks(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    dirs, _, cqi = _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer)
+    dirs, cqi = _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer)
     selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt,
                                           selection == "greedy")
     return _transmit(h_delayed, selected, counts, _zf_beams(dirs, selected, served), snr / counts)
@@ -309,28 +276,21 @@ def zf_block(
     selection: str = "greedy",
     rng: np.random.Generator | None = None,
     cqi_quantizer: CqiQuantizerSpec | None = None,
-) -> BlockOutcome:
+) -> Blocks:
     """ZF downlink block: quantize estimates, select users, transmit on h_delayed.
 
-    One block of zf_blocks, with selection through the FeedbackReport interface.
+    One block of zf_blocks, with selection through zf_greedy_select or zf_simplified_select.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    dirs, sin2, cqi = _zf_feedback(realization.h_est[None], quantizer, cqi_kind, snr, nt, [rng],
-                                   cqi_quantizer)
-    reports = [
-        FeedbackReport(user_id=k, direction=dirs[0, k], sin2_error=float(sin2[0, k]),
-                       cqi=float(cqi[0, k]), cqi_kind=cqi_kind)
-        for k in range(dirs.shape[1])
-    ]
+    dirs, cqi = _zf_feedback(realization.h_est[None], quantizer, cqi_kind, snr, nt, [rng], cqi_quantizer)
     select = zf_greedy_select if selection == "greedy" else zf_simplified_select
-    plan = select(reports, snr, nt)
+    plan = select(dirs[0], cqi[0], nt, snr, cqi_kind)
     # zero-padded to zf_blocks' width min(nt, K), so both run the same kernel shapes and agree bit for bit
     n = len(plan.selected)
-    pad = min(nt, len(reports)) - n
-    out = _transmit(realization.h_delayed[None], np.array([plan.selected + [0] * pad]), np.array([n]),
-                    np.pad(plan.beamformers, ((0, pad), (0, 0)))[None], snr / n)
-    return _block_outcome(out, snr / n)
+    pad = min(nt, len(cqi[0])) - n
+    return _transmit(realization.h_delayed[None], np.pad(plan.selected, (0, pad))[None], np.array([n]),
+                     np.pad(plan.beamformers, ((0, pad), (0, 0)))[None], snr / n)
 
 
 def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndarray,
@@ -374,25 +334,18 @@ def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndar
                      snr / nt, sets=s_star)
 
 
-def _orthoset_block(realization: ChannelRealization, codebook: np.ndarray,
-                    snr: float, nt: int) -> BlockOutcome:
-    """Shared RBF/PU2RC core for one block; the one-trial case of orthoset_blocks."""
-    out = orthoset_blocks(realization.h_est[None], realization.h_delayed[None], codebook[None], snr, nt)
-    return _block_outcome(out, snr / nt)
-
-
 def rbf_block(realization: ChannelRealization, snr: float, nt: int,
-              rng: np.random.Generator) -> BlockOutcome:
-    """Random beamforming: one Haar beam set, best-SINR user per beam."""
+              rng: np.random.Generator) -> Blocks:
+    """Random beamforming on one block: orthoset_blocks on one Haar beam set."""
     codebook = haar_orthonormal_sets(rng, nt, 1)
-    return _orthoset_block(realization, codebook, snr, nt)
+    return orthoset_blocks(realization.h_est[None], realization.h_delayed[None], codebook[None], snr, nt)
 
 
 def pu2rc_block(realization: ChannelRealization, bits: int, snr: float, nt: int,
-                rng: np.random.Generator) -> BlockOutcome:
-    """PU2RC: common codebook of 2^B/nt orthonormal sets, best set transmitted."""
+                rng: np.random.Generator) -> Blocks:
+    """PU2RC on one block: orthoset_blocks on a common codebook of 2^B/nt orthonormal sets."""
     codebook = build_orthosets_codebook(bits, nt, rng)
-    return _orthoset_block(realization, codebook, snr, nt)
+    return orthoset_blocks(realization.h_est[None], realization.h_delayed[None], codebook[None], snr, nt)
 
 
 def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: QuantizerSpec, snr: float,
@@ -411,10 +364,6 @@ def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: QuantizerSp
 
 
 def subf_block(realization: ChannelRealization, quantizer: QuantizerSpec, snr: float,
-               rng: np.random.Generator | None = None) -> BlockOutcome:
-    """Single-user beamforming along the quantized direction of the best-SNR user.
-
-    The one-trial case of subf_blocks.
-    """
-    out = subf_blocks(realization.h_est[None], realization.h_delayed[None], quantizer, snr, [rng])
-    return _block_outcome(out, snr)
+               rng: np.random.Generator | None = None) -> Blocks:
+    """Single-user beamforming to the best reported SNR on one block; one block of subf_blocks."""
+    return subf_blocks(realization.h_est[None], realization.h_delayed[None], quantizer, snr, [rng])

@@ -191,16 +191,14 @@ def zf_realized_sinr(h_true, own_bf, other_bfs, snr: float, n: int) -> float:
     return sig / (1.0 + interf)
 
 
-def estimated_plan_rate(reports, plan, snr: float, nt: int) -> float:
-    """Estimated sum rate of a plan, from the reports it was built on."""
-    by_id = {r.user_id: r for r in reports}
-    sel = [by_id[u] for u in plan.selected]
-    n = len(sel)
-    scale = snr if sel[0].cqi_kind == "norm2" else float(nt)  # expected-SINR CQI holds snr/nt
+def estimated_plan_rate(dirs, cqi, cqi_kind: str, plan, snr: float, nt: int) -> float:
+    """Estimated sum rate of a plan, from the directions (K, nt) and CQI (K,) it was built on."""
+    n = len(plan.selected)
+    scale = snr if cqi_kind == "norm2" else float(nt)  # expected-SINR CQI holds snr/nt
     total = 0.0
-    for r, bf in zip(sel, plan.beamformers):
-        proj = abs(np.vdot(r.direction, bf)) ** 2
-        total += math.log2(1.0 + (scale / n) * r.cqi * proj)
+    for k, bf in zip(plan.selected, plan.beamformers):
+        proj = abs(np.vdot(dirs[k], bf)) ** 2
+        total += math.log2(1.0 + (scale / n) * cqi[k] * proj)
     return total
 
 

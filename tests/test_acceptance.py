@@ -133,7 +133,7 @@ def test_criterion_05_codebook_scheme_near_optimality(pu2rc_sweep):
     for t in range(2000):
         real = draw_block(cfg, RngStream(0, t).generator())
         out = pu2rc_block(real, 8, 10.0, 4, RngStream(1, t).generator())
-        sched.append(out.extra["num_scheduled"])
+        sched.append(out.counts[0])
     mean_sched = float(np.mean(sched))
     ok = at2 >= 0.95 * best and mean_sched < 4.0
     _check(5, ok, f"rate(B=2) = {at2:.3f} vs best {best:.3f} "

@@ -87,6 +87,8 @@ class TestDrawBlocks:
         rngs = [RngStream(5, t).generator() for t in range(6)]
         stack = draw_blocks(cfg, rngs)
         assert stack.h.shape == stack.h_est.shape == stack.h_delayed.shape == (6, 7, 4)
+        # the quantizers and the CQI norms copy a strided stack before they read it
+        assert stack.h_est.flags.c_contiguous and stack.h_delayed.flags.c_contiguous
         for t in range(6):
             ref = RngStream(5, t).generator()
             want = oracle_draw_block(cfg, ref)

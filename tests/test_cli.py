@@ -1,7 +1,11 @@
+import configparser
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import read_csv
 from fbsim import analytic, cli, montecarlo
@@ -18,6 +22,9 @@ from fbsim.cli import (
     write_csv,
     write_svg,
 )
+from fbsim.montecarlo import SCHEMES, ExperimentConfig, feasible_b_values
+from fbsim.quantization import QUANTIZER_KINDS
+from fbsim.schemes import SELECTIONS, ZF_CQI_KINDS
 
 
 def _rows():
@@ -171,6 +178,63 @@ relaxed_user_grid = true
         p = self._write(tmp_path, "[experiment]\nscheme = zf\nnt = four\nsnr_db = 10\ntfb = 100\n")
         with pytest.raises(ConfigError):
             load_config(p, {})
+
+    @pytest.mark.parametrize("raw,want", [("off", False), ("0", False), ("No", False), ("ON", True)])
+    def test_boolean_words(self, tmp_path, raw, want):
+        p = self._write(tmp_path, "[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\n"
+                                  f"relaxed_user_grid = {raw}\n")
+        assert load_config(p, {}).relaxed_user_grid is want
+
+    def test_mistyped_boolean_names_the_key(self, tmp_path, capsys):
+        # read as False, B=7 would fail as "does not divide tfb=300" without naming the typo
+        p = self._write(tmp_path, "[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 300\n"
+                                  "trials = 4\nrelaxed_user_grid = treu\nb_values = 7\n")
+        with pytest.raises(ConfigError, match="relaxed_user_grid .*'treu'"):
+            load_config(p, {})
+        assert main(["run", str(p), "--out", str(tmp_path / "r")]) == 2
+        assert "relaxed_user_grid" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+BOOLEAN_WORDS = {v: [w for w, b in configparser.ConfigParser.BOOLEAN_STATES.items() if b is v]
+                 for v in (False, True)}
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid ExperimentConfig with a non-empty b_values, on either user grid."""
+    cfg = ExperimentConfig(
+        scheme=draw(st.sampled_from(SCHEMES)), nt=draw(st.integers(1, 8)),
+        snr_db=draw(st.floats(-30.0, 40.0)), tfb=draw(st.integers(1, 400)),
+        trials=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**63)),
+        quantizer=draw(st.sampled_from(QUANTIZER_KINDS)), cqi_kind=draw(st.sampled_from(ZF_CQI_KINDS)),
+        selection=draw(st.sampled_from(SELECTIONS)), cqi_bits=draw(st.none() | st.integers(0, 6)),
+        beta=draw(st.none() | st.floats(1e-3, 1e3)), r=draw(st.floats(0.0, 1.0)),
+        relaxed_user_grid=draw(st.booleans()))
+    grid = feasible_b_values(cfg)
+    if not grid:
+        return draw(st.nothing())
+    b_values = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4))
+    return replace(cfg, b_values=tuple(b_values))
+
+
+class TestConfigRoundTrip:
+    @given(cfg=valid_configs(), data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_written_config_loads_back_equal(self, tmp_path, cfg, data):
+        lines = ["[experiment]"]
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if value is None:
+                continue
+            if isinstance(value, bool):
+                value = data.draw(st.sampled_from(BOOLEAN_WORDS[value]))
+            elif isinstance(value, tuple):
+                value = " ".join(map(str, value))
+            lines.append(f"{f.name} = {value}")
+        p = tmp_path / "exp.ini"
+        p.write_text("\n".join(lines) + "\n")
+        assert load_config(p, {}) == cfg
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

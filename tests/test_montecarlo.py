@@ -337,7 +337,7 @@ class TestStackedDrawsAcrossChunks:
 
         assert [len(c.counts) for c in chunks] == [3, 3, 1]
         got_users = [list(c.selected[t, :c.counts[t]]) for c in chunks for t in range(len(c.counts))]
-        assert got_users == [s.plan.selected for s in singles]
+        assert got_users == [list(s.selected[0, :s.counts[0]]) for s in singles]
         got = np.concatenate([c.sum_rates for c in chunks])
         if quantizer == "scalar":
             np.testing.assert_allclose(got, per_trial, rtol=0, atol=1e-12)

@@ -28,12 +28,10 @@ from fbsim.quantization import (
     quantize_directions,
 )
 from fbsim.schemes import (
-    FeedbackReport,
     TransmissionPlan,
-    _orthoset_block,
-    _zf_beams,
     _zf_select,
     _realized_rates,
+    orthoset_blocks,
     pu2rc_block,
     rbf_block,
     subf_block,
@@ -44,38 +42,32 @@ from fbsim.schemes import (
 )
 
 
-def _reports_from_draw(rng, n_users, nt, bits, snr):
+def _feedback_from_draw(rng, n_users, nt, bits):
+    """One block's statistical-RVQ directions (K, nt) and norm2 CQI (K,) of fresh channels."""
     h = complex_gaussian(rng, (n_users, nt))
-    dirs, sin2 = quantize_directions(h[None], QuantizerSpec("rvq_statistical", bits), [rng])
-    dirs, sin2 = dirs[0], sin2[0]
-    norms2 = np.linalg.norm(h, axis=1) ** 2
-    return [
-        FeedbackReport(user_id=k, direction=dirs[k], sin2_error=float(sin2[k]),
-                       cqi=float(norms2[k]), cqi_kind="norm2")
-        for k in range(n_users)
-    ]
+    dirs = quantize_directions(h[None], QuantizerSpec("rvq_statistical", bits), [rng])[0][0]
+    return dirs, np.linalg.norm(h, axis=1) ** 2
 
 
-def _oracle_set_rate(reports, subset, snr):
+def _oracle_set_rate(dirs, cqi, subset, snr):
     """Independent estimated-rate evaluation: explicit beamformers, direct formula."""
-    dirs = np.array([reports[k].direction for k in subset])
     try:
-        bfs = zf_directions(dirs)
+        bfs = zf_directions(dirs[list(subset)])
     except SingularSetError:
         return -math.inf
     n = len(subset)
     total = 0.0
     for k, bf in zip(subset, bfs):
-        proj = abs(np.vdot(reports[k].direction, bf)) ** 2
-        total += math.log2(1.0 + (snr / n) * reports[k].cqi * proj)
+        proj = abs(np.vdot(dirs[k], bf)) ** 2
+        total += math.log2(1.0 + (snr / n) * cqi[k] * proj)
     return total
 
 
-def _oracle_best_rate(reports, snr, nt):
+def _oracle_best_rate(dirs, cqi, snr, nt):
     best = -math.inf
     for size in range(1, nt + 1):
-        for subset in itertools.combinations(range(len(reports)), size):
-            best = max(best, _oracle_set_rate(reports, subset, snr))
+        for subset in itertools.combinations(range(len(dirs)), size):
+            best = max(best, _oracle_set_rate(dirs, cqi, subset, snr))
     return best
 
 
@@ -118,46 +110,40 @@ class TestGreedySelection:
         ratios = []
         for trial in range(1000):
             rng = RngStream(1, trial).generator()
-            reports = _reports_from_draw(rng, users, nt, bits=4, snr=snr)
-            plan = zf_greedy_select(reports, snr, nt)
-            got = estimated_plan_rate(reports, plan, snr, nt)
-            best = _oracle_best_rate(reports, snr, nt)
+            dirs, cqi = _feedback_from_draw(rng, users, nt, bits=4)
+            plan = zf_greedy_select(dirs, cqi, nt, snr, "norm2")
+            got = estimated_plan_rate(dirs, cqi, "norm2", plan, snr, nt)
+            best = _oracle_best_rate(dirs, cqi, snr, nt)
             assert got <= best + 1e-9
             ratios.append(got / best)
         assert np.mean(ratios) >= 0.95
 
     def test_single_report(self):
         rng = RngStream(2).generator()
-        reports = _reports_from_draw(rng, 1, 4, 8, 10.0)
-        plan = zf_greedy_select(reports, 10.0, 4)
-        assert plan.selected == [0]
-        assert plan.power_per_user == 10.0
+        dirs, cqi = _feedback_from_draw(rng, 1, 4, 8)
+        plan = zf_greedy_select(dirs, cqi, 4, 10.0, "norm2")
+        assert list(plan.selected) == [0]
 
     def test_seed_user_is_largest_cqi(self):
         rng = RngStream(3).generator()
-        reports = _reports_from_draw(rng, 8, 4, 8, 10.0)
-        plan = zf_greedy_select(reports, 10.0, 4)
-        top = max(range(8), key=lambda k: reports[k].cqi)
-        assert top in plan.selected
+        dirs, cqi = _feedback_from_draw(rng, 8, 4, 8)
+        plan = zf_greedy_select(dirs, cqi, 4, 10.0, "norm2")
+        assert np.argmax(cqi) in plan.selected
 
     def test_duplicate_directions_collapse_to_one_user(self):
         rng = RngStream(4).generator()
         d = complex_gaussian(rng, 4)
         d /= np.linalg.norm(d)
-        reports = [
-            FeedbackReport(user_id=k, direction=d, sin2_error=0.1, cqi=4.0 - k, cqi_kind="norm2")
-            for k in range(3)
-        ]
-        plan = zf_greedy_select(reports, 10.0, 4)
-        assert plan.selected == [0]  # highest CQI, no second user helps
+        plan = zf_greedy_select(np.tile(d, (3, 1)), 4.0 - np.arange(3), 4, 10.0, "norm2")
+        assert list(plan.selected) == [0]  # highest CQI, no second user helps
 
     def test_at_most_nt_users(self):
         rng = RngStream(5).generator()
-        reports = _reports_from_draw(rng, 30, 4, 12, 10.0)
-        plan = zf_greedy_select(reports, 10.0, 4)
+        dirs, cqi = _feedback_from_draw(rng, 30, 4, 12)
+        plan = zf_greedy_select(dirs, cqi, 4, 10.0, "norm2")
         assert 1 <= len(plan.selected) <= 4
+        assert plan.beamformers.shape == (len(plan.selected), 4)
         np.testing.assert_allclose(np.linalg.norm(plan.beamformers, axis=1), 1.0, atol=1e-9)
-        assert abs(plan.power_per_user - 10.0 / len(plan.selected)) < 1e-12
 
 
 class TestSimplifiedSelection:
@@ -165,30 +151,38 @@ class TestSimplifiedSelection:
         snr, nt = 10.0, 4
         for trial in range(100):
             rng = RngStream(6, trial).generator()
-            reports = _reports_from_draw(rng, 12, nt, 10, snr)
-            g = zf_greedy_select(reports, snr, nt)
-            s = zf_simplified_select(reports, snr, nt)
-            rg = estimated_plan_rate(reports, g, snr, nt)
-            rs = estimated_plan_rate(reports, s, snr, nt)
+            dirs, cqi = _feedback_from_draw(rng, 12, nt, 10)
+            g = zf_greedy_select(dirs, cqi, nt, snr, "norm2")
+            s = zf_simplified_select(dirs, cqi, nt, snr, "norm2")
+            rg = estimated_plan_rate(dirs, cqi, "norm2", g, snr, nt)
+            rs = estimated_plan_rate(dirs, cqi, "norm2", s, snr, nt)
             assert rs <= rg + 1e-9
 
     @pytest.mark.parametrize("select", [zf_greedy_select, zf_simplified_select])
     def test_rate_tie_keeps_the_smaller_set(self, select):
         # orthogonal users, snr 2: log2(1 + 2) == log2(1 + 1) + log2(1 + 0.5) exactly
-        reports = [FeedbackReport(user_id=k, direction=np.eye(2, dtype=complex)[k], sin2_error=0.0,
-                                  cqi=c, cqi_kind="norm2") for k, c in enumerate((1.0, 0.5))]
-        assert select(reports, 2.0, 2).selected == [0]
+        assert list(select(np.eye(2, dtype=complex), np.array([1.0, 0.5]), 2, 2.0, "norm2").selected) == [0]
 
     def test_selected_are_top_cqi_prefix(self):
         rng = RngStream(7).generator()
-        reports = _reports_from_draw(rng, 12, 4, 10, 10.0)
-        plan = zf_simplified_select(reports, 10.0, 4)
-        order = sorted(range(12), key=lambda k: -reports[k].cqi)
+        dirs, cqi = _feedback_from_draw(rng, 12, 4, 10)
+        plan = zf_simplified_select(dirs, cqi, 4, 10.0, "norm2")
+        order = sorted(range(12), key=lambda k: -cqi[k])
         assert sorted(plan.selected) == sorted(order[: len(plan.selected)])
 
 
 def _perfect_realization(h):
     return ChannelRealization(h=h, h_est=h, h_delayed=h)
+
+
+def _served(out):
+    """The users a one-trial Blocks serves, in beam order."""
+    return list(out.selected[0, :out.counts[0]])
+
+
+def _orthoset_block(realization, codebook, snr, nt):
+    """orthoset_blocks on one block, with its codebook (S, nt, nt)."""
+    return orthoset_blocks(realization.h_est[None], realization.h_delayed[None], codebook[None], snr, nt)
 
 
 def _served_gram_inverse(dirs, selected, counts, m):
@@ -296,15 +290,15 @@ class TestZfBlock:
         out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                        "norm2", 10.0, 4)
         expect = math.log2(1.0 + 10.0 * np.linalg.norm(h[0]) ** 2)
-        assert abs(out.sum_rate - expect) < 1e-9
+        assert abs(out.sum_rates[0] - expect) < 1e-9
 
     def test_orthogonal_users_no_interference(self):
         h = 2.0 * np.eye(4, dtype=complex)
         out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                        "norm2", 10.0, 4)
-        assert sorted(out.plan.selected) == [0, 1, 2, 3]
+        assert sorted(_served(out)) == [0, 1, 2, 3]
         expect = 4 * math.log2(1.0 + (10.0 / 4) * 4.0)
-        assert abs(out.sum_rate - expect) < 1e-9
+        assert abs(out.sum_rates[0] - expect) < 1e-9
 
     def test_rates_use_post_delay_channels(self):
         rng = RngStream(9).generator()
@@ -314,7 +308,7 @@ class TestZfBlock:
         out = zf_block(real, QuantizerSpec("perfect", 0), "norm2", 10.0, 4)
         u = h[0] / np.linalg.norm(h[0])
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
-        assert abs(out.sum_rate - expect) < 1e-9
+        assert abs(out.sum_rates[0] - expect) < 1e-9
 
     @pytest.mark.parametrize("cqi_kind", ["norm2", "expected_sinr"])
     def test_cqi_kinds_run_and_agree_for_one_user(self, cqi_kind):
@@ -323,7 +317,7 @@ class TestZfBlock:
         out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
                        cqi_kind, 10.0, 4)
         expect = math.log2(1.0 + 10.0 * np.linalg.norm(h[0]) ** 2)
-        assert abs(out.sum_rate - expect) < 1e-9
+        assert abs(out.sum_rates[0] - expect) < 1e-9
 
     def test_selection_modes_and_quantized_cqi_smoke(self):
         from fbsim.quantization import CqiQuantizerSpec
@@ -335,7 +329,7 @@ class TestZfBlock:
         for selection in ("greedy", "simplified"):
             out = zf_block(real, spec, "norm2", 10.0, 4, selection=selection, rng=rng,
                            cqi_quantizer=CqiQuantizerSpec.around_mean(4, 4.0))
-            assert out.sum_rate > 0.0
+            assert out.sum_rates[0] > 0.0
             assert np.all(out.realized_rates >= 0.0)
 
     def test_unknown_selection_rejected(self):
@@ -385,13 +379,11 @@ class TestZfProperties:
         for t in range(trials):
             norms2 = np.linalg.norm(block.h[t], axis=1) ** 2
             cqi = norms2 if cqi_kind == "norm2" else (snr / nt) * norms2  # no quantization error
-            reports = [FeedbackReport(user_id=k, direction=block.h[t, k] / math.sqrt(norms2[k]),
-                                      sin2_error=0.0, cqi=float(cqi[k]), cqi_kind=cqi_kind)
-                       for k in range(users)]
-            n = int(out.counts[t])
-            plan = TransmissionPlan(selected=[int(k) for k in out.selected[t, :n]],
-                                    beamformers=out.beamformers[t, :n], power_per_user=snr / n)
-            estimated, realized = estimated_plan_rate(reports, plan, snr, nt), out.sum_rates[t]
+            dirs = block.h[t] / np.sqrt(norms2)[:, None]
+            n = out.counts[t]
+            plan = TransmissionPlan(selected=out.selected[t, :n], beamformers=out.beamformers[t, :n])
+            estimated = estimated_plan_rate(dirs, cqi, cqi_kind, plan, snr, nt)
+            realized = out.sum_rates[t]
             assert estimated == pytest.approx(realized, rel=1e-9, abs=0.0)
             assert estimated >= realized * (1.0 - 1e-9)
 
@@ -519,16 +511,16 @@ class TestOrthosetSchemes:
         sinr0 = 4.0 / (2.0 / 10.0)
         sinr1 = 2.25 / (2.0 / 10.0)
         expect = math.log2(1 + sinr0) + math.log2(1 + sinr1)
-        assert abs(out.sum_rate - expect) < 1e-9
-        assert sorted(out.plan.selected) == [0, 1]
-        assert out.extra["num_scheduled"] == 2
+        assert abs(out.sum_rates[0] - expect) < 1e-9
+        assert sorted(_served(out)) == [0, 1]
+        assert out.counts[0] == 2
 
     def test_tie_break_prefers_lower_user_index(self):
         h = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         cb = np.eye(2, dtype=complex)[None, :, :]
         out = _orthoset_block(_perfect_realization(h), cb, snr=10.0, nt=2)
-        assert out.plan.selected == [0]
-        assert out.extra["num_scheduled"] == 1
+        assert _served(out) == [0]
+        assert out.counts[0] == 1
 
     def test_rbf_equals_single_set_pu2rc(self):
         cfg = ChannelModelConfig(nt=4, num_users=20, snr=10.0)
@@ -536,9 +528,9 @@ class TestOrthosetSchemes:
             real = draw_block(cfg, RngStream(13, trial).generator())
             a = rbf_block(real, 10.0, 4, RngStream(14, trial).generator())
             b = pu2rc_block(real, 2, 10.0, 4, RngStream(14, trial).generator())
-            assert a.sum_rate == b.sum_rate
-            assert a.plan.selected == b.plan.selected
-            np.testing.assert_array_equal(a.plan.beamformers, b.plan.beamformers)
+            assert a.sum_rates[0] == b.sum_rates[0]
+            assert _served(a) == _served(b)
+            np.testing.assert_array_equal(a.beamformers, b.beamformers)
 
     @pytest.mark.parametrize("bits,users", [(4, 75), (6, 50)])
     def test_scheduled_users_sit_on_their_quantized_codeword(self, bits, users):
@@ -549,18 +541,18 @@ class TestOrthosetSchemes:
             real = draw_block(cfg, RngStream(30 + bits, trial).generator())
             cb = build_orthosets_codebook(bits, 4, RngStream(40 + bits, trial).generator())
             out = _orthoset_block(real, cb, snr=10.0, nt=4)
-            assert out.plan.selected
-            for k, bf in zip(out.plan.selected, out.plan.beamformers):
+            n = out.counts[0]
+            assert n > 0
+            for k, bf in zip(out.selected[0, :n], out.beamformers[0, :n]):
                 s, m, _ = quantize_to_orthosets(real.h_est[k], cb)
-                assert s == out.extra["set_index"], f"trial {trial}, user {k}"
+                assert s == out.sets[0], f"trial {trial}, user {k}"
                 np.testing.assert_array_equal(bf, cb[s][:, m])
 
     def test_pu2rc_uses_requested_codebook_size(self):
         cfg = ChannelModelConfig(nt=4, num_users=10, snr=10.0)
         real = draw_block(cfg, RngStream(15).generator())
         out = pu2rc_block(real, 6, 10.0, 4, RngStream(16).generator())
-        assert 0 <= out.extra["set_index"] < 2**6 // 4
-        assert out.plan.power_per_user == 10.0 / 4
+        assert 0 <= out.sets[0] < 2**6 // 4
 
     def test_rates_use_post_delay_channels(self):
         rng = RngStream(17).generator()
@@ -570,9 +562,8 @@ class TestOrthosetSchemes:
         cb = np.eye(2, dtype=complex)[None, :, :]
         out = _orthoset_block(real, cb, snr=10.0, nt=2)
         # recompute from the delayed channels directly
-        for u, m, rate in zip(out.plan.selected,
-                              range(len(out.plan.selected)), out.realized_rates):
-            bf = out.plan.beamformers[m]
+        n = out.counts[0]
+        for u, bf, rate in zip(out.selected[0, :n], out.beamformers[0, :n], out.realized_rates[0, :n]):
             sig = (10.0 / 2) * abs(np.vdot(h_delayed[u], bf)) ** 2
             tot = (10.0 / 2) * np.linalg.norm(h_delayed[u]) ** 2  # identity beams span all power
             sinr = sig / (1.0 + tot - sig)
@@ -583,9 +574,8 @@ class TestSubf:
     def test_perfect_quantizer_picks_best_norm(self):
         h = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.5]], dtype=complex)
         out = subf_block(_perfect_realization(h), QuantizerSpec("perfect", 0), 10.0)
-        assert out.plan.selected == [1]
-        assert abs(out.sum_rate - math.log2(1.0 + 10.0 * 4.0)) < 1e-12
-        assert out.plan.power_per_user == 10.0
+        assert _served(out) == [1]
+        assert abs(out.sum_rates[0] - math.log2(1.0 + 10.0 * 4.0)) < 1e-12
 
     def test_rate_uses_post_delay_channel(self):
         rng = RngStream(18).generator()
@@ -595,7 +585,7 @@ class TestSubf:
         out = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
         u = h[0] / np.linalg.norm(h[0])
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
-        assert abs(out.sum_rate - expect) < 1e-12
+        assert abs(out.sum_rates[0] - expect) < 1e-12
 
     def test_quantized_direction_lowers_rate_on_average(self):
         cfg = ChannelModelConfig(nt=4, num_users=10, snr=10.0)
@@ -605,5 +595,5 @@ class TestSubf:
             perfect = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
             coarse = subf_block(real, QuantizerSpec("rvq_statistical", 2), 10.0,
                                 rng=RngStream(20, trial).generator())
-            diffs.append(perfect.sum_rate - coarse.sum_rate)
+            diffs.append(perfect.sum_rates[0] - coarse.sum_rates[0])
         assert np.mean(diffs) > 0.0
