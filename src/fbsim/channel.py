@@ -37,6 +37,8 @@ class ChannelModelConfig:
             raise ValueError(f"beta must be > 0 (omit it for perfect receiver CSI), got {self.beta}")
         if self.snr <= 0.0:
             raise ValueError(f"snr must be > 0, got {self.snr}")
+        if self.estimation_error_var == 1.0:  # 1 + beta*snr rounds to 1: every estimate would be 0
+            raise ValueError(f"beta * snr = {self.beta * self.snr:g} is too small to estimate the channel")
 
     @property
     def estimation_error_var(self) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import complex_pairs, haar_orthonormal_sets
+from .numerics import complex_normals, complex_pairs, haar_orthonormal_sets
 
 QUANTIZER_KINDS = ("rvq_explicit", "rvq_statistical", "scalar", "idealized", "perfect")
 
@@ -17,11 +17,6 @@ EXPLICIT_RVQ_MAX_BITS = 24
 # Explicit RVQ scans the codebooks of this many codewords' worth of rows (at
 # least one row) per call, which bounds its working set.
 CODEWORDS_PER_SCAN = 1024
-
-# Explicit RVQ's real-arithmetic scores differ from the normalized codewords'
-# |c.u|^2 by a few ulp, so a runner-up within this relative distance of the
-# top score could win the normalized scan; such a group is scanned in full.
-NEAR_RTOL = 1e-12
 
 
 class CodebookCapacityError(ValueError):
@@ -115,14 +110,10 @@ def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple
     """
     n_trials, n_users, nt = h.shape
     u = np.empty((n_trials, n_users))
-    z = np.empty((n_trials, 2, n_users, nt))
     for t, rng in enumerate(rngs):
         rng.random(out=u[t])
-        rng.standard_normal(out=z[t])
     sin2 = rvq_sin2(u, bits, nt) * scale
-    if nt == 1:  # no orthogonal complement: every direction is exact
-        return _unit_rows(h), sin2
-    return _place_at_angle(h, complex_pairs(z), sin2), sin2
+    return _place_at_angle(h, complex_normals(rngs, n_users, nt), sin2), sin2
 
 
 def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +122,9 @@ def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, 
     The rows of the stack, trial by trial, are scanned in groups of up to
     CODEWORDS_PER_SCAN // 2^B rows (at least one); each row's codebook is
     drawn from its trial's stream, in row order. Codewords are scored
-    straight from the real draws, |c.u|^2 / ||c||^2, and only each row's
-    winner is normalized. A group in which a runner-up scores within
-    NEAR_RTOL of its row's winner normalizes and scores its whole codebooks
-    instead, so rounding never decides which codeword wins.
+    straight from the real draws, |c.u|^2 / ||c||^2; each row's winner is
+    the argmax of that score, and only the winner is normalized and has its
+    error taken.
     """
     n_trials, n_users, nt = h.shape
     n_rows = n_trials * n_users
@@ -150,7 +140,6 @@ def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, 
     parts = np.empty((g, 2, n_codes, 2))
     score = np.empty((g, n_codes))
     norm2 = np.empty((g, n_codes))
-    near = np.empty((g, n_codes), dtype=bool)
     dirs = np.empty((n_rows, nt), dtype=complex)
     sin2 = np.empty(n_rows)
     for lo in range(0, n_rows, group):
@@ -165,16 +154,9 @@ def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, 
         s = np.matmul(re_im, ones2, out=score[:n])
         np.square(zr, out=z2[:n])
         s /= np.matmul(np.add(z2[:n, 0], z2[:n, 1], out=z2[:n, 0]), ones, out=norm2[:n])
-        rows, best = np.arange(n), np.argmax(s, axis=1)
-        top = s[rows, best]
-        np.greater_equal(s, (top * (1.0 - NEAR_RTOL))[:, None], out=near[:n])
-        if np.count_nonzero(near[:n]) == n:  # no near-tie: scan the winners alone
-            zr = zr[rows, :, best, None]
-        codebooks = _unit_rows(complex_pairs(zr))
-        cos2 = np.abs(np.einsum("gcn,gn->gc", codebooks, u[lo:hi])) ** 2
-        best = np.argmax(cos2, axis=1)[:, None]
-        dirs[lo:hi] = np.take_along_axis(codebooks, best[..., None], axis=1)[:, 0]
-        sin2[lo:hi] = 1.0 - np.take_along_axis(cos2, best, axis=1)[:, 0]
+        winners = _unit_rows(complex_pairs(zr[np.arange(n), :, np.argmax(s, axis=1), None]))
+        dirs[lo:hi] = winners[:, 0]
+        sin2[lo:hi] = 1.0 - np.abs(np.einsum("gcn,gn->gc", winners, u[lo:hi]))[:, 0] ** 2
     return dirs.reshape(h.shape), sin2.reshape(n_trials, n_users)
 
 
@@ -253,10 +235,12 @@ def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.nd
     """Quantize every row of the T blocks h (T, K, nt) per spec; returns (directions, sin2 errors).
 
     Block t draws from rngs[t] (None for the kinds that draw nothing), in the
-    same order and amounts as when it is quantized alone.
+    same order and amounts as when it is quantized alone. With one antenna
+    a direction is a unit scalar, so every kind, like `perfect`, feeds back
+    the exact direction with zero error and draws nothing.
     """
     h = np.ascontiguousarray(h)  # any layout quantizes bit for bit like its C-ordered copy
-    if spec.kind == "perfect":
+    if spec.kind == "perfect" or h.shape[-1] == 1:
         return _unit_rows(h), np.zeros(h.shape[:2])
     if spec.kind == "rvq_statistical":
         return _quantize_statistical(h, spec.bits, rngs, 1.0)
@@ -265,9 +249,5 @@ def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.nd
         nt = h.shape[-1]
         return _quantize_statistical(h, spec.bits, rngs, (nt - 1) / nt)
     if spec.kind == "rvq_explicit":
-        dirs, sin2 = _quantize_rvq_explicit(h, spec.bits, rngs)
-    else:
-        dirs, sin2 = _quantize_scalar(h, spec.bits)
-    if h.shape[-1] == 1:  # every direction is exact; 1 - |cos|^2 would round to +-ulp
-        sin2[:] = 0.0
-    return dirs, sin2
+        return _quantize_rvq_explicit(h, spec.bits, rngs)
+    return _quantize_scalar(h, spec.bits)

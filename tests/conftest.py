@@ -283,7 +283,7 @@ def random_codebook(rng: np.random.Generator, bits: int, nt: int) -> np.ndarray:
 def quantize_rvq_explicit(h, bits, rng):
     """Explicit RVQ of one row: scan a fresh 2^B isotropic codebook; returns (codeword, sin2)."""
     codebook = random_codebook(rng, bits, h.shape[-1])
-    u = _unit_rows(h[None])[0]  # the engine's axis norm: at nt = 1 the pick hangs on its last bit
+    u = _unit_rows(h[None])[0]  # the engine's axis norm
     cos2 = np.abs(codebook @ u.conj()) ** 2
     best = int(np.argmax(cos2))
     return codebook[best], float(1.0 - cos2[best])
@@ -342,9 +342,13 @@ def _quantize_statistical(h, bits, rng, scale):
 
 
 def oracle_quantize_directions(h, spec, rng):
-    """Quantize the rows (K, nt) of one block per spec; returns (directions, sin2 errors)."""
+    """Quantize the rows (K, nt) of one block per spec; returns (directions, sin2 errors).
+
+    With one antenna every kind, like `perfect`, feeds back the exact
+    direction with zero error and draws nothing.
+    """
     nt = h.shape[1]
-    if spec.kind == "perfect":
+    if spec.kind == "perfect" or nt == 1:
         return _unit_rows(h), np.zeros(h.shape[0])
     if spec.kind in ("rvq_statistical", "idealized"):
         return _quantize_statistical(h, spec.bits, rng, 1.0 if spec.kind == "rvq_statistical"

@@ -29,6 +29,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(**kw)
 
+    @pytest.mark.parametrize("beta,snr", [(1.0, 1e-17), (1e-10, 1e-10), (1e3, 1e-300)])
+    def test_training_too_weak_to_estimate_rejected(self, beta, snr):
+        # 1 + beta*snr rounds to 1: the estimate would be 0 and every rate NaN
+        with pytest.raises(ValueError, match="too small to estimate the channel"):
+            _cfg(beta=beta, snr=snr)
+
 
 class TestDrawBlock:
     def test_perfect_csi_aliases(self):

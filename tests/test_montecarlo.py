@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbsim import montecarlo
 from fbsim.montecarlo import (
+    SCHEMES,
     ExperimentConfig,
     FeedbackBudgetError,
     feasible_b_values,
@@ -19,6 +20,7 @@ from fbsim.montecarlo import (
 )
 from fbsim.numerics import RngStream, rng_streams
 from fbsim.quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
+from fbsim.schemes import SELECTIONS, ZF_CQI_KINDS
 
 
 def _cfg(**kw):
@@ -194,6 +196,34 @@ class TestFeasibleGrid:
             if not (expensive and b > 12):
                 assert math.isfinite(run_point(replace(cfg, trials=1), b).mean)
 
+    # The explicit-RVQ and PU2RC points are capped in B to bound the time.
+    # snr_db stays well inside the linear SNR's range; from about 3070 dB on,
+    # snr * |h|^2 overflows inside a trial.
+    @given(scheme=st.sampled_from(SCHEMES), nt=st.integers(1, 8), snr_db=st.floats(-300.0, 300.0),
+           tfb=st.integers(0, 120), seed=st.integers(0, 2**64 - 1),
+           quantizer=st.sampled_from(QUANTIZER_KINDS), cqi_kind=st.sampled_from(ZF_CQI_KINDS),
+           selection=st.sampled_from(SELECTIONS), cqi_bits=st.sampled_from([None, 0, 1, 3]),
+           beta=st.none() | st.floats(-1.0, 1e6), r=st.floats(-0.1, 1.1), relaxed=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_config_is_refused_or_runs_finite(self, scheme, nt, snr_db, tfb, seed, quantizer,
+                                                  cqi_kind, selection, cqi_bits, beta, r, relaxed):
+        try:
+            cfg = ExperimentConfig(scheme=scheme, nt=nt, snr_db=snr_db, tfb=tfb, trials=2, seed=seed,
+                                   quantizer=quantizer, cqi_kind=cqi_kind, selection=selection,
+                                   cqi_bits=cqi_bits, beta=beta, r=r, relaxed_user_grid=relaxed)
+        except ValueError:
+            return
+        cap = 8 if scheme == "pu2rc" else 10 if quantizer == "rvq_explicit" else math.inf
+        b_values = tuple(b for b in feasible_b_values(cfg) if b <= cap)
+        if b_values:
+            for est in sweep_b(replace(cfg, b_values=b_values)):
+                assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+
+    def test_training_too_weak_to_estimate_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="too small to estimate the channel"):
+            _cfg(snr_db=-170.0, beta=1.0)
+        assert math.isfinite(run_point(_cfg(snr_db=-150.0, beta=1.0, trials=4), 20).mean)
+
     def test_empty_grid_raises_in_sweep(self):
         cfg = _cfg(tfb=7, nt=4)
         with pytest.raises(FeedbackBudgetError):
@@ -217,6 +247,20 @@ CHUNK_CASES = {
 }
 
 
+# One small point per scheme for the CHUNK_ROWS property, with nt = 1 and the
+# training/delay/CQI-quantization branch.
+CHUNK_POINTS = {
+    "zf_nt1": (4, dict(nt=1, tfb=20, quantizer="rvq_explicit")),
+    "zf_training_delay_cqi_bits": (20, dict(tfb=125, cqi_bits=5, cqi_kind="expected_sinr",
+                                            beta=1.0, r=0.9)),
+    "zf_simplified_scalar": (3, dict(tfb=60, selection="simplified", quantizer="scalar", cqi_bits=2)),
+    "rbf": (4, dict(scheme="rbf", tfb=40)),
+    "pu2rc": (4, dict(scheme="pu2rc", tfb=40, beta=1.0, r=0.9)),
+    "subf_nt1": (4, dict(scheme="subf", nt=1, tfb=20, quantizer="scalar")),
+    "subf": (5, dict(scheme="subf", tfb=40, quantizer="idealized", r=0.9)),
+}
+
+
 class TestRunPoint:
     @pytest.mark.parametrize("case", list(CHUNK_CASES))
     def test_chunk_size_does_not_change_results(self, case, monkeypatch):
@@ -229,6 +273,18 @@ class TestRunPoint:
         monkeypatch.setattr(montecarlo, "CHUNK_ROWS", 7 * rows)  # 7 trials per chunk
         c = run_point(cfg, b)
         assert a == b1 == c
+
+    @given(case=st.sampled_from(list(CHUNK_POINTS)), chunk_rows=st.integers(1, 2**16))
+    @example(case="zf_nt1", chunk_rows=1)
+    @example(case="pu2rc", chunk_rows=2**16)
+    @settings(max_examples=300, deadline=None)
+    def test_any_chunk_rows_gives_the_same_estimate(self, case, chunk_rows):
+        b, kw = CHUNK_POINTS[case]
+        cfg = _cfg(trials=9, seed=5, **kw)
+        want = run_point(cfg, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "CHUNK_ROWS", chunk_rows)
+            assert run_point(cfg, b) == want
 
     @pytest.mark.parametrize("b,kw", [
         (20, dict()),
@@ -418,12 +474,19 @@ class TestSchemesThroughEngine:
         est = run_point(_cfg(scheme=scheme, nt=1, tfb=20, trials=5, quantizer=quantizer), 4)
         assert math.isfinite(est.mean) and est.mean > 0.0
 
-    @pytest.mark.parametrize("scheme", ["zf", "subf"])
-    def test_single_antenna_quantizers_agree(self, scheme):
-        # at nt = 1 every quantizer feeds back the exact direction, up to its phase
-        means = [run_point(_cfg(scheme=scheme, nt=1, tfb=20, trials=50, quantizer=q), 4).mean
-                 for q in ("perfect", "scalar", "rvq_statistical", "rvq_explicit")]
-        np.testing.assert_allclose(means, means[0], rtol=1e-12)
+    @pytest.mark.parametrize("kw", [dict(), dict(cqi_kind="expected_sinr"), dict(scheme="subf")],
+                             ids=["zf", "zf_expected_sinr", "subf"])
+    def test_single_antenna_quantizers_agree(self, kw):
+        # at nt = 1 every quantizer feeds back the exact direction and draws nothing
+        trials = 20
+        cfgs = [_cfg(nt=1, tfb=20, trials=trials, quantizer=q, **kw) for q in QUANTIZER_KINDS]
+        rates = [montecarlo._trial_chunk(c, 4, list(rng_streams(0, 0, trials))) for c in cfgs]
+        for cfg, got in zip(cfgs, rates):
+            np.testing.assert_array_equal(got, rates[0])
+            per_trial = [run_trial(cfg, 4, RngStream(0, t)) for t in range(trials)]
+            np.testing.assert_array_equal(got, per_trial)
+        ests = [run_point(c, 4) for c in cfgs]
+        assert all(e == ests[0] for e in ests)
 
     def test_training_and_delay_reduce_rate(self):
         base = run_point(_cfg(trials=400), 20)
