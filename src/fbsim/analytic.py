@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .numerics import lambert_w_m1
@@ -30,45 +29,35 @@ def _check(snr: float, nt: int) -> None:
         raise ValueError(f"snr must be finite and > 0, got {snr}")
 
 
-@dataclass(frozen=True)
-class AnalyticParams:
-    snr: float
-    nt: int
-    tfb: float
-    b: float
+def _check_point(snr: float, nt: int, tfb: float, b: float) -> None:
+    """The point check of every closed form: _check, a finite tfb and b, log2 nt <= b <= tfb.
 
-    def __post_init__(self):
-        _check(self.snr, self.nt)
-        for name in ("tfb", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.b < math.log2(self.nt):
-            raise ValueError(f"b must be >= log2(nt)={math.log2(self.nt):.3f}")
-        if self.tfb < self.b:
-            raise ValueError("tfb must be >= b")
+    Past it, tfb*nt/b >= nt >= 2, so the closed forms' log(tfb*nt/b) is positive.
+    """
+    _check(snr, nt)
+    for name, value in (("tfb", tfb), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if b < math.log2(nt):
+        raise ValueError(f"b must be >= log2(nt)={math.log2(nt):.3f}")
+    if tfb < b:
+        raise ValueError("tfb must be >= b")
 
 
-def _diversity_log(tfb: float, nt: int, b: float) -> float:
-    ratio = tfb * nt / b
-    if ratio <= 1.0:
-        raise ValueError(f"tfb*nt/b must exceed 1, got {ratio}")
-    return math.log(ratio)
-
-
-def zf_rate_approx(p: AnalyticParams) -> float:
+def zf_rate_approx(snr: float, nt: int, tfb: float, b: float) -> float:
     """Closed-form ZF sum rate approximation (natural log inside, rate in bps/Hz)."""
-    s, nt = p.snr, p.nt
-    div = _diversity_log(p.tfb, nt, p.b)
-    sig = (s / nt) * div
-    interf = (s / nt) * 2.0 ** (-p.b / (nt - 1)) * div
+    _check_point(snr, nt, tfb, b)
+    div = math.log(tfb * nt / b)
+    sig = (snr / nt) * div
+    interf = (snr / nt) * 2.0 ** (-b / (nt - 1)) * div
     return nt * math.log2(1.0 + sig / (1.0 + interf))
 
 
-def zf_penalty_approx(p: AnalyticParams) -> float:
+def zf_penalty_approx(snr: float, nt: int, tfb: float, b: float) -> float:
     """Multi-user interference penalty relative to perfect CSI at equal user count."""
-    s, nt = p.snr, p.nt
-    div = _diversity_log(p.tfb, nt, p.b)
-    return nt * math.log2(1.0 + (s / nt) * 2.0 ** (-p.b / (nt - 1)) * div)
+    _check_point(snr, nt, tfb, b)
+    div = math.log(tfb * nt / b)
+    return nt * math.log2(1.0 + (snr / nt) * 2.0 ** (-b / (nt - 1)) * div)
 
 
 def _b_interval(nt: int, tfb: float) -> tuple[float, float]:
@@ -147,7 +136,7 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
     elif flo < 0 and (peak := _positive_residual(lo, hi, snr, nt, tfb)) is not None:
         roots += [_bisect_root(lo, peak, flo, snr, nt, tfb),
                   _bisect_root(peak, hi, _bopt_residual(peak, snr, nt, tfb), snr, nt, tfb)]
-    b = max([*roots, lo, hi], key=lambda x: zf_rate_approx(AnalyticParams(snr, nt, tfb, x)))
+    b = max([*roots, lo, hi], key=lambda x: zf_rate_approx(snr, nt, tfb, x))
     return FixedPointResult(b=b, at_boundary=b in (lo, hi), residual=_bopt_residual(b, snr, nt, tfb))
 
 
@@ -185,8 +174,8 @@ def subf_rate_approx(snr: float, nt: int, tfb: float, b: float) -> float:
 
     It drops the small 2^{-B/(nt-1)} log(B) term of the (1 - 2^{-B/(nt-1)}) form.
     """
-    _check(snr, nt)
-    div = _diversity_log(tfb, nt, b)
+    _check_point(snr, nt, tfb, b)
+    div = math.log(tfb * nt / b)
     inner = 1.0 + snr * (div - 2.0 ** (-b / (nt - 1)) * math.log(tfb * nt))
     if inner <= 0.0:
         raise ValueError("rate approximation argument is nonpositive for these parameters")

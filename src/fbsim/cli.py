@@ -162,7 +162,7 @@ class Preset:
 
 
 def _penalty(cfg, b):
-    return analytic.zf_penalty_approx(analytic.AnalyticParams(cfg.snr, cfg.nt, cfg.tfb, b))
+    return analytic.zf_penalty_approx(cfg.snr, cfg.nt, cfg.tfb, b)
 
 
 def _subf_approx(cfg, b):

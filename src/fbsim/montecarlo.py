@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import ChannelModelConfig, draw_block, draw_blocks
+from .channel import draw_block, draw_blocks
 from .numerics import RngStream, haar_orthonormal_stack, rng_streams
 from .quantization import CqiQuantizerSpec, QuantizerSpec, orthoset_count
 from .schemes import (
@@ -60,8 +60,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        # Up to 3000 dB (a linear SNR of 1e300), snr * |h|^2 stays far inside the float
+        # range; from about 3074 dB it overflows inside a trial.
+        if not (math.isfinite(self.snr_db) and self.snr_db <= 3000.0):
+            raise ValueError(f"snr_db must be finite and at most 3000 dB, got {self.snr_db}")
         if self.tfb < 1:
             raise ValueError(f"tfb must be >= 1, got {self.tfb}")
         if self.cqi_bits is not None and self.cqi_bits < 0:
@@ -71,19 +73,30 @@ class ExperimentConfig:
         if self.scheme == "zf" and self.cqi_kind not in ZF_CQI_KINDS:
             raise ValueError(f"unsupported CQI kind for ZF {self.cqi_kind!r}; known: {ZF_CQI_KINDS}")
         QuantizerSpec(self.quantizer, 1)  # the quantizer kind
-        try:
-            snr = self.snr
-        except OverflowError:
-            raise ValueError(f"snr_db={self.snr_db} overflows the linear SNR") from None
-        if snr == 0.0:
+        if self.snr == 0.0:
             raise ValueError(f"snr_db={self.snr_db} underflows the linear SNR to 0")
-        self.channel_config(1)  # the channel model's rules: nt, r and beta
+        if self.nt < 1:
+            raise ValueError(f"nt must be >= 1, got {self.nt}")
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError(f"r must be in [0, 1], got {self.r}")
+        # beta = 0 would leave the receiver with no channel estimate at all (h_est = 0)
+        if self.beta is not None and not self.beta > 0.0:
+            raise ValueError(f"beta must be > 0 (omit it for perfect receiver CSI), got {self.beta}")
+        if self.estimation_error_var == 1.0:  # 1 + beta*snr rounds to 1: every estimate would be 0
+            raise ValueError(f"beta * snr = {self.beta * self.snr:g} is too small to estimate the channel")
         for b in self.b_values:
             self.users_for(b)
 
     @property
     def snr(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
+
+    @property
+    def estimation_error_var(self) -> float:
+        """Variance of the receiver's channel-estimation error: 0 for perfect receiver CSI."""
+        if self.beta is None:
+            return 0.0
+        return 1.0 / (1.0 + self.beta * self.snr)
 
     def b_problem(self, b: int) -> str | None:
         """Why B cannot run under this config, or None if it can."""
@@ -131,15 +144,6 @@ class ExperimentConfig:
             raise FeedbackBudgetError(f"{problem}; feasible values: {feasible_b_values(self)}")
         return self.tfb // (b + (self.cqi_bits or 0))
 
-    def channel_config(self, users: int) -> ChannelModelConfig:
-        return ChannelModelConfig(
-            nt=self.nt,
-            num_users=users,
-            snr=self.snr,
-            beta=self.beta,
-            r=self.r,
-        )
-
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -159,7 +163,7 @@ def feasible_b_values(cfg: ExperimentConfig) -> list[int]:
 def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     """Simulate one coherence block and return its sum rate."""
     rng = stream.generator()
-    realization = draw_block(cfg.channel_config(cfg.users_for(b)), rng)
+    realization = draw_block(rng, cfg.users_for(b), cfg.nt, cfg.estimation_error_var, cfg.r)
     qspec, cqi_q, _ = cfg.trial_specs(b)
     if cfg.scheme == "zf":
         out = zf_block(realization, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
@@ -180,7 +184,7 @@ def _trial_chunk(cfg: ExperimentConfig, b: int, rngs: list[np.random.Generator])
     its channel block, then its codebook or quantizer draws. The draws land
     in chunk buffers and the rest of the trial runs on the stacks.
     """
-    block = draw_blocks(cfg.channel_config(cfg.users_for(b)), rngs)
+    block = draw_blocks(rngs, cfg.users_for(b), cfg.nt, cfg.estimation_error_var, cfg.r)
     qspec, cqi_q, sets = cfg.trial_specs(b)
     if cfg.scheme == "zf":
         out = zf_blocks(block.h_est, block.h_delayed, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fbsim.analytic import LN2, AnalyticParams, InfeasibleRegimeError, _check, zf_bopt_fixed_point
+from fbsim.analytic import LN2, InfeasibleRegimeError, _check, zf_bopt_fixed_point
 from fbsim.cli import ResultRow
 from fbsim.channel import ChannelRealization
 from fbsim.numerics import (SingularSetError, complex_pairs, haar_orthonormal_sets, lambert_w_m1,
@@ -109,17 +109,16 @@ def phi_from_training_delay(r: float, beta: float, snr: float) -> float:
     return 1.0 - r**2 + 1.0 / (1.0 + beta * snr)
 
 
-def zf_rate_training_delay(p: AnalyticParams, phi: float) -> float:
+def zf_rate_training_delay(snr: float, nt: int, tfb: float, b: float, phi: float) -> float:
     """The training/delay variant of zf_rate_approx.
 
     Its extra interference term phi*nt/(nt-1)*snr sits alongside the quantization
     interference, so it equals zf_rate_approx at snr / (1 + phi*nt/(nt-1)*snr).
     """
-    s, nt = p.snr, p.nt
-    div = math.log(p.tfb * nt / p.b)
-    sig = (s / nt) * div
-    interf = (s / nt) * 2.0 ** (-p.b / (nt - 1)) * div
-    denom = 1.0 + phi * nt / (nt - 1) * s + interf
+    div = math.log(tfb * nt / b)
+    sig = (snr / nt) * div
+    interf = (snr / nt) * 2.0 ** (-b / (nt - 1)) * div
+    denom = 1.0 + phi * nt / (nt - 1) * snr + interf
     return nt * math.log2(1.0 + sig / denom)
 
 
@@ -254,20 +253,19 @@ def sample_rvq_sin2(rng: np.random.Generator, bits: int, nt: int, count: int) ->
 # the generator calls fbsim made before it drew whole chunks into buffers.
 # The stacked kernels must reproduce them from the same streams.
 
-def oracle_draw_block(cfg, rng) -> ChannelRealization:
+def oracle_draw_block(rng, num_users, nt, sigma2=0.0, r=1.0) -> ChannelRealization:
     """One coherence block, drawn with one complex_gaussian call per draw kind."""
-    shape = (cfg.num_users, cfg.nt)
-    sigma2 = cfg.estimation_error_var
+    shape = (num_users, nt)
     if sigma2 == 0.0:
         h = complex_gaussian(rng, shape)
         h_est = h
     else:
         h_est = math.sqrt(1.0 - sigma2) * complex_gaussian(rng, shape)
         h = h_est + math.sqrt(sigma2) * complex_gaussian(rng, shape)
-    if cfg.r == 1.0:
+    if r == 1.0:
         h_delayed = h
     else:
-        h_delayed = cfg.r * h + math.sqrt(1.0 - cfg.r**2) * complex_gaussian(rng, shape)
+        h_delayed = r * h + math.sqrt(1.0 - r**2) * complex_gaussian(rng, shape)
     return ChannelRealization(h=h, h_est=h_est, h_delayed=h_delayed)
 
 

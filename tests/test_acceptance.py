@@ -18,7 +18,7 @@ from conftest import (explicit_rvq_sin2_batch, rbf_matching_budget, read_csv, sa
                       zf_loss_bound, zf_rate_training_delay)
 from fbsim import analytic as A
 from fbsim import montecarlo
-from fbsim.channel import ChannelModelConfig, draw_block
+from fbsim.channel import draw_block
 from fbsim.cli import run_preset
 from fbsim.montecarlo import ExperimentConfig, run_point, sweep_b
 from fbsim.numerics import RngStream, lambert_w_m1
@@ -113,8 +113,7 @@ def test_criterion_04_low_bit_slope():
     cfg = _zf_cfg(relaxed_user_grid=True, b_values=grid)
     means = [run_point(cfg, b, stream_offset=0).mean for b in grid]
     slope = float(np.polyfit(grid, means, 1)[0])
-    closed = [A.zf_rate_approx(A.AnalyticParams(cfg.snr, cfg.nt, cfg.users_for(b) * b, b))
-              for b in grid]
+    closed = [A.zf_rate_approx(cfg.snr, cfg.nt, cfg.users_for(b) * b, b) for b in grid]
     predicted = float(np.polyfit(grid, closed, 1)[0])
     norm = slope / predicted
     ok = 0.75 <= norm <= 1.25
@@ -128,10 +127,9 @@ def test_criterion_05_codebook_scheme_near_optimality(pu2rc_sweep):
     best = max(e.mean for e in pu2rc_sweep.values())
     at2 = pu2rc_sweep[2].mean
     # user thinning: larger per-user codebooks leave most beams unserved
-    cfg = ChannelModelConfig(nt=4, num_users=500 // 8, snr=10.0)
     sched = []
     for t in range(2000):
-        real = draw_block(cfg, RngStream(0, t).generator())
+        real = draw_block(RngStream(0, t).generator(), 500 // 8, 4)
         out = pu2rc_block(real, 8, 10.0, 4, RngStream(1, t).generator())
         sched.append(out.counts[0])
     mean_sched = float(np.mean(sched))
@@ -172,9 +170,9 @@ def test_criterion_08_training_delay_equivalence():
         b = float(rng.uniform(math.log2(nt) + 0.5, 30.0))
         tfb = float(b + rng.uniform(50.0, 500.0))
         phi = float(rng.uniform(0.0, 0.5))
-        lhs = zf_rate_training_delay(A.AnalyticParams(snr, nt, tfb, b), phi)
+        lhs = zf_rate_training_delay(snr, nt, tfb, b, phi)
         snr_eff = snr / (1.0 + phi * nt / (nt - 1) * snr)
-        rhs = A.zf_rate_approx(A.AnalyticParams(snr_eff, nt, tfb, b))
+        rhs = A.zf_rate_approx(snr_eff, nt, tfb, b)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     perfect = run_point(_zf_cfg(b_values=(20,)), 20)
     impaired = run_point(_zf_cfg(beta=1.0, r=0.95, b_values=(20,)), 20)
@@ -219,8 +217,7 @@ def test_criterion_09_scalar_and_idealized_quantizers(zf_sweep_10db):
 def _closed_form_bopt(cfg, cqi_bits):
     """Continuous B maximizing zf_rate_approx with K = T_fb/(B + cqi_bits) users."""
     bs = np.arange(math.log2(cfg.nt), cfg.tfb / cfg.nt, 1e-3)
-    rates = [A.zf_rate_approx(A.AnalyticParams(cfg.snr, cfg.nt, cfg.tfb * b / (b + cqi_bits), b))
-             for b in bs]
+    rates = [A.zf_rate_approx(cfg.snr, cfg.nt, cfg.tfb * b / (b + cqi_bits), b) for b in bs]
     return float(bs[int(np.argmax(rates))])
 
 

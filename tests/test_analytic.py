@@ -30,30 +30,33 @@ class TestLossBound:
 
 class TestRateApprox:
     def test_frozen_anchor(self):
-        p = A.AnalyticParams(snr=10.0, nt=4, tfb=300, b=20)
-        assert abs(A.zf_rate_approx(p) - 13.457708942783004) < 1e-9
+        assert abs(A.zf_rate_approx(snr=10.0, nt=4, tfb=300, b=20) - 13.457708942783004) < 1e-9
 
     def test_penalty_positive_and_decreasing(self):
-        pens = [A.zf_penalty_approx(A.AnalyticParams(10.0, 4, 300, b)) for b in (10, 15, 20, 25)]
+        pens = [A.zf_penalty_approx(10.0, 4, 300, b) for b in (10, 15, 20, 25)]
         assert all(p > 0 for p in pens)
         assert all(b < a for a, b in zip(pens, pens[1:]))
 
     def test_peak_near_fixed_point(self):
         b_star = A.zf_bopt_fixed_point(10.0, 4, 300).b
-        r = lambda b: A.zf_rate_approx(A.AnalyticParams(10.0, 4, 300, b))
+        r = lambda b: A.zf_rate_approx(10.0, 4, 300, b)
         assert r(b_star) > r(b_star - 2.0)
         assert r(b_star) > r(b_star + 2.0)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            A.AnalyticParams(10.0, 4, 300, 1.0)  # below log2(nt)
-        with pytest.raises(ValueError):
-            A.AnalyticParams(10.0, 4, 10, 20)  # budget below b
+    # Every closed form runs the same point check.
+    @pytest.mark.parametrize("form", [A.zf_rate_approx, A.zf_penalty_approx, A.subf_rate_approx],
+                             ids=["rate_approx", "penalty", "subf"])
+    def test_parameter_validation(self, form):
+        with pytest.raises(ValueError, match="b must be >= log2"):
+            form(10.0, 4, 300, 0.5)
+        with pytest.raises(ValueError, match="tfb must be >= b"):
+            form(10.0, 4, 300, 500)
         valid = dict(snr=10.0, nt=4, tfb=300, b=20)
+        assert math.isfinite(form(**valid))
         for name, value in [("snr", 0.0), ("snr", -1.0), ("snr", math.nan), ("snr", math.inf),
                             ("tfb", math.nan), ("tfb", math.inf), ("b", math.nan), ("b", math.inf)]:
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                A.AnalyticParams(**{**valid, name: value})
+                form(**{**valid, name: value})
 
     @given(snr_db=st.lists(st.floats(-60.0, 300.0), min_size=2, max_size=2), nt=st.integers(2, 8),
            b_extra=st.floats(0.0, 100.0), tfb_extra=st.floats(0.0, 5000.0))
@@ -61,7 +64,7 @@ class TestRateApprox:
     def test_rate_is_finite_and_non_decreasing_in_snr(self, snr_db, nt, b_extra, tfb_extra):
         # Where the rate saturates, a higher SNR can round it down by a few ulps.
         b = math.log2(nt) + b_extra
-        lo, hi = (A.zf_rate_approx(A.AnalyticParams(10.0 ** (x / 10.0), nt, b + tfb_extra, b))
+        lo, hi = (A.zf_rate_approx(10.0 ** (x / 10.0), nt, b + tfb_extra, b)
                   for x in sorted(snr_db))
         assert math.isfinite(lo) and math.isfinite(hi)
         assert hi >= lo * (1.0 - 1e-12)
@@ -149,7 +152,7 @@ class TestBitOptimizers:
         fp = A.zf_bopt_fixed_point(snr, nt, tfb)
         assert not fp.at_boundary and abs(fp.residual) < 1e-9
         assert fp.b == pytest.approx(want, rel=1e-9)
-        rate = lambda b: A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, b))
+        rate = lambda b: A.zf_rate_approx(snr, nt, tfb, b)
         assert rate(fp.b) > max(rate(lo), rate(hi))
 
     def test_fixed_point_is_the_best_b_on_the_grid(self):
@@ -168,7 +171,7 @@ class TestBitOptimizers:
                     fp = A.zf_bopt_fixed_point(snr, nt, tfb)
                     boundary += fp.at_boundary
                     assert fp.at_boundary == (fp.b in (lo, hi))
-                    got = A.zf_rate_approx(A.AnalyticParams(snr, nt, tfb, fp.b))
+                    got = A.zf_rate_approx(snr, nt, tfb, fp.b)
                     assert got == pytest.approx(_zf_rates(snr, nt, tfb, fp.b), rel=1e-13)
                     best = _zf_rates(snr, nt, tfb, np.linspace(lo, hi, 200)).max()
                     assert got >= best * (1.0 - BOPT_RTOL), (snr_db, nt, tfb)
@@ -214,8 +217,8 @@ class TestSingleAntenna:
     """The closed forms divide by nt - 1; nt = 1 is a ValueError, not a ZeroDivisionError."""
 
     @pytest.mark.parametrize("call", [
-        lambda: A.zf_rate_approx(A.AnalyticParams(10.0, 1, 300, 5)),
-        lambda: A.zf_penalty_approx(A.AnalyticParams(10.0, 1, 300, 5)),
+        lambda: A.zf_rate_approx(10.0, 1, 300, 5),
+        lambda: A.zf_penalty_approx(10.0, 1, 300, 5),
         lambda: A.zf_bopt_fixed_point(10.0, 1, 300),
         lambda: A.zf_bopt_lambert(10.0, 1, 300),
         lambda: A.subf_rate_approx(10.0, 1, 300, 5),
@@ -239,15 +242,15 @@ class TestTrainingDelay:
             b = float(rng.uniform(math.log2(nt) + 0.5, 30.0))
             tfb = float(b + rng.uniform(50.0, 500.0))
             phi = float(rng.uniform(0.0, 0.5))
-            lhs = zf_rate_training_delay(A.AnalyticParams(snr, nt, tfb, b), phi)
+            lhs = zf_rate_training_delay(snr, nt, tfb, b, phi)
             snr_eff = snr / (1.0 + phi * nt / (nt - 1) * snr)
-            rhs = A.zf_rate_approx(A.AnalyticParams(snr_eff, nt, tfb, b))
+            rhs = A.zf_rate_approx(snr_eff, nt, tfb, b)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_with_training_delay_constructor(self):
-        p = A.AnalyticParams(10.0, 4, 300, 20)
-        assert zf_rate_training_delay(p, 0.0) == A.zf_rate_approx(p)
-        assert zf_rate_training_delay(p, phi_from_training_delay(0.95, 1.0, 10.0)) < A.zf_rate_approx(p)
+        p = (10.0, 4, 300, 20)
+        assert zf_rate_training_delay(*p, 0.0) == A.zf_rate_approx(*p)
+        assert zf_rate_training_delay(*p, phi_from_training_delay(0.95, 1.0, 10.0)) < A.zf_rate_approx(*p)
 
 
 class TestMatchingBudget:

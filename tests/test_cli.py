@@ -375,10 +375,11 @@ class TestMainExitCodes:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("key,value,message", [
-        ("snr_db", "4000", "snr_db=4000.0 overflows the linear SNR"),
+        ("snr_db", "3074", "snr_db must be finite and at most 3000 dB, got 3074.0"),
+        ("snr_db", "4000", "snr_db must be finite and at most 3000 dB, got 4000.0"),
         ("snr_db", "-4000", "snr_db=-4000.0 underflows the linear SNR to 0"),
         ("seed", "-1", "seed must be >= 0"),
-    ], ids=["snr_overflow", "snr_underflow", "negative_seed"])
+    ], ids=["snr_above_ceiling", "snr_overflow", "snr_underflow", "negative_seed"])
     def test_out_of_range_field_is_exit_2_and_writes_nothing(self, tmp_path, capsys,
                                                              key, value, message):
         ini = tmp_path / "exp.ini"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_draw_block
 from fbsim import montecarlo
 from fbsim.montecarlo import (
     SCHEMES,
@@ -76,11 +77,17 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(selection="exhaustive"), dict(cqi_kind="rbf_sinr"),
                                     dict(beta=-1.0), dict(beta=0.0), dict(r=-0.1),
                                     dict(snr_db=float("inf")), dict(seed=-1),
-                                    # linear SNRs 10^400 (overflows a float) and 10^-400 (0.0)
-                                    dict(snr_db=4000.0), dict(snr_db=-4000.0)])
+                                    # above the 3000 dB ceiling; 3074 dB overflowed inside a trial,
+                                    # and 10^400 overflows a float
+                                    dict(snr_db=3001.0), dict(snr_db=3074.0), dict(snr_db=4000.0),
+                                    # a linear SNR of 10^-400 underflows to 0.0
+                                    dict(snr_db=-4000.0)])
     def test_other_invalid_fields_rejected(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
+
+    def test_snr_ceiling_is_accepted(self):
+        assert _cfg(snr_db=3000.0).snr == 1e300
 
     @pytest.mark.parametrize("scheme", ["zf", "subf", "rbf", "pu2rc"])
     def test_orthosets_rejected_for_per_user_quantizer_schemes(self, scheme):
@@ -121,11 +128,11 @@ class TestConfig:
     def test_zf_only_fields_are_free_for_other_schemes(self):
         assert _cfg(scheme="rbf", cqi_kind="rbf_sinr").cqi_kind == "rbf_sinr"
 
-    def test_channel_config_training(self):
-        cfg = _cfg(beta=1.0, r=0.9)
-        ch = cfg.channel_config(5)
-        assert ch.beta == 1.0 and ch.r == 0.9
-        assert _cfg().channel_config(5).beta is None
+    def test_perfect_rx_csi_has_zero_error(self):
+        assert _cfg(beta=None).estimation_error_var == 0.0
+
+    def test_training_error_variance(self):
+        assert abs(_cfg(beta=1.0, snr_db=10.0).estimation_error_var - 1.0 / 11.0) < 1e-15
 
 
 class TestFeasibleGrid:
@@ -197,9 +204,9 @@ class TestFeasibleGrid:
                 assert math.isfinite(run_point(replace(cfg, trials=1), b).mean)
 
     # The explicit-RVQ and PU2RC points are capped in B to bound the time.
-    # snr_db stays well inside the linear SNR's range; from about 3070 dB on,
-    # snr * |h|^2 overflows inside a trial.
-    @given(scheme=st.sampled_from(SCHEMES), nt=st.integers(1, 8), snr_db=st.floats(-300.0, 300.0),
+    # snr_db reaches past both ends of the accepted range: above the 3000 dB
+    # ceiling and below about -3240 dB, where the linear SNR underflows to 0.
+    @given(scheme=st.sampled_from(SCHEMES), nt=st.integers(1, 8), snr_db=st.floats(-4000.0, 4000.0),
            tfb=st.integers(0, 120), seed=st.integers(0, 2**64 - 1),
            quantizer=st.sampled_from(QUANTIZER_KINDS), cqi_kind=st.sampled_from(ZF_CQI_KINDS),
            selection=st.sampled_from(SELECTIONS), cqi_bits=st.sampled_from([None, 0, 1, 3]),
@@ -219,9 +226,13 @@ class TestFeasibleGrid:
             for est in sweep_b(replace(cfg, b_values=b_values)):
                 assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
-    def test_training_too_weak_to_estimate_is_refused_at_construction(self):
+    # beta * snr = 1e-17, 1e-20 and 1e-297: 1 + beta*snr rounds to 1, so the estimate would be 0
+    @pytest.mark.parametrize("beta,snr_db", [(1.0, -170.0), (1e-10, -100.0), (1e3, -3000.0)])
+    def test_training_too_weak_to_estimate_is_refused_at_construction(self, beta, snr_db):
         with pytest.raises(ValueError, match="too small to estimate the channel"):
-            _cfg(snr_db=-170.0, beta=1.0)
+            _cfg(snr_db=snr_db, beta=beta)
+
+    def test_weak_training_runs_finite(self):
         assert math.isfinite(run_point(_cfg(snr_db=-150.0, beta=1.0, trials=4), 20).mean)
 
     def test_empty_grid_raises_in_sweep(self):
@@ -492,6 +503,16 @@ class TestSchemesThroughEngine:
         base = run_point(_cfg(trials=400), 20)
         worse = run_point(_cfg(trials=400, beta=1.0, r=0.9), 20)
         assert worse.mean < base.mean
+
+    def test_training_and_delay_reach_the_draw(self, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(montecarlo, "draw_blocks", _recording(montecarlo.draw_blocks, blocks))
+        montecarlo._trial_chunk(_cfg(beta=1.0, r=0.9), 20, list(rng_streams(0, 0, 3)))
+        for t, rng in enumerate(rng_streams(0, 0, 3)):
+            # 5 users at B=20; one pilot per antenna at 10 dB leaves an error variance of 1/11
+            want = oracle_draw_block(rng, 5, 4, 1.0 / 11.0, 0.9)
+            for name in ("h", "h_est", "h_delayed"):
+                np.testing.assert_array_equal(getattr(blocks[0], name)[t], getattr(want, name))
 
 
 class TestSweep:

@@ -17,7 +17,7 @@ from conftest import (
     zf_realized_sinr,
 )
 from fbsim import schemes
-from fbsim.channel import ChannelModelConfig, ChannelRealization, draw_block, draw_blocks
+from fbsim.channel import ChannelRealization, draw_block, draw_blocks
 from fbsim.numerics import RngStream, SingularSetError, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import (
     QUANTIZER_KINDS,
@@ -240,7 +240,7 @@ class TestCandidateScoring:
         # scalar quantization at 2 bits leaves few distinct directions: exactly dependent sets
         nt, users, trials, snr = 4, 12, 30, 10.0
         rngs = [RngStream(31, t).generator() for t in range(trials)]
-        h = draw_blocks(ChannelModelConfig(nt=nt, num_users=users, snr=snr), rngs).h_est
+        h = draw_blocks(rngs, users, nt).h_est
         dirs = quantize_directions(h, QuantizerSpec(kind, bits), rngs)[0]
         if not contiguous:  # every other antenna slot of a wider buffer
             wide = np.zeros((trials, users, 2 * nt), dtype=complex)
@@ -323,8 +323,7 @@ class TestZfBlock:
         from fbsim.quantization import CqiQuantizerSpec
 
         rng = RngStream(11).generator()
-        cfg = ChannelModelConfig(nt=4, num_users=15, snr=10.0)
-        real = draw_block(cfg, rng)
+        real = draw_block(rng, 15, 4)
         spec = QuantizerSpec("rvq_statistical", 10)
         for selection in ("greedy", "simplified"):
             out = zf_block(real, spec, "norm2", 10.0, 4, selection=selection, rng=rng,
@@ -360,7 +359,7 @@ class TestZfProperties:
                                                      selection, cqi_kind):
         snr = 10.0 ** (snr_db / 10.0)
         rngs = [RngStream(seed, t).generator() for t in range(trials)]
-        block = draw_blocks(ChannelModelConfig(nt=nt, num_users=users, snr=snr), rngs)
+        block = draw_blocks(rngs, users, nt)
         out = _perfect_zf_blocks(block.h_est, block.h_delayed, snr, selection, cqi_kind)
         for t in range(trials):
             h = block.h[t, out.selected[t, :out.counts[t]]]
@@ -374,7 +373,7 @@ class TestZfProperties:
                                                              selection, cqi_kind):
         snr = 10.0 ** (snr_db / 10.0)
         rngs = [RngStream(seed, t).generator() for t in range(trials)]
-        block = draw_blocks(ChannelModelConfig(nt=nt, num_users=users, snr=snr), rngs)
+        block = draw_blocks(rngs, users, nt)
         out = _perfect_zf_blocks(block.h_est, block.h_delayed, snr, selection, cqi_kind)
         for t in range(trials):
             norms2 = np.linalg.norm(block.h[t], axis=1) ** 2
@@ -393,9 +392,8 @@ class TestZfProperties:
                                                             selection, cqi_kind, impaired):
         snr = 10.0 ** (snr_db / 10.0)
         rngs = [RngStream(seed, t).generator() for t in range(trials)]
-        chan = ChannelModelConfig(nt=nt, num_users=users, snr=snr,
-                                  beta=1.0 if impaired else None, r=0.9 if impaired else 1.0)
-        block = draw_blocks(chan, rngs)
+        block = draw_blocks(rngs, users, nt, 1.0 / (1.0 + snr) if impaired else 0.0,
+                            0.9 if impaired else 1.0)
         rates = _perfect_zf_blocks(block.h_est, block.h_delayed, snr, selection, cqi_kind).sum_rates
         rng = RngStream(seed, trials).generator()
         phase = np.exp(2j * np.pi * rng.random((trials, users, 1)))
@@ -411,8 +409,7 @@ class TestZfProperties:
     @pytest.mark.parametrize("kind", QUANTIZER_KINDS)
     def test_strided_stacks_give_the_contiguous_blocks(self, kind, selection):
         # permuted and Fortran-ordered channels have no contiguous last axis, so no real view
-        chan = ChannelModelConfig(nt=4, num_users=9, snr=10.0, beta=1.0, r=0.9)
-        block = draw_blocks(chan, [RngStream(27, t).generator() for t in range(3)])
+        block = draw_blocks([RngStream(27, t).generator() for t in range(3)], 9, 4, 1.0 / 11.0, 0.9)
         perm = [2, 0, 3, 1]
         h_est, h_delayed = block.h_est[..., perm], block.h_delayed[..., perm]
 
@@ -446,19 +443,22 @@ class TestBatchedZfAgainstPerTrialOracle:
     meet either rule."""
 
     @staticmethod
-    def _check(seed, trials, chan, spec, cqi_kind, selection, cqi_q):
-        """Compare the engine with the oracle on `trials` streams; returns the trials a rule decided."""
-        snr, nt = chan.snr, chan.nt
+    def _check(seed, trials, chan, snr, spec, cqi_kind, selection, cqi_q):
+        """Compare the engine with the oracle on `trials` streams; returns the trials a rule decided.
+
+        chan holds draw_blocks' arguments after the generators: num_users, nt, then sigma2 and r.
+        """
+        nt = chan[1]
         streams = [RngStream(seed, t) for t in range(trials)]
         rngs = [s.generator() for s in streams]
-        block = draw_blocks(chan, rngs)
+        block = draw_blocks(rngs, *chan)
         out = zf_blocks(block.h_est, block.h_delayed, spec, cqi_kind, snr, nt, selection, rngs, cqi_q)
         sum_rates = out.sum_rates
         ruled_trials = 0
         for t, stream in enumerate(streams):
             rng = stream.generator()
             (want_sel, want_rate), ruled, (bare_sel, bare_rate) = oracle_zf_block(
-                oracle_draw_block(chan, rng), spec, cqi_kind, snr, nt, selection, rng, cqi_q)
+                oracle_draw_block(rng, *chan), spec, cqi_kind, snr, nt, selection, rng, cqi_q)
             got_sel = list(out.selected[t, :out.counts[t]])
             assert got_sel == want_sel, f"trial {t}"
             assert abs(sum_rates[t] - want_rate) <= 1e-12, f"trial {t}"
@@ -473,12 +473,11 @@ class TestBatchedZfAgainstPerTrialOracle:
         nt = (2, 3, 4)[case % 3]
         users = ORACLE_USERS[case % len(ORACLE_USERS)]
         snr = (1.0, 10.0, 100.0)[case % 3 - 1]
-        chan = ChannelModelConfig(nt=nt, num_users=users, snr=snr,
-                                  beta=1.0 if case % 3 == 1 else None, r=0.95)
+        chan = (users, nt, 1.0 / (1.0 + snr) if case % 3 == 1 else 0.0, 0.95)
         cqi_q = None
         if case % 2:
             cqi_q = CqiQuantizerSpec.around_mean(3, nt if cqi_kind == "norm2" else snr)
-        ruled = self._check(case, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits), cqi_kind,
+        ruled = self._check(case, ORACLE_TRIALS, chan, snr, QuantizerSpec(quantizer, bits), cqi_kind,
                             selection, cqi_q)
         if quantizer in ("rvq_statistical", "idealized", "perfect"):
             assert ruled == 0
@@ -488,8 +487,7 @@ class TestBatchedZfAgainstPerTrialOracle:
     def test_high_snr_coarse_codebooks(self, quantizer, bits, selection):
         # At 50 dB selection serves its worst-conditioned sets, where the beams from the
         # selection's inverse Gram matrix and the SVD reference differ most.
-        chan = ChannelModelConfig(nt=4, num_users=30, snr=1e5)
-        ruled = self._check(1, ORACLE_TRIALS, chan, QuantizerSpec(quantizer, bits), "norm2",
+        ruled = self._check(1, ORACLE_TRIALS, (30, 4), 1e5, QuantizerSpec(quantizer, bits), "norm2",
                             selection, None)
         if quantizer == "rvq_statistical":
             assert ruled == 0
@@ -498,8 +496,7 @@ class TestBatchedZfAgainstPerTrialOracle:
         # 3-bit scalar codebook, 2 antennas, 30 users and 3 CQI bits: many users share a
         # codeword up to phase and a CQI level, so greedy meets exact ties that the engine's
         # and the oracle's rounding would otherwise break differently.
-        chan = ChannelModelConfig(nt=2, num_users=30, snr=10.0)
-        self._check(0, 50, chan, QuantizerSpec("scalar", 3), "norm2", "greedy",
+        self._check(0, 50, (30, 2), 10.0, QuantizerSpec("scalar", 3), "norm2", "greedy",
                     CqiQuantizerSpec.around_mean(3, 2.0))
 
 
@@ -523,9 +520,8 @@ class TestOrthosetSchemes:
         assert out.counts[0] == 1
 
     def test_rbf_equals_single_set_pu2rc(self):
-        cfg = ChannelModelConfig(nt=4, num_users=20, snr=10.0)
         for trial in range(10):
-            real = draw_block(cfg, RngStream(13, trial).generator())
+            real = draw_block(RngStream(13, trial).generator(), 20, 4)
             a = rbf_block(real, 10.0, 4, RngStream(14, trial).generator())
             b = pu2rc_block(real, 2, 10.0, 4, RngStream(14, trial).generator())
             assert a.sum_rates[0] == b.sum_rates[0]
@@ -536,9 +532,8 @@ class TestOrthosetSchemes:
     def test_scheduled_users_sit_on_their_quantized_codeword(self, bits, users):
         # Each scheduled user fed back the (set, beam) that maximizes |h_est^H w|^2
         # over the whole codebook, so it is served on that set and beam.
-        cfg = ChannelModelConfig(nt=4, num_users=users, snr=10.0, beta=1.0)
         for trial in range(20):
-            real = draw_block(cfg, RngStream(30 + bits, trial).generator())
+            real = draw_block(RngStream(30 + bits, trial).generator(), users, 4, 1.0 / 11.0)
             cb = build_orthosets_codebook(bits, 4, RngStream(40 + bits, trial).generator())
             out = _orthoset_block(real, cb, snr=10.0, nt=4)
             n = out.counts[0]
@@ -549,8 +544,7 @@ class TestOrthosetSchemes:
                 np.testing.assert_array_equal(bf, cb[s][:, m])
 
     def test_pu2rc_uses_requested_codebook_size(self):
-        cfg = ChannelModelConfig(nt=4, num_users=10, snr=10.0)
-        real = draw_block(cfg, RngStream(15).generator())
+        real = draw_block(RngStream(15).generator(), 10, 4)
         out = pu2rc_block(real, 6, 10.0, 4, RngStream(16).generator())
         assert 0 <= out.sets[0] < 2**6 // 4
 
@@ -588,10 +582,9 @@ class TestSubf:
         assert abs(out.sum_rates[0] - expect) < 1e-12
 
     def test_quantized_direction_lowers_rate_on_average(self):
-        cfg = ChannelModelConfig(nt=4, num_users=10, snr=10.0)
         diffs = []
         for trial in range(200):
-            real = draw_block(cfg, RngStream(19, trial).generator())
+            real = draw_block(RngStream(19, trial).generator(), 10, 4)
             perfect = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
             coarse = subf_block(real, QuantizerSpec("rvq_statistical", 2), 10.0,
                                 rng=RngStream(20, trial).generator())
