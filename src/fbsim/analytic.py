@@ -172,11 +172,15 @@ def zf_bopt_lambert(snr: float, nt: int, tfb: float) -> float:
 def subf_rate_approx(snr: float, nt: int, tfb: float, b: float) -> float:
     """Single-user beamforming rate approximation, the form the B optimizer differentiates.
 
-    It drops the small 2^{-B/(nt-1)} log(B) term of the (1 - 2^{-B/(nt-1)}) form.
+    It drops the small 2^{-B/(nt-1)} log(B) term of the (1 - 2^{-B/(nt-1)}) form, so its
+    domain is log(tfb*nt/b) - 2^(-b/(nt-1))*log(tfb*nt) > -1/snr: small budgets such as
+    one user at b = log2 nt fall outside it.
     """
     _check_point(snr, nt, tfb, b)
-    div = math.log(tfb * nt / b)
-    inner = 1.0 + snr * (div - 2.0 ** (-b / (nt - 1)) * math.log(tfb * nt))
+    gain = math.log(tfb * nt / b) - 2.0 ** (-b / (nt - 1)) * math.log(tfb * nt)
+    inner = 1.0 + snr * gain
     if inner <= 0.0:
-        raise ValueError("rate approximation argument is nonpositive for these parameters")
+        raise ValueError(
+            f"subf_rate_approx needs log(tfb*nt/b) - 2^(-b/(nt-1))*log(tfb*nt) > -1/snr, got "
+            f"{gain:.6g} <= {-1.0 / snr:.6g} at snr={snr:g}, nt={nt}, tfb={tfb:g}, b={b:g}")
     return math.log2(inner)

@@ -208,6 +208,12 @@ def run_point(cfg: ExperimentConfig, b: int, stream_offset: int = 0) -> RateEsti
     """
     users = cfg.users_for(b)
     step = max(1, CHUNK_ROWS // cfg.trial_rows(b))
+    # Freeing an mmapped block makes glibc raise its trim threshold to twice the
+    # block's size (mallopt(3), "dynamic mmap threshold"). One untouched block of
+    # 256 bytes a row, above any chunk's peak, keeps the heap a chunk frees mapped
+    # for the next chunk instead of faulting it back in. It adds no resident
+    # pages, and other allocators simply ignore it.
+    np.empty(CHUNK_ROWS * 256, dtype=np.uint8)
     rngs = rng_streams(cfg.seed, stream_offset, cfg.trials)
     results = np.concatenate([_trial_chunk(cfg, b, list(islice(rngs, step)))
                               for _ in range(0, cfg.trials, step)])

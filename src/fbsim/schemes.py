@@ -59,12 +59,12 @@ def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_
     Schur complement s = G_cc - b^H A b, the squared norm of d_c projected
     orthogonal to S; the gains become 1 / (A_kk + |(Ab)_k|^2 / s) for k in S
     and s for c. Every (t, c) is scored at once, by one batched matmul and
-    real-view contractions; the rows (t, c) of cand_sets (P, 2) are the
-    candidates. Returns rate (T, K), s (T, K) and Ab (T, j, K); rate is -inf
-    off the candidates, where it is not finite, and on sets dependent on S by
-    DEPENDENT_RTOL. Only s needs that test: _zf_select starts A at 1 / G_cc
-    and grows it only by candidates with s > 0, so A's diagonal and every new
-    A_kk are positive.
+    real-view contractions; cand_sets (P,) holds the candidates as flat
+    indices t * K + c into the grid. Returns rate (T, K), s (T, K) and Ab
+    (T, j, K); rate is -inf off the candidates, where it is not finite, and on
+    sets dependent on S by DEPENDENT_RTOL. Only s needs that test: _zf_select
+    starts A at 1 / G_cc and grows it only by candidates with s > 0, so A's
+    diagonal and every new A_kk are positive.
     """
     n_trials, j, n_users = cols.shape
     ab = inv @ cols  # (Ab)_i = sum_l A_il G[S_l, c]
@@ -78,7 +78,7 @@ def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_
     x += 1.0
     rate = np.log2(x, out=x).sum(axis=1) + np.log2(1.0 + w * cqi * s)
     ok = np.zeros((n_trials, n_users), dtype=bool)
-    ok[cand_sets[:, 0], cand_sets[:, 1]] = True
+    ok.reshape(-1)[cand_sets] = True  # a view of ok
     ok &= (s > DEPENDENT_RTOL * g_diag) & np.isfinite(rate)
     return np.where(ok, rate, -np.inf), s, ab
 
@@ -126,9 +126,10 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
                 new = np.log2(1.0 + scale_num * cqi[t, c])
                 u, s_c = np.zeros((n_trials, 0), dtype=complex), g_diag[t, c]
             else:
-                cand = np.argwhere(active[:, None] & ~taken[:, :j + span])
-                rate, s, ab = _estimated_rates_batched(
-                    cols[:, :j], cand, inv[:, :j, :j], selected[:, :j], g_diag, cqi, scale_num)
+                cand = active[:, None] & ~taken
+                cand[:, j + span:] = False
+                rate, s, ab = _estimated_rates_batched(cols[:, :j], np.flatnonzero(cand), inv[:, :j, :j],
+                                                       selected[:, :j], g_diag, cqi, scale_num)
                 top = rate.max(axis=1, keepdims=True)
                 c = np.argmax(rate >= top - TIE_RTOL * np.abs(top), axis=1)
                 # trials no longer active read -inf here and are never read again

@@ -285,3 +285,9 @@ class TestSubf:
         r = lambda b: A.subf_rate_approx(10.0, 4, 300, b)
         assert r(b_star) >= r(b_star - 3.0)
         assert r(b_star) >= r(b_star + 3.0)
+
+    def test_small_budget_names_the_simplified_forms_domain(self):
+        # one user at b = log2 nt: log(tfb*nt/b) - 2^(-b/(nt-1))*log(tfb*nt) = -0.28 <= -1/snr
+        with pytest.raises(ValueError, match=r"> -1/snr, got -0\.28\d* <= -0\.1 at snr=10, nt=8, tfb=3, b=3"):
+            A.subf_rate_approx(10.0, 8, 3, 3)
+        assert A.subf_rate_approx(10.0, 8, 24, 3) == pytest.approx(1.8179466892848484, rel=1e-12)

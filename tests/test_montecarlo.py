@@ -1,6 +1,10 @@
 import math
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +446,36 @@ class TestChunkMemory:
             trials = min(cfg.trials, montecarlo.CHUNK_ROWS // cfg.trial_rows(b))
             peaks[f"{name} B={b} ({trials} trials)"] = _chunk_peak(cfg, b, trials)
         assert all(peak <= bound for peak in peaks.values()), (bound, peaks)
+
+
+# Run in a fresh interpreter: minor faults per trial of 3 warm 100-trial run_point calls
+# at each point, after one call that warms the point.
+_FAULT_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from fbsim.montecarlo import ExperimentConfig, run_point
+for scheme, b in [("zf", 4), ("rbf", 2), ("subf", 5), ("pu2rc", 4)]:
+    cfg = ExperimentConfig(scheme=scheme, nt=4, snr_db=10.0, tfb=300, trials=100, seed=3)
+    run_point(cfg, b)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(1, 4):
+        run_point(cfg, b, stream_offset=100 * i)
+    print(scheme, b, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 300)
+"""
+
+
+class TestWarmChunksKeepTheHeapMapped:
+    """A chunk's freed heap stays mapped for the next chunk: warm chunks take no minor
+    faults. The probe runs in a fresh process, because an earlier allocation in this
+    one may already have raised glibc's trim threshold."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's trim threshold")
+    def test_warm_chunks_take_no_minor_faults(self):
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, src], capture_output=True,
+                             text=True, check=True).stdout
+        per_trial = {f"{scheme} B={b}": float(f) for scheme, b, f in map(str.split, out.splitlines())}
+        assert len(per_trial) == 4 and all(f <= 0.1 for f in per_trial.values()), per_trial
 
 
 class TestSchemesThroughEngine:

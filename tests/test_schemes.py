@@ -267,9 +267,9 @@ class TestCandidateScoring:
         for cand_sets, selected, rate in calls:
             assert rate.shape == order.shape
             cand = np.zeros(order.shape, dtype=bool)
-            cand[cand_sets[:, 0], cand_sets[:, 1]] = True
+            cand.flat[cand_sets] = True
             assert np.all(rate[~cand] == -np.inf)
-            for t, k in cand_sets:
+            for t, k in zip(*np.unravel_index(cand_sets, order.shape)):
                 s, c = [int(order[t, i]) for i in selected[t]], int(order[t, k])
                 if _dependent(grams[t], s, c):
                     dependent += 1
