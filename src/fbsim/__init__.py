@@ -9,12 +9,9 @@ from .montecarlo import (
     sweep_b,
 )
 from .numerics import RngStream, lambert_w_m1
-from .quantization import CqiQuantizerSpec, QuantizerSpec
 
 __all__ = [
-    "CqiQuantizerSpec",
     "ExperimentConfig",
-    "QuantizerSpec",
     "RateEstimate",
     "RngStream",
     "feasible_b_values",

@@ -29,15 +29,21 @@ def _check(snr: float, nt: int) -> None:
         raise ValueError(f"snr must be finite and > 0, got {snr}")
 
 
+def _check_tfb(nt: int, tfb: float) -> None:
+    # every closed form and solver takes log(tfb*nt/b), so tfb*nt must not overflow
+    if not math.isfinite(tfb * nt):
+        raise ValueError(f"tfb must be finite with a finite tfb*nt, got tfb={tfb} at nt={nt}")
+
+
 def _check_point(snr: float, nt: int, tfb: float, b: float) -> None:
-    """The point check of every closed form: _check, a finite tfb and b, log2 nt <= b <= tfb.
+    """The point check of every closed form: _check, _check_tfb, a finite b, log2 nt <= b <= tfb.
 
     Past it, tfb*nt/b >= nt >= 2, so the closed forms' log(tfb*nt/b) is positive.
     """
     _check(snr, nt)
-    for name, value in (("tfb", tfb), ("b", b)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_tfb(nt, tfb)
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if b < math.log2(nt):
         raise ValueError(f"b must be >= log2(nt)={math.log2(nt):.3f}")
     if tfb < b:
@@ -62,6 +68,7 @@ def zf_penalty_approx(snr: float, nt: int, tfb: float, b: float) -> float:
 
 def _b_interval(nt: int, tfb: float) -> tuple[float, float]:
     """The ZF B optimizers' interval [log2 nt, tfb/nt]: a B of at least nt users."""
+    _check_tfb(nt, tfb)
     lo, hi = math.log2(nt), tfb / nt
     if not lo < hi:
         raise ValueError("tfb too small for the feasible B interval")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .channel import draw_block, draw_blocks
 from .numerics import RngStream, haar_orthonormal_stack, rng_streams
-from .quantization import CqiQuantizerSpec, QuantizerSpec, orthoset_count
+from .quantization import EXPLICIT_RVQ_MAX_BITS, QUANTIZER_KINDS, orthoset_count
 from .schemes import (
     SELECTIONS,
     ZF_CQI_KINDS,
@@ -72,7 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown selection {self.selection!r}; known: {SELECTIONS}")
         if self.scheme == "zf" and self.cqi_kind not in ZF_CQI_KINDS:
             raise ValueError(f"unsupported CQI kind for ZF {self.cqi_kind!r}; known: {ZF_CQI_KINDS}")
-        QuantizerSpec(self.quantizer, 1)  # the quantizer kind
+        if self.quantizer not in QUANTIZER_KINDS:
+            raise ValueError(f"unknown quantizer kind {self.quantizer!r}; known: {QUANTIZER_KINDS}")
         if self.snr == 0.0:
             raise ValueError(f"snr_db={self.snr_db} underflows the linear SNR to 0")
         if self.nt < 1:
@@ -107,27 +108,16 @@ class ExperimentConfig:
             return f"budget {self.tfb} too small for {per_user} bits/user"
         if not self.relaxed_user_grid and self.tfb % per_user != 0:
             return f"B={b} (+{self.cqi_bits or 0} CQI bits) does not divide tfb={self.tfb}"
-        try:
-            self.trial_specs(b)
-        except ValueError as e:
-            return str(e)
+        explicit = self.scheme in ("zf", "subf") and self.quantizer == "rvq_explicit"
+        if explicit and b > EXPLICIT_RVQ_MAX_BITS:
+            return (f"rvq_explicit is capped at B={EXPLICIT_RVQ_MAX_BITS}; "
+                    "use rvq_statistical for larger codebooks")
+        if self.scheme == "pu2rc":
+            try:
+                orthoset_count(b, self.nt)  # whole orthonormal sets of nt beams
+            except ValueError as e:
+                return str(e)
         return None
-
-    def trial_specs(self, b: int) -> tuple[QuantizerSpec | None, CqiQuantizerSpec | None, int]:
-        """What a trial at B runs on: (direction quantizer, CQI quantizer, codebook sets).
-
-        Only zf and subf quantize directions, and only zf quantizes its CQI.
-        PU2RC's codebook holds 2^B/nt orthonormal sets and RBF's one. Raises
-        ValueError for a B the quantizer or the codebook cannot take.
-        """
-        qspec = QuantizerSpec(self.quantizer, b) if self.scheme in ("zf", "subf") else None
-        cqi_q = None
-        if self.scheme == "zf" and self.cqi_bits:
-            # E[norm2 CQI] = nt; E[expected-SINR CQI] ~ (snr/nt)*E||h||^2 = snr
-            mean_cqi = self.nt if self.cqi_kind == "norm2" else self.snr
-            cqi_q = CqiQuantizerSpec.around_mean(self.cqi_bits, mean_cqi)
-        sets = orthoset_count(b, self.nt) if self.scheme == "pu2rc" else 1
-        return qspec, cqi_q, sets
 
     def trial_rows(self, b: int) -> int:
         """Rows a trial at B holds when run_point sizes its chunks (see CHUNK_ROWS).
@@ -135,8 +125,8 @@ class ExperimentConfig:
         RBF/PU2RC score every user on every codebook set: users x sets rows.
         ZF and SUBF hold nt-wide channels and directions: users x nt rows.
         """
-        width = self.trial_specs(b)[2] if self.scheme in ("rbf", "pu2rc") else self.nt
-        return self.users_for(b) * width
+        sets = orthoset_count(b, self.nt) if self.scheme == "pu2rc" else 1
+        return self.users_for(b) * (sets if self.scheme in ("rbf", "pu2rc") else self.nt)
 
     def users_for(self, b: int) -> int:
         problem = self.b_problem(b)
@@ -164,16 +154,15 @@ def run_trial(cfg: ExperimentConfig, b: int, stream: RngStream) -> float:
     """Simulate one coherence block and return its sum rate."""
     rng = stream.generator()
     realization = draw_block(rng, cfg.users_for(b), cfg.nt, cfg.estimation_error_var, cfg.r)
-    qspec, cqi_q, _ = cfg.trial_specs(b)
     if cfg.scheme == "zf":
-        out = zf_block(realization, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
-                       selection=cfg.selection, rng=rng, cqi_quantizer=cqi_q)
+        out = zf_block(realization, cfg.quantizer, b, cfg.cqi_kind, cfg.snr, cfg.nt,
+                       selection=cfg.selection, rng=rng, cqi_bits=cfg.cqi_bits)
     elif cfg.scheme == "rbf":
         out = rbf_block(realization, cfg.snr, cfg.nt, rng)
     elif cfg.scheme == "pu2rc":
         out = pu2rc_block(realization, b, cfg.snr, cfg.nt, rng)
     else:
-        out = subf_block(realization, qspec, cfg.snr, rng)
+        out = subf_block(realization, cfg.quantizer, b, cfg.snr, rng)
     return float(out.sum_rates[0])
 
 
@@ -185,13 +174,13 @@ def _trial_chunk(cfg: ExperimentConfig, b: int, rngs: list[np.random.Generator])
     in chunk buffers and the rest of the trial runs on the stacks.
     """
     block = draw_blocks(rngs, cfg.users_for(b), cfg.nt, cfg.estimation_error_var, cfg.r)
-    qspec, cqi_q, sets = cfg.trial_specs(b)
     if cfg.scheme == "zf":
-        out = zf_blocks(block.h_est, block.h_delayed, qspec, cfg.cqi_kind, cfg.snr, cfg.nt,
-                        cfg.selection, rngs, cqi_q)
+        out = zf_blocks(block.h_est, block.h_delayed, cfg.quantizer, b, cfg.cqi_kind, cfg.snr, cfg.nt,
+                        cfg.selection, rngs, cfg.cqi_bits)
     elif cfg.scheme == "subf":
-        out = subf_blocks(block.h_est, block.h_delayed, qspec, cfg.snr, rngs)
+        out = subf_blocks(block.h_est, block.h_delayed, cfg.quantizer, b, cfg.snr, rngs)
     else:
+        sets = orthoset_count(b, cfg.nt) if cfg.scheme == "pu2rc" else 1
         codebooks = haar_orthonormal_stack(rngs, cfg.nt, sets)
         out = orthoset_blocks(block.h_est, block.h_delayed, codebooks, cfg.snr, cfg.nt)
     return out.sum_rates

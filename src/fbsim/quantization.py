@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +10,7 @@ from .numerics import complex_normals, complex_pairs, haar_orthonormal_sets
 
 QUANTIZER_KINDS = ("rvq_explicit", "rvq_statistical", "scalar", "idealized", "perfect")
 
-# 2^B codeword scans above this are refused; use the statistical fast path.
+# b_problem refuses zf/subf 2^B codeword scans above this; use the statistical fast path.
 EXPLICIT_RVQ_MAX_BITS = 24
 
 # Explicit RVQ scans the codebooks of this many codewords' worth of rows (at
@@ -19,48 +18,8 @@ EXPLICIT_RVQ_MAX_BITS = 24
 CODEWORDS_PER_SCAN = 1024
 
 
-class CodebookCapacityError(ValueError):
-    """Explicit RVQ requested with too many bits; use rvq_statistical instead."""
-
-
 class DegeneratePivotError(ValueError):
     """Scalar quantization cannot normalize by a (near-)zero first component."""
-
-
-@dataclass(frozen=True)
-class QuantizerSpec:
-    kind: str
-    bits: int
-
-    def __post_init__(self):
-        if self.kind not in QUANTIZER_KINDS:
-            raise ValueError(f"unknown quantizer kind {self.kind!r}; known: {QUANTIZER_KINDS}")
-        if self.kind != "perfect" and self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if self.kind == "rvq_explicit" and self.bits > EXPLICIT_RVQ_MAX_BITS:
-            raise CodebookCapacityError(
-                f"rvq_explicit is capped at B={EXPLICIT_RVQ_MAX_BITS}; "
-                "use rvq_statistical for larger codebooks"
-            )
-
-
-@dataclass(frozen=True)
-class CqiQuantizerSpec:
-    bits: int
-    lo_db: float
-    hi_db: float
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if not self.lo_db < self.hi_db:
-            raise ValueError("lo_db must be < hi_db")
-
-    @classmethod
-    def around_mean(cls, bits: int, mean_value: float) -> "CqiQuantizerSpec":
-        """Default dynamic range: [-10 dB, +15 dB] around the mean CQI."""
-        center = 10.0 * math.log10(mean_value)
-        return cls(bits=bits, lo_db=center - 10.0, hi_db=center + 15.0)
 
 
 def _unit_rows(h: np.ndarray) -> np.ndarray:
@@ -217,37 +176,40 @@ def build_orthosets_codebook(bits: int, nt: int, rng: np.random.Generator) -> np
     return haar_orthonormal_sets(rng, nt, orthoset_count(bits, nt))
 
 
-def quantize_cqi(value: float | np.ndarray, spec: CqiQuantizerSpec) -> float | np.ndarray:
-    """Uniform quantization of 10*log10(value) over [lo, hi] dB, midpoint reconstruction.
+def quantize_cqi(value: np.ndarray, bits: int, mean: float) -> np.ndarray:
+    """Uniform quantization of 10*log10(value) over [-10, +15] dB around 10*log10(mean).
 
-    Works elementwise on arrays; a scalar in gives a float out. Values <= 0 and
-    non-finite values map to the lowest level.
+    Elementwise with midpoint reconstruction. Values <= 0 and non-finite
+    values map to the lowest level.
     """
+    center = 10.0 * math.log10(mean)
+    lo_db, hi_db = center - 10.0, center + 15.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        db = 10.0 * np.log10(np.asarray(value, dtype=float))
+        db = 10.0 * np.log10(value)
     # a value <= 0, inf or nan has a non-finite dB: send it to the lowest cell
-    db = np.where(np.isfinite(db), db, spec.lo_db)
-    rec = 10.0 ** (_uniform_midpoint(db, spec.lo_db, spec.hi_db, spec.bits) / 10.0)
-    return float(rec) if rec.ndim == 0 else rec
+    db = np.where(np.isfinite(db), db, lo_db)
+    return 10.0 ** (_uniform_midpoint(db, lo_db, hi_db, bits) / 10.0)
 
 
-def quantize_directions(h: np.ndarray, spec: QuantizerSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize every row of the T blocks h (T, K, nt) per spec; returns (directions, sin2 errors).
+def quantize_directions(h: np.ndarray, kind: str, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize every row of the T blocks h (T, K, nt) with B bits; returns (directions, sin2 errors).
 
     Block t draws from rngs[t] (None for the kinds that draw nothing), in the
     same order and amounts as when it is quantized alone. With one antenna
     a direction is a unit scalar, so every kind, like `perfect`, feeds back
     the exact direction with zero error and draws nothing.
     """
+    if kind not in QUANTIZER_KINDS:
+        raise ValueError(f"unknown quantizer kind {kind!r}; known: {QUANTIZER_KINDS}")
     h = np.ascontiguousarray(h)  # any layout quantizes bit for bit like its C-ordered copy
-    if spec.kind == "perfect" or h.shape[-1] == 1:
+    if kind == "perfect" or h.shape[-1] == 1:
         return _unit_rows(h), np.zeros(h.shape[:2])
-    if spec.kind == "rvq_statistical":
-        return _quantize_statistical(h, spec.bits, rngs, 1.0)
-    if spec.kind == "idealized":
+    if kind == "rvq_statistical":
+        return _quantize_statistical(h, bits, rngs, 1.0)
+    if kind == "idealized":
         # the RVQ error scaled down by (nt-1)/nt in expectation
         nt = h.shape[-1]
-        return _quantize_statistical(h, spec.bits, rngs, (nt - 1) / nt)
-    if spec.kind == "rvq_explicit":
-        return _quantize_rvq_explicit(h, spec.bits, rngs)
-    return _quantize_scalar(h, spec.bits)
+        return _quantize_statistical(h, bits, rngs, (nt - 1) / nt)
+    if kind == "rvq_explicit":
+        return _quantize_rvq_explicit(h, bits, rngs)
+    return _quantize_scalar(h, bits)

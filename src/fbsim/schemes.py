@@ -9,14 +9,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .numerics import haar_orthonormal_sets
 from .numerics import zf_directions  # noqa: F401  (bench/layers.py traces it under this name)
-from .quantization import (
-    CqiQuantizerSpec,
-    QuantizerSpec,
-    _sq_norms,
-    build_orthosets_codebook,
-    quantize_cqi,
-    quantize_directions,
-)
+from .quantization import _sq_norms, build_orthosets_codebook, quantize_cqi, quantize_directions
 
 ZF_CQI_KINDS = ("norm2", "expected_sinr")
 SELECTIONS = ("greedy", "simplified")
@@ -230,30 +223,33 @@ def _transmit(h_delayed: np.ndarray, selected: np.ndarray, counts: np.ndarray, b
     return Blocks(selected, counts, np.where(on[..., None], beams, 0.0), rates, sets)
 
 
-def _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer):
+def _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits):
     """Quantized directions and CQI of T blocks' estimates (T, K, nt).
 
-    Block t quantizes its directions with rngs[t].
+    Block t quantizes its directions with rngs[t]. With cqi_bits, the CQI is
+    quantized around its mean: E[norm2 CQI] = nt, E[expected-SINR CQI] ~
+    (snr/nt)*E||h||^2 = snr.
     """
-    dirs, sin2 = quantize_directions(h_est, quantizer, rngs)
+    dirs, sin2 = quantize_directions(h_est, quantizer, bits, rngs)
     cqi = norms2 = _sq_norms(h_est)
     if cqi_kind == "expected_sinr":
         cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
-    if cqi_quantizer is not None:
-        cqi = quantize_cqi(cqi, cqi_quantizer)
+    if cqi_bits:
+        cqi = quantize_cqi(cqi, cqi_bits, nt if cqi_kind == "norm2" else snr)
     return dirs, cqi
 
 
 def zf_blocks(
     h_est: np.ndarray,
     h_delayed: np.ndarray,
-    quantizer: QuantizerSpec,
+    quantizer: str,
+    bits: int,
     cqi_kind: str,
     snr: float,
     nt: int,
     selection: str,
     rngs: list[np.random.Generator | None],
-    cqi_quantizer: CqiQuantizerSpec | None = None,
+    cqi_bits: int | None = None,
 ) -> Blocks:
     """ZF downlink for T coherence blocks at once, channels (T, K, nt).
 
@@ -262,7 +258,7 @@ def zf_blocks(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    dirs, cqi = _zf_feedback(h_est, quantizer, cqi_kind, snr, nt, rngs, cqi_quantizer)
+    dirs, cqi = _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits)
     selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt,
                                           selection == "greedy")
     return _transmit(h_delayed, selected, counts, _zf_beams(dirs, selected, served), snr / counts)
@@ -270,13 +266,14 @@ def zf_blocks(
 
 def zf_block(
     realization: ChannelRealization,
-    quantizer: QuantizerSpec,
+    quantizer: str,
+    bits: int,
     cqi_kind: str,
     snr: float,
     nt: int,
     selection: str = "greedy",
     rng: np.random.Generator | None = None,
-    cqi_quantizer: CqiQuantizerSpec | None = None,
+    cqi_bits: int | None = None,
 ) -> Blocks:
     """ZF downlink block: quantize estimates, select users, transmit on h_delayed.
 
@@ -284,7 +281,7 @@ def zf_block(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    dirs, cqi = _zf_feedback(realization.h_est[None], quantizer, cqi_kind, snr, nt, [rng], cqi_quantizer)
+    dirs, cqi = _zf_feedback(realization.h_est[None], quantizer, bits, cqi_kind, snr, nt, [rng], cqi_bits)
     select = zf_greedy_select if selection == "greedy" else zf_simplified_select
     plan = select(dirs[0], cqi[0], nt, snr, cqi_kind)
     # zero-padded to zf_blocks' width min(nt, K), so both run the same kernel shapes and agree bit for bit
@@ -349,7 +346,7 @@ def pu2rc_block(realization: ChannelRealization, bits: int, snr: float, nt: int,
     return orthoset_blocks(realization.h_est[None], realization.h_delayed[None], codebook[None], snr, nt)
 
 
-def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: QuantizerSpec, snr: float,
+def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: str, bits: int, snr: float,
                 rngs: list[np.random.Generator | None]) -> Blocks:
     """Single-user beamforming for T blocks, channels (T, K, nt): each serves its best-SNR user.
 
@@ -357,14 +354,14 @@ def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: QuantizerSp
     quantized direction whose reported SNR snr * |h_est^H d|^2 is largest;
     the rate is realized on h_delayed.
     """
-    dirs = quantize_directions(h_est, quantizer, rngs)[0]
+    dirs = quantize_directions(h_est, quantizer, bits, rngs)[0]
     reported = snr * np.abs(np.sum(h_est.conj() * dirs, axis=2)) ** 2
     k = np.argmax(reported, axis=1)[:, None]
     bf = np.take_along_axis(dirs, k[..., None], axis=1)
     return _transmit(h_delayed, k, np.ones(len(k), dtype=int), bf, snr)
 
 
-def subf_block(realization: ChannelRealization, quantizer: QuantizerSpec, snr: float,
+def subf_block(realization: ChannelRealization, quantizer: str, bits: int, snr: float,
                rng: np.random.Generator | None = None) -> Blocks:
     """Single-user beamforming to the best reported SNR on one block; one block of subf_blocks."""
-    return subf_blocks(realization.h_est[None], realization.h_delayed[None], quantizer, snr, [rng])
+    return subf_blocks(realization.h_est[None], realization.h_delayed[None], quantizer, bits, snr, [rng])

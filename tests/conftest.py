@@ -339,22 +339,21 @@ def _quantize_statistical(h, bits, rng, scale):
     return np.sqrt(1.0 - sin2)[:, None] * u + np.sqrt(sin2)[:, None] * e, sin2
 
 
-def oracle_quantize_directions(h, spec, rng):
-    """Quantize the rows (K, nt) of one block per spec; returns (directions, sin2 errors).
+def oracle_quantize_directions(h, kind, bits, rng):
+    """Quantize the rows (K, nt) of one block with B bits; returns (directions, sin2 errors).
 
     With one antenna every kind, like `perfect`, feeds back the exact
     direction with zero error and draws nothing.
     """
     nt = h.shape[1]
-    if spec.kind == "perfect" or nt == 1:
+    if kind == "perfect" or nt == 1:
         return _unit_rows(h), np.zeros(h.shape[0])
-    if spec.kind in ("rvq_statistical", "idealized"):
-        return _quantize_statistical(h, spec.bits, rng, 1.0 if spec.kind == "rvq_statistical"
-                                     else (nt - 1) / nt)
-    if spec.kind == "rvq_explicit":
-        rows = [quantize_rvq_explicit(row, spec.bits, rng) for row in h]
+    if kind in ("rvq_statistical", "idealized"):
+        return _quantize_statistical(h, bits, rng, 1.0 if kind == "rvq_statistical" else (nt - 1) / nt)
+    if kind == "rvq_explicit":
+        rows = [quantize_rvq_explicit(row, bits, rng) for row in h]
     else:
-        rows = [quantize_scalar(row, spec.bits) for row in h]
+        rows = [quantize_scalar(row, bits) for row in h]
     dirs, sin2 = zip(*rows)
     return np.array(dirs), np.array(sin2)
 
@@ -372,13 +371,15 @@ def oracle_quantize_directions(h, spec, rng):
 # whether a rule changed a step's outcome from the bare path's; on every other
 # trial the engine must agree with the bare path too.
 
-def oracle_quantize_cqi(value: float, spec) -> float:
-    """Uniform quantization of 10*log10(value) over [lo, hi] dB, midpoint reconstruction."""
+def oracle_quantize_cqi(value: float, bits: int, mean: float) -> float:
+    """Uniform quantization of 10*log10(value) over [-10, +15] dB around the mean, midpoint reconstruction."""
+    center = 10.0 * math.log10(mean)
+    lo_db, hi_db = center - 10.0, center + 15.0
     db = 10.0 * math.log10(value) if value > 0.0 else -math.inf
-    levels = 2**spec.bits
-    width = (spec.hi_db - spec.lo_db) / levels
-    idx = min(max(int(math.floor((db - spec.lo_db) / width)) if math.isfinite(db) else 0, 0), levels - 1)
-    rec_db = spec.lo_db + (idx + 0.5) * width
+    levels = 2**bits
+    width = (hi_db - lo_db) / levels
+    idx = min(max(int(math.floor((db - lo_db) / width)) if math.isfinite(db) else 0, 0), levels - 1)
+    rec_db = lo_db + (idx + 0.5) * width
     return 10.0 ** (rec_db / 10.0)
 
 
@@ -510,22 +511,23 @@ def oracle_realized_rates(h_true_sel, bfs, snr):
     return np.log2(1.0 + sig / (1.0 + interf))
 
 
-def oracle_zf_block(realization, quantizer, cqi_kind, snr, nt, selection, rng, cqi_quantizer=None):
+def oracle_zf_block(realization, quantizer, bits, cqi_kind, snr, nt, selection, rng, cqi_bits=None):
     """One ZF block the per-trial way.
 
     Returns (users, sum rate) under the engine's rules, whether a rule changed
     a step, and (users, sum rate) of the bare path.
     """
     h_est = realization.h_est
-    dirs, sin2 = oracle_quantize_directions(h_est, quantizer, rng)
+    dirs, sin2 = oracle_quantize_directions(h_est, quantizer, bits, rng)
     norms2 = np.linalg.norm(h_est, axis=1) ** 2
     if cqi_kind == "norm2":
         cqi, scale_num = norms2, snr
     else:
         cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
         scale_num = float(nt)
-    if cqi_quantizer is not None:
-        cqi = np.array([oracle_quantize_cqi(v, cqi_quantizer) for v in cqi])
+    if cqi_bits:
+        mean = nt if cqi_kind == "norm2" else snr
+        cqi = np.array([oracle_quantize_cqi(v, cqi_bits, mean) for v in cqi])
     if selection == "greedy":
         ruled_set, ruled = oracle_greedy(dirs, cqi, scale_num, nt)
         bare_set = bare_greedy(dirs, cqi, scale_num, nt)

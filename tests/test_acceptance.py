@@ -22,7 +22,7 @@ from fbsim.channel import draw_block
 from fbsim.cli import run_preset
 from fbsim.montecarlo import ExperimentConfig, run_point, sweep_b
 from fbsim.numerics import RngStream, lambert_w_m1
-from fbsim.quantization import QuantizerSpec, quantize_directions
+from fbsim.quantization import quantize_directions
 from fbsim.schemes import pu2rc_block
 
 TRIALS = 10_000
@@ -190,7 +190,7 @@ def test_criterion_09_scalar_and_idealized_quantizers(zf_sweep_10db):
     offsets = []
     for bits in (10, 14, 18, 24):
         h = (rng.standard_normal((4000, 4)) + 1j * rng.standard_normal((4000, 4)))
-        _, sin2 = quantize_directions(h[None], QuantizerSpec("scalar", bits), [None])
+        _, sin2 = quantize_directions(h[None], "scalar", bits, [None])
         d_scalar = float(np.mean(sin2))
         d_rvq = float(np.mean(sample_rvq_sin2(rng, bits, 4, 200_000)))
         offsets.append(3.0 * (math.log2(d_scalar) - math.log2(d_rvq)))

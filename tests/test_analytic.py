@@ -228,6 +228,23 @@ class TestSingleAntenna:
             call()
 
 
+class TestOverflowingBudget:
+    """Every closed form and solver takes log(tfb*nt/b): a finite tfb whose tfb*nt overflows
+    is a ValueError naming tfb, not a NaN or inf rate, an infinite residual or a Lambert W error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: A.zf_rate_approx(10.0, 4, 1e308, 1e308),
+        lambda: A.zf_penalty_approx(10.0, 4, 1e308, 1e308),
+        lambda: A.zf_penalty_approx(10.0, 4, 1e308, 2),
+        lambda: A.subf_rate_approx(10.0, 4, 1e308, 1e308),
+        lambda: A.zf_bopt_fixed_point(10.0, 4, 1e308),
+        lambda: A.zf_bopt_lambert(10.0, 4, 1e308),
+    ], ids=["rate_approx", "penalty", "penalty_small_b", "subf", "fixed_point", "lambert"])
+    def test_budget_whose_product_with_nt_overflows_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^tfb must be finite with a finite tfb\*nt, got tfb=1e\+308"):
+            call()
+
+
 class TestTrainingDelay:
     def test_phi_definition(self):
         assert abs(phi_from_training_delay(1.0, 1.0, 10.0) - 1.0 / 11.0) < 1e-15

@@ -351,6 +351,35 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    # A trial at B = 25 with an explicit scan would allocate several GiB: no case runs one.
+    @pytest.mark.parametrize("scheme,nt,quantizer,b,refused", [
+        ("zf", 4, "rvq_explicit", 25, True),
+        ("subf", 4, "rvq_explicit", 25, True),
+        ("pu2rc", 3, "rvq_statistical", 10, True),
+        ("zf", 4, "orthosets", 10, True),
+        ("rbf", 4, "rvq_explicit", 25, False),
+        ("pu2rc", 4, "rvq_explicit", 25, False),
+    ], ids=["zf_explicit_past_cap", "subf_explicit_past_cap", "pu2rc_partial_set", "orthosets",
+            "rbf_ignores_explicit_cap", "pu2rc_ignores_explicit_cap"])
+    def test_what_a_trial_cannot_run_on_is_refused_at_construction(self, tmp_path, monkeypatch,
+                                                                   scheme, nt, quantizer, b, refused):
+        fields = dict(scheme=scheme, nt=nt, snr_db=10.0, tfb=300, trials=3, quantizer=quantizer)
+        if refused:
+            with pytest.raises(ValueError):
+                ExperimentConfig(**fields, b_values=(b,))
+        else:
+            assert ExperimentConfig(**fields, b_values=(b,)).users_for(b) == 12
+
+        def no_trials(cfg, b, stream_offset=0):  # the CLI may construct configs but run no trial
+            return montecarlo.RateEstimate(1.0, 0.0, cfg.trials, b, cfg.users_for(b))
+
+        monkeypatch.setattr(montecarlo, "run_point", no_trials)
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                       + f"b_values = {b}\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r")]) == (2 if refused else 0)
+        assert (tmp_path / "r").exists() != refused  # a refused config writes nothing
+
     def test_empty_b_grid_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 7\ntrials = 4\n")

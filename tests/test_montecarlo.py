@@ -24,7 +24,7 @@ from fbsim.montecarlo import (
     sweep_b,
 )
 from fbsim.numerics import RngStream, rng_streams
-from fbsim.quantization import QUANTIZER_KINDS, CqiQuantizerSpec, QuantizerSpec, orthoset_count
+from fbsim.quantization import EXPLICIT_RVQ_MAX_BITS, QUANTIZER_KINDS
 from fbsim.schemes import SELECTIONS, ZF_CQI_KINDS
 
 
@@ -93,10 +93,12 @@ class TestConfig:
     def test_snr_ceiling_is_accepted(self):
         assert _cfg(snr_db=3000.0).snr == 1e300
 
+    # orthosets names PU2RC's codebook of sets, not a per-user quantizer
+    @pytest.mark.parametrize("kind", ["magic", "orthosets"])
     @pytest.mark.parametrize("scheme", ["zf", "subf", "rbf", "pu2rc"])
-    def test_orthosets_rejected_for_per_user_quantizer_schemes(self, scheme):
-        with pytest.raises(ValueError, match="orthosets"):
-            _cfg(scheme=scheme, quantizer="orthosets")
+    def test_unknown_quantizer_kind_rejected(self, scheme, kind):
+        with pytest.raises(ValueError, match=f"unknown quantizer kind '{kind}'; known: "):
+            _cfg(scheme=scheme, quantizer=kind)
 
     @pytest.mark.parametrize("kw", [dict(tfb=0), dict(tfb=-300), dict(cqi_bits=-1)])
     def test_budget_fields_out_of_range_rejected(self, kw):
@@ -180,8 +182,8 @@ class TestFeasibleGrid:
             accepted.append(b)
         assert feasible_b_values(cfg) == accepted
 
-    # Built here from the rules themselves, not through b_problem or trial_specs,
-    # so a rule that the grid forgets makes the two sides disagree.
+    # Built here from the rules themselves, not through b_problem, so a rule
+    # that the grid forgets makes the two sides disagree.
     @pytest.mark.parametrize("cqi_bits", [None, 4])
     @pytest.mark.parametrize("nt", [3, 4])
     @pytest.mark.parametrize("quantizer", QUANTIZER_KINDS)
@@ -190,20 +192,14 @@ class TestFeasibleGrid:
         cfg = _cfg(scheme=scheme, nt=nt, tfb=300, cqi_bits=cqi_bits, quantizer=quantizer)
         grid = feasible_b_values(cfg)
         for b in range(math.ceil(math.log2(nt)), cfg.tfb // nt + 1):
-            try:
-                if cfg.tfb % (b + (cqi_bits or 0)) != 0:
-                    raise FeedbackBudgetError("B + CQI bits must divide the budget")
-                if scheme in ("zf", "subf"):
-                    QuantizerSpec(cfg.quantizer, b)
-                if scheme == "pu2rc":
-                    orthoset_count(b, nt)
-                if scheme == "zf" and cqi_bits:
-                    CqiQuantizerSpec.around_mean(cqi_bits, nt if cfg.cqi_kind == "norm2" else cfg.snr)
-            except ValueError:
-                assert b not in grid
+            explicit = quantizer == "rvq_explicit" and scheme in ("zf", "subf")
+            runs = (cfg.tfb % (b + (cqi_bits or 0)) == 0  # B + CQI bits divide the budget
+                    and not (explicit and b > EXPLICIT_RVQ_MAX_BITS)  # the explicit scan's cap
+                    and not (scheme == "pu2rc" and 2**b % nt))  # whole orthonormal sets of nt beams
+            assert (b in grid) == runs
+            if not runs:
                 continue
-            assert b in grid
-            expensive = (quantizer == "rvq_explicit" and scheme in ("zf", "subf")) or scheme == "pu2rc"
+            expensive = explicit or scheme == "pu2rc"
             if not (expensive and b > 12):
                 assert math.isfinite(run_point(replace(cfg, trials=1), b).mean)
 

@@ -3,9 +3,7 @@
 import fbsim
 
 PUBLIC = [
-    "CqiQuantizerSpec",
     "ExperimentConfig",
-    "QuantizerSpec",
     "RateEstimate",
     "RngStream",
     "feasible_b_values",

@@ -18,12 +18,8 @@ from conftest import (
 from fbsim import quantization
 from fbsim.numerics import RngStream, complex_pairs
 from fbsim.quantization import (
-    EXPLICIT_RVQ_MAX_BITS,
     QUANTIZER_KINDS,
-    CodebookCapacityError,
-    CqiQuantizerSpec,
     DegeneratePivotError,
-    QuantizerSpec,
     build_orthosets_codebook,
     quantize_cqi,
     quantize_directions,
@@ -34,24 +30,8 @@ from fbsim.quantization import (
 def _quantize(h, kind, bits, rng=None):
     """quantize_directions on one block: h is a row (nt,) or rows (K, nt)."""
     h = np.asarray(h)
-    dirs, sin2 = quantize_directions(np.atleast_2d(h)[None], QuantizerSpec(kind, bits),
-                                     [rng])
+    dirs, sin2 = quantize_directions(np.atleast_2d(h)[None], kind, bits, [rng])
     return (dirs[0, 0], float(sin2[0, 0])) if h.ndim == 1 else (dirs[0], sin2[0])
-
-
-class TestQuantizerSpec:
-    def test_explicit_codebook_capacity_guard(self):
-        with pytest.raises(CodebookCapacityError):
-            QuantizerSpec(kind="rvq_explicit", bits=EXPLICIT_RVQ_MAX_BITS + 1)
-
-    # orthosets names PU2RC's codebook of sets, not a per-user quantizer
-    @pytest.mark.parametrize("kind", ["magic", "orthosets"])
-    def test_unknown_kind(self, kind):
-        with pytest.raises(ValueError, match=f"unknown quantizer kind '{kind}'; known: "):
-            QuantizerSpec(kind=kind, bits=4)
-
-    def test_perfect_ignores_bits(self):
-        QuantizerSpec(kind="perfect", bits=0)
 
 
 class TestStatisticalError:
@@ -126,10 +106,6 @@ class TestExplicitRvq:
         u = h / np.linalg.norm(h)
         cos2 = np.abs(cb @ u.conj()) ** 2  # exhaustive scan oracle
         assert abs((1.0 - cos2.max()) - sin2) < 1e-12
-
-    def test_capacity_guard(self):
-        with pytest.raises(CodebookCapacityError):
-            QuantizerSpec("rvq_explicit", EXPLICIT_RVQ_MAX_BITS + 1)
 
     @pytest.mark.parametrize("nt,bits", [(2, 1), (2, 4), (4, 4), (4, 8)])
     def test_agrees_with_statistical_model(self, nt, bits):
@@ -252,69 +228,63 @@ class TestOrthosets:
 
 
 class TestCqi:
+    # quantize_cqi covers [-10, +15] dB around the mean: a mean of 1 gives [-10, 15] dB
     def test_midpoint_reconstruction(self):
-        spec = CqiQuantizerSpec.around_mean(4, 1.0)
-        assert spec.lo_db == -10.0 and spec.hi_db == 15.0
         width = 25.0 / 16.0
-        rec = quantize_cqi(1.0, spec)
-        rec_db = 10.0 * math.log10(rec)
-        assert abs(rec_db - 0.0) <= width / 2 + 1e-12
-        assert abs(rec_db - (-10.0 + 6.5 * width)) < 1e-12
+        rec_db = 10.0 * np.log10(quantize_cqi(np.array([1.0]), 4, 1.0))
+        assert abs(rec_db[0] - 0.0) <= width / 2 + 1e-12
+        assert abs(rec_db[0] - (-10.0 + 6.5 * width)) < 1e-12
 
     def test_clamping(self):
-        spec = CqiQuantizerSpec(bits=3, lo_db=-10.0, hi_db=10.0)
-        width = 20.0 / 8.0
-        hi = quantize_cqi(1e9, spec)
-        lo = quantize_cqi(1e-9, spec)
-        zero = quantize_cqi(0.0, spec)
-        assert abs(10 * math.log10(hi) - (10.0 - width / 2)) < 1e-12
-        assert abs(10 * math.log10(lo) - (-10.0 + width / 2)) < 1e-12
+        width = 25.0 / 8.0
+        hi, lo, zero = 10 * np.log10(quantize_cqi(np.array([1e9, 1e-9, 0.0]), 3, 1.0))
+        assert abs(hi - (15.0 - width / 2)) < 1e-12
+        assert abs(lo - (-10.0 + width / 2)) < 1e-12
         assert zero == lo
 
     def test_half_cell_error_bound_inside_range(self):
-        spec = CqiQuantizerSpec(bits=5, lo_db=-10.0, hi_db=15.0)
         width = 25.0 / 32.0
-        rng = RngStream(20).generator()
-        for v in 10.0 ** (rng.uniform(-1.0, 1.5, 100)):
-            rec = quantize_cqi(float(v), spec)
-            assert abs(10 * math.log10(rec) - 10 * math.log10(v)) <= width / 2 + 1e-9
+        v = 10.0 ** RngStream(20).generator().uniform(-1.0, 1.5, 100)
+        rec = quantize_cqi(v, 5, 1.0)
+        assert np.all(np.abs(10 * np.log10(rec) - 10 * np.log10(v)) <= width / 2 + 1e-9)
 
     def test_array_form_matches_scalar_oracle(self):
-        spec = CqiQuantizerSpec.around_mean(4, 4.0)
         v = RngStream(30).generator().lognormal(1.0, 2.0, size=(50, 40))
-        got = quantize_cqi(v, spec)
-        want = np.array([[oracle_quantize_cqi(float(x), spec) for x in row] for row in v])
+        got = quantize_cqi(v, 4, 4.0)
+        want = np.array([[oracle_quantize_cqi(float(x), 4, 4.0) for x in row] for row in v])
         assert got.shape == v.shape
         # the dB conversions may differ from the scalar math module in the last bit
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
-        assert isinstance(quantize_cqi(2.0, spec), float)
 
     def test_exact_cell_edges_go_to_the_upper_cell(self):
-        spec = CqiQuantizerSpec(bits=3, lo_db=-20.0, hi_db=60.0)  # 10 dB cells
-        edges = 10.0 ** np.arange(-2, 7)  # -20, -10, ..., 60 dB
-        got = quantize_cqi(edges, spec)
-        idx = np.minimum(np.arange(9), 7)  # the top edge clamps to the last cell
-        np.testing.assert_allclose(got, 10.0 ** ((-20.0 + (idx + 0.5) * 10.0) / 10.0), rtol=1e-15)
-        want = [oracle_quantize_cqi(float(x), spec) for x in edges]
+        # a mean of 10 gives [0, 25] dB in 6.25 dB cells; every edge converts to and from dB exactly
+        edge_db = np.arange(5) * 6.25
+        edges = 10.0 ** (edge_db / 10.0)
+        np.testing.assert_array_equal(10.0 * np.log10(edges), edge_db)
+        got = quantize_cqi(edges, 2, 10.0)
+        idx = np.minimum(np.arange(5), 3)  # the top edge clamps to the last cell
+        np.testing.assert_allclose(got, 10.0 ** ((idx + 0.5) * 6.25 / 10.0), rtol=1e-15)
+        want = [oracle_quantize_cqi(float(x), 2, 10.0) for x in edges]
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_nonpositive_and_nonfinite_map_to_lowest_level(self):
-        spec = CqiQuantizerSpec.around_mean(4, 4.0)
         v = np.array([0.0, -0.0, -3.0, -np.inf, np.inf, np.nan])
-        lowest = oracle_quantize_cqi(1e-30, spec)
-        got = quantize_cqi(v, spec)
+        lowest = oracle_quantize_cqi(1e-30, 4, 4.0)
+        got = quantize_cqi(v, 4, 4.0)
         np.testing.assert_allclose(got, lowest, rtol=4 * np.finfo(float).eps)
         for x, g in zip(v, got):
-            assert g == pytest.approx(oracle_quantize_cqi(float(x), spec), rel=1e-15)
-
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            CqiQuantizerSpec(bits=0, lo_db=0.0, hi_db=1.0)
-        with pytest.raises(ValueError):
-            CqiQuantizerSpec(bits=4, lo_db=1.0, hi_db=1.0)
+            assert g == pytest.approx(oracle_quantize_cqi(float(x), 4, 4.0), rel=1e-15)
 
 
 class TestDispatcher:
+    # orthosets names PU2RC's codebook of sets, not a per-user quantizer
+    @pytest.mark.parametrize("nt", [1, 4])
+    @pytest.mark.parametrize("kind", ["magic", "orthosets"])
+    def test_unknown_kind(self, kind, nt):
+        h = complex_gaussian(RngStream(29).generator(), (2, 3, nt))
+        with pytest.raises(ValueError, match=f"unknown quantizer kind '{kind}'; known: "):
+            quantize_directions(h, kind, 4, [None] * 2)
+
     def test_perfect_kind(self):
         rng = RngStream(21).generator()
         h = complex_gaussian(rng, (5, 4))
@@ -327,7 +297,7 @@ class TestDispatcher:
     def test_batch_shapes_and_consistency(self, kind):
         rng = RngStream(22).generator()
         h = complex_gaussian(rng, (3, 6, 4))
-        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, 6), [rng] * 3)
+        dirs, sin2 = quantize_directions(h, kind, 6, [rng] * 3)
         assert dirs.shape == (3, 6, 4) and sin2.shape == (3, 6)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-9)
         u = h / np.linalg.norm(h, axis=-1, keepdims=True)
@@ -339,7 +309,7 @@ class TestDispatcher:
     def test_sin2_in_unit_interval(self, kind, nt):
         h = complex_gaussian(RngStream(23, nt).generator(), (50, 40, nt))
         rngs = [RngStream(24, t).generator() for t in range(50)]
-        _, sin2 = quantize_directions(h, QuantizerSpec(kind, 4), rngs)
+        _, sin2 = quantize_directions(h, kind, 4, rngs)
         assert np.all((sin2 >= 0.0) & (sin2 <= 1.0))
         if nt == 1:  # every direction is exact
             np.testing.assert_array_equal(sin2, 0.0)
@@ -351,7 +321,7 @@ class TestDispatcher:
         h = complex_gaussian(RngStream(27, bits).generator(), (4, 9, 1))
         rngs = [RngStream(28, t).generator() for t in range(4)]
         states = [rng.bit_generator.state for rng in rngs]
-        dirs, sin2 = quantize_directions(h, QuantizerSpec(kind, bits), rngs)
+        dirs, sin2 = quantize_directions(h, kind, bits, rngs)
         np.testing.assert_array_equal(dirs, h / np.linalg.norm(h, axis=-1, keepdims=True))
         np.testing.assert_array_equal(sin2, np.zeros((4, 9)))
         assert [rng.bit_generator.state for rng in rngs] == states  # nothing drawn
@@ -360,11 +330,10 @@ class TestDispatcher:
     def test_strided_stacks_quantize_like_contiguous_ones(self, kind):
         # a permuted or Fortran-ordered stack has no contiguous last axis, so no real view
         h = complex_gaussian(RngStream(25).generator(), (3, 9, 4))[..., [2, 0, 3, 1]]
-        spec = QuantizerSpec(kind, 5)
-        want = quantize_directions(np.ascontiguousarray(h), spec,
+        want = quantize_directions(np.ascontiguousarray(h), kind, 5,
                                    [RngStream(26, t).generator() for t in range(3)])
         for stack in (h, np.asfortranarray(h)):
-            got = quantize_directions(stack, spec, [RngStream(26, t).generator() for t in range(3)])
+            got = quantize_directions(stack, kind, 5, [RngStream(26, t).generator() for t in range(3)])
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
@@ -385,10 +354,10 @@ class TestStackedAgainstPerRowOracles:
     def test_matches_per_row_oracle(self, kind, bits, nt, users):
         trials = 5
         h = complex_gaussian(RngStream(40).generator(), (trials, users, nt))
-        spec = QuantizerSpec(kind, bits)
-        dirs, sin2 = quantize_directions(h, spec, [RngStream(41, t).generator() for t in range(trials)])
+        dirs, sin2 = quantize_directions(h, kind, bits, [RngStream(41, t).generator() for t in range(trials)])
         for t in range(trials):
-            want_dirs, want_sin2 = oracle_quantize_directions(h[t], spec, RngStream(41, t).generator())
+            want_dirs, want_sin2 = oracle_quantize_directions(h[t], kind, bits,
+                                                              RngStream(41, t).generator())
             if kind == "scalar":
                 # axis reductions instead of the 1-D BLAS norm and dot: last-bit differences
                 np.testing.assert_allclose(dirs[t], want_dirs, rtol=0, atol=1e-14)
@@ -407,21 +376,19 @@ class TestStackedAgainstPerRowOracles:
 
     def test_stream_continues_after_the_last_row(self):
         h = complex_gaussian(RngStream(42).generator(), (2, 9, 4))
-        spec = QuantizerSpec("rvq_explicit", 7)  # 8 rows per scan group
         rngs = [RngStream(43, t).generator() for t in range(2)]
-        quantize_directions(h, spec, rngs)
+        quantize_directions(h, "rvq_explicit", 7, rngs)  # 8 rows per scan group
         for t, rng in enumerate(rngs):
             ref = RngStream(43, t).generator()
-            oracle_quantize_directions(h[t], spec, ref)
+            oracle_quantize_directions(h[t], "rvq_explicit", 7, ref)
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("group_codewords", [1, 64, 10_000])
     def test_scan_group_size_does_not_change_results(self, group_codewords, monkeypatch):
         h = complex_gaussian(RngStream(44).generator(), (3, 11, 4))
-        spec = QuantizerSpec("rvq_explicit", 5)
-        want = quantize_directions(h, spec, [RngStream(45, t).generator() for t in range(3)])
+        want = quantize_directions(h, "rvq_explicit", 5, [RngStream(45, t).generator() for t in range(3)])
         monkeypatch.setattr(quantization, "CODEWORDS_PER_SCAN", group_codewords)
-        got = quantize_directions(h, spec, [RngStream(45, t).generator() for t in range(3)])
+        got = quantize_directions(h, "rvq_explicit", 5, [RngStream(45, t).generator() for t in range(3)])
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
@@ -429,7 +396,7 @@ class TestStackedAgainstPerRowOracles:
         h = complex_gaussian(RngStream(46).generator(), (4, 6, 4))
         h[2, 3, 0] = 0.0
         with pytest.raises(DegeneratePivotError):
-            quantize_directions(h, QuantizerSpec("scalar", 8), [None] * 4)
+            quantize_directions(h, "scalar", 8, [None] * 4)
 
 
 class _ReplayedDraws:
@@ -467,12 +434,13 @@ class TestExplicitScan:
         # 7 x 37 rows end on a 3-row group at B = 2, 6 and 8; groups span trials
         trials, users = (7, 37) if bits < 11 else (2, 5)
         h = complex_gaussian(RngStream(50, nt).generator(), (trials, users, nt))
-        spec = QuantizerSpec("rvq_explicit", bits)
         sizes = _scan_sizes(monkeypatch)
-        dirs, sin2 = quantize_directions(h, spec, [RngStream(51, t).generator() for t in range(trials)])
+        rngs = [RngStream(51, t).generator() for t in range(trials)]
+        dirs, sin2 = quantize_directions(h, "rvq_explicit", bits, rngs)
         assert set(sizes) == {1}
         for t in range(trials):
-            want_dirs, want_sin2 = oracle_quantize_directions(h[t], spec, RngStream(51, t).generator())
+            want_dirs, want_sin2 = oracle_quantize_directions(h[t], "rvq_explicit", bits,
+                                                              RngStream(51, t).generator())
             np.testing.assert_array_equal(dirs[t], want_dirs)
             np.testing.assert_allclose(sin2[t], want_sin2, rtol=0, atol=1e-15)
 
@@ -487,10 +455,9 @@ class TestExplicitScan:
         z[1, :, 3] = np.stack((h[0, 1].real, h[0, 1].imag)) * math.sqrt(2.0)
         z[1, :, 9] = scale * z[1, :, 3]
         sizes = _scan_sizes(monkeypatch)
-        dirs, sin2 = quantize_directions(h, QuantizerSpec("rvq_explicit", bits), [_ReplayedDraws(z)])
+        dirs, sin2 = quantize_directions(h, "rvq_explicit", bits, [_ReplayedDraws(z)])
         assert sizes == [1]  # the winners alone, tie or no tie
-        want_dirs, want_sin2 = oracle_quantize_directions(h[0], QuantizerSpec("rvq_explicit", bits),
-                                                          _ReplayedDraws(z))
+        want_dirs, want_sin2 = oracle_quantize_directions(h[0], "rvq_explicit", bits, _ReplayedDraws(z))
         np.testing.assert_array_equal(dirs[0, ::2], want_dirs[::2])
         np.testing.assert_allclose(sin2[0], want_sin2, rtol=0, atol=1e-15)
         codebook = random_codebook(_ReplayedDraws(z[1]), bits, nt)
@@ -500,11 +467,11 @@ class TestExplicitScan:
 
     def test_sixteen_bits_scans_one_row_at_a_time(self, monkeypatch):
         h = complex_gaussian(RngStream(54).generator(), (1, 2, 4))
-        spec = QuantizerSpec("rvq_explicit", 16)
         sizes = _scan_sizes(monkeypatch)
-        dirs, sin2 = quantize_directions(h, spec, [RngStream(55).generator()])
+        dirs, sin2 = quantize_directions(h, "rvq_explicit", 16, [RngStream(55).generator()])
         assert sizes == [1, 1]
-        want_dirs, want_sin2 = oracle_quantize_directions(h[0], spec, RngStream(55).generator())
+        want_dirs, want_sin2 = oracle_quantize_directions(h[0], "rvq_explicit", 16,
+                                                          RngStream(55).generator())
         np.testing.assert_array_equal(dirs[0], want_dirs)
         np.testing.assert_allclose(sin2[0], want_sin2, rtol=0, atol=1e-15)
 

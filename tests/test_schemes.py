@@ -21,8 +21,6 @@ from fbsim.channel import ChannelRealization, draw_block, draw_blocks
 from fbsim.numerics import RngStream, SingularSetError, haar_orthonormal_sets, zf_directions
 from fbsim.quantization import (
     QUANTIZER_KINDS,
-    CqiQuantizerSpec,
-    QuantizerSpec,
     build_orthosets_codebook,
     quantize_cqi,
     quantize_directions,
@@ -45,7 +43,7 @@ from fbsim.schemes import (
 def _feedback_from_draw(rng, n_users, nt, bits):
     """One block's statistical-RVQ directions (K, nt) and norm2 CQI (K,) of fresh channels."""
     h = complex_gaussian(rng, (n_users, nt))
-    dirs = quantize_directions(h[None], QuantizerSpec("rvq_statistical", bits), [rng])[0][0]
+    dirs = quantize_directions(h[None], "rvq_statistical", bits, [rng])[0][0]
     return dirs, np.linalg.norm(h, axis=1) ** 2
 
 
@@ -210,8 +208,8 @@ class TestZfBeams:
             for coarse in (False, True):
                 h = complex_gaussian(rng, (trials, users, nt))
                 if coarse:
-                    dirs = quantize_directions(h, QuantizerSpec("scalar", 2 + i % 2), [None] * trials)[0]
-                    cqi = quantize_cqi(np.linalg.norm(h, axis=-1) ** 2, CqiQuantizerSpec.around_mean(2, nt))
+                    dirs = quantize_directions(h, "scalar", 2 + i % 2, [None] * trials)[0]
+                    cqi = quantize_cqi(np.linalg.norm(h, axis=-1) ** 2, 2, nt)
                 else:
                     dirs = h / np.linalg.norm(h, axis=-1, keepdims=True)
                     cqi = rng.exponential(size=(trials, users))
@@ -241,7 +239,7 @@ class TestCandidateScoring:
         nt, users, trials, snr = 4, 12, 30, 10.0
         rngs = [RngStream(31, t).generator() for t in range(trials)]
         h = draw_blocks(rngs, users, nt).h_est
-        dirs = quantize_directions(h, QuantizerSpec(kind, bits), rngs)[0]
+        dirs = quantize_directions(h, kind, bits, rngs)[0]
         if not contiguous:  # every other antenna slot of a wider buffer
             wide = np.zeros((trials, users, 2 * nt), dtype=complex)
             wide[..., ::2] = dirs
@@ -287,15 +285,13 @@ class TestZfBlock:
     def test_single_user_perfect_quantizer(self):
         rng = RngStream(8).generator()
         h = complex_gaussian(rng, (1, 4))
-        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
-                       "norm2", 10.0, 4)
+        out = zf_block(_perfect_realization(h), "perfect", 0, "norm2", 10.0, 4)
         expect = math.log2(1.0 + 10.0 * np.linalg.norm(h[0]) ** 2)
         assert abs(out.sum_rates[0] - expect) < 1e-9
 
     def test_orthogonal_users_no_interference(self):
         h = 2.0 * np.eye(4, dtype=complex)
-        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
-                       "norm2", 10.0, 4)
+        out = zf_block(_perfect_realization(h), "perfect", 0, "norm2", 10.0, 4)
         assert sorted(_served(out)) == [0, 1, 2, 3]
         expect = 4 * math.log2(1.0 + (10.0 / 4) * 4.0)
         assert abs(out.sum_rates[0] - expect) < 1e-9
@@ -305,7 +301,7 @@ class TestZfBlock:
         h = complex_gaussian(rng, (1, 4))
         h_delayed = complex_gaussian(rng, (1, 4))
         real = ChannelRealization(h=h, h_est=h, h_delayed=h_delayed)
-        out = zf_block(real, QuantizerSpec("perfect", 0), "norm2", 10.0, 4)
+        out = zf_block(real, "perfect", 0, "norm2", 10.0, 4)
         u = h[0] / np.linalg.norm(h[0])
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
         assert abs(out.sum_rates[0] - expect) < 1e-9
@@ -314,20 +310,16 @@ class TestZfBlock:
     def test_cqi_kinds_run_and_agree_for_one_user(self, cqi_kind):
         rng = RngStream(10).generator()
         h = complex_gaussian(rng, (1, 4))
-        out = zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
-                       cqi_kind, 10.0, 4)
+        out = zf_block(_perfect_realization(h), "perfect", 0, cqi_kind, 10.0, 4)
         expect = math.log2(1.0 + 10.0 * np.linalg.norm(h[0]) ** 2)
         assert abs(out.sum_rates[0] - expect) < 1e-9
 
     def test_selection_modes_and_quantized_cqi_smoke(self):
-        from fbsim.quantization import CqiQuantizerSpec
-
         rng = RngStream(11).generator()
         real = draw_block(rng, 15, 4)
-        spec = QuantizerSpec("rvq_statistical", 10)
         for selection in ("greedy", "simplified"):
-            out = zf_block(real, spec, "norm2", 10.0, 4, selection=selection, rng=rng,
-                           cqi_quantizer=CqiQuantizerSpec.around_mean(4, 4.0))
+            out = zf_block(real, "rvq_statistical", 10, "norm2", 10.0, 4, selection=selection, rng=rng,
+                           cqi_bits=4)
             assert out.sum_rates[0] > 0.0
             assert np.all(out.realized_rates >= 0.0)
 
@@ -335,8 +327,7 @@ class TestZfBlock:
         rng = RngStream(12).generator()
         h = complex_gaussian(rng, (2, 4))
         with pytest.raises(ValueError):
-            zf_block(_perfect_realization(h), QuantizerSpec("perfect", 0),
-                     "norm2", 10.0, 4, selection="exhaustive")
+            zf_block(_perfect_realization(h), "perfect", 0, "norm2", 10.0, 4, selection="exhaustive")
 
 
 # ZF blocks with perfect direction feedback: (seed, trials, users, nt, snr, selection, cqi_kind).
@@ -348,7 +339,7 @@ PERFECT_ZF_CASES = dict(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4)
 
 def _perfect_zf_blocks(h_est, h_delayed, snr, selection, cqi_kind):
     nt = h_est.shape[-1]
-    return zf_blocks(h_est, h_delayed, QuantizerSpec("perfect", 0), cqi_kind, snr, nt,
+    return zf_blocks(h_est, h_delayed, "perfect", 0, cqi_kind, snr, nt,
                      selection, [None] * len(h_est))
 
 
@@ -414,7 +405,7 @@ class TestZfProperties:
         h_est, h_delayed = block.h_est[..., perm], block.h_delayed[..., perm]
 
         def run(h_est, h_delayed):
-            return zf_blocks(h_est, h_delayed, QuantizerSpec(kind, 5), "expected_sinr", 10.0, 4,
+            return zf_blocks(h_est, h_delayed, kind, 5, "expected_sinr", 10.0, 4,
                              selection, [RngStream(28, t).generator() for t in range(3)])
 
         want = run(np.ascontiguousarray(h_est), np.ascontiguousarray(h_delayed))
@@ -443,7 +434,7 @@ class TestBatchedZfAgainstPerTrialOracle:
     meet either rule."""
 
     @staticmethod
-    def _check(seed, trials, chan, snr, spec, cqi_kind, selection, cqi_q):
+    def _check(seed, trials, chan, snr, quantizer, bits, cqi_kind, selection, cqi_bits):
         """Compare the engine with the oracle on `trials` streams; returns the trials a rule decided.
 
         chan holds draw_blocks' arguments after the generators: num_users, nt, then sigma2 and r.
@@ -452,13 +443,14 @@ class TestBatchedZfAgainstPerTrialOracle:
         streams = [RngStream(seed, t) for t in range(trials)]
         rngs = [s.generator() for s in streams]
         block = draw_blocks(rngs, *chan)
-        out = zf_blocks(block.h_est, block.h_delayed, spec, cqi_kind, snr, nt, selection, rngs, cqi_q)
+        out = zf_blocks(block.h_est, block.h_delayed, quantizer, bits, cqi_kind, snr, nt, selection, rngs,
+                        cqi_bits)
         sum_rates = out.sum_rates
         ruled_trials = 0
         for t, stream in enumerate(streams):
             rng = stream.generator()
             (want_sel, want_rate), ruled, (bare_sel, bare_rate) = oracle_zf_block(
-                oracle_draw_block(rng, *chan), spec, cqi_kind, snr, nt, selection, rng, cqi_q)
+                oracle_draw_block(rng, *chan), quantizer, bits, cqi_kind, snr, nt, selection, rng, cqi_bits)
             got_sel = list(out.selected[t, :out.counts[t]])
             assert got_sel == want_sel, f"trial {t}"
             assert abs(sum_rates[t] - want_rate) <= 1e-12, f"trial {t}"
@@ -474,11 +466,8 @@ class TestBatchedZfAgainstPerTrialOracle:
         users = ORACLE_USERS[case % len(ORACLE_USERS)]
         snr = (1.0, 10.0, 100.0)[case % 3 - 1]
         chan = (users, nt, 1.0 / (1.0 + snr) if case % 3 == 1 else 0.0, 0.95)
-        cqi_q = None
-        if case % 2:
-            cqi_q = CqiQuantizerSpec.around_mean(3, nt if cqi_kind == "norm2" else snr)
-        ruled = self._check(case, ORACLE_TRIALS, chan, snr, QuantizerSpec(quantizer, bits), cqi_kind,
-                            selection, cqi_q)
+        ruled = self._check(case, ORACLE_TRIALS, chan, snr, quantizer, bits, cqi_kind, selection,
+                            3 if case % 2 else None)
         if quantizer in ("rvq_statistical", "idealized", "perfect"):
             assert ruled == 0
 
@@ -487,8 +476,7 @@ class TestBatchedZfAgainstPerTrialOracle:
     def test_high_snr_coarse_codebooks(self, quantizer, bits, selection):
         # At 50 dB selection serves its worst-conditioned sets, where the beams from the
         # selection's inverse Gram matrix and the SVD reference differ most.
-        ruled = self._check(1, ORACLE_TRIALS, (30, 4), 1e5, QuantizerSpec(quantizer, bits), "norm2",
-                            selection, None)
+        ruled = self._check(1, ORACLE_TRIALS, (30, 4), 1e5, quantizer, bits, "norm2", selection, None)
         if quantizer == "rvq_statistical":
             assert ruled == 0
 
@@ -496,8 +484,7 @@ class TestBatchedZfAgainstPerTrialOracle:
         # 3-bit scalar codebook, 2 antennas, 30 users and 3 CQI bits: many users share a
         # codeword up to phase and a CQI level, so greedy meets exact ties that the engine's
         # and the oracle's rounding would otherwise break differently.
-        self._check(0, 50, (30, 2), 10.0, QuantizerSpec("scalar", 3), "norm2", "greedy",
-                    CqiQuantizerSpec.around_mean(3, 2.0))
+        self._check(0, 50, (30, 2), 10.0, "scalar", 3, "norm2", "greedy", 3)
 
 
 class TestOrthosetSchemes:
@@ -567,7 +554,7 @@ class TestOrthosetSchemes:
 class TestSubf:
     def test_perfect_quantizer_picks_best_norm(self):
         h = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.5]], dtype=complex)
-        out = subf_block(_perfect_realization(h), QuantizerSpec("perfect", 0), 10.0)
+        out = subf_block(_perfect_realization(h), "perfect", 0, 10.0)
         assert _served(out) == [1]
         assert abs(out.sum_rates[0] - math.log2(1.0 + 10.0 * 4.0)) < 1e-12
 
@@ -576,7 +563,7 @@ class TestSubf:
         h = complex_gaussian(rng, (1, 4))
         h_delayed = complex_gaussian(rng, (1, 4))
         real = ChannelRealization(h=h, h_est=h, h_delayed=h_delayed)
-        out = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
+        out = subf_block(real, "perfect", 0, 10.0)
         u = h[0] / np.linalg.norm(h[0])
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
         assert abs(out.sum_rates[0] - expect) < 1e-12
@@ -585,8 +572,7 @@ class TestSubf:
         diffs = []
         for trial in range(200):
             real = draw_block(RngStream(19, trial).generator(), 10, 4)
-            perfect = subf_block(real, QuantizerSpec("perfect", 0), 10.0)
-            coarse = subf_block(real, QuantizerSpec("rvq_statistical", 2), 10.0,
-                                rng=RngStream(20, trial).generator())
+            perfect = subf_block(real, "perfect", 0, 10.0)
+            coarse = subf_block(real, "rvq_statistical", 2, 10.0, rng=RngStream(20, trial).generator())
             diffs.append(perfect.sum_rates[0] - coarse.sum_rates[0])
         assert np.mean(diffs) > 0.0
