@@ -87,17 +87,22 @@ class FixedPointResult(NamedTuple):
 
 
 def _bisect_root(lo: float, hi: float, flo: float, snr: float, nt: int, tfb: float) -> float:
-    """The residual's root in [lo, hi], whose ends differ in sign; flo is the residual at lo."""
-    for _ in range(200):
+    """The residual's root in [lo, hi], whose ends differ in sign; flo is the residual at lo.
+
+    Halves [lo, hi] until the residual at its midpoint is within 1e-10 of 0 or
+    the interval is narrower than 1e-13 * max(1, hi), 450 to 900 ulps of hi.
+    The width alone ends the loop: from the widest interval _b_interval
+    allows (hi < 2^1024, lo >= 1) that takes under 1100 halvings.
+    """
+    while True:
         mid = 0.5 * (lo + hi)
         fmid = _bopt_residual(mid, snr, nt, tfb)
         if abs(fmid) <= 1e-10 or hi - lo < 1e-13 * max(1.0, hi):
-            break
+            return mid
         if flo * fmid <= 0:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return mid
 
 
 def _positive_residual(lo: float, hi: float, snr: float, nt: int, tfb: float) -> float | None:

@@ -26,9 +26,9 @@ from .schemes import (
 SCHEMES = ("zf", "rbf", "pu2rc", "subf")
 
 # run_point stacks trials into chunks of about this many rows, counted by
-# ExperimentConfig.trial_rows. A row weighs about 100-200 bytes at a chunk's
-# traced peak in every scheme, so a chunk peaks near 2 MiB, below what one
-# PU2RC B=12 trial needs (2.85 MiB on NumPy 2.4).
+# ExperimentConfig.trial_rows. A row weighs about 70-140 bytes at a chunk's
+# traced peak in every scheme, so a chunk peaks at 1-2 MiB, below what one
+# PU2RC B=12 trial needs (2.32 MiB on NumPy 2.4).
 CHUNK_ROWS = 16384
 
 

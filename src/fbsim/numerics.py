@@ -168,7 +168,9 @@ def haar_orthonormal_stack(rngs, n: int, count: int) -> np.ndarray:
             for _ in range(2):
                 v -= _sum_leading(q[:j] * _sum_leading(qh[:j] * v, 1)[:, None], 0)
         h = np.conjugate(v, out=qh[j])
-        v /= np.sqrt(_sum_leading(h * v, 0).real)
+        # NumPy divides a complex by a real d as re * (1 / d), im * (1 / d): this is v / d, bit for bit
+        vv = v.view(np.float64)
+        vv *= np.repeat(1.0 / np.sqrt(_sum_leading(h * v, 0).real), 2)
         np.conjugate(v, out=h)
     return q.T.reshape(len(rngs), count, n, n)
 

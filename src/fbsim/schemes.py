@@ -291,28 +291,56 @@ def zf_block(
                      np.pad(plan.beamformers, ((0, pad), (0, 0)))[None], snr / n)
 
 
+def _orthoset_feedback(h: np.ndarray, codebooks: np.ndarray, snr: float) -> tuple[np.ndarray, np.ndarray]:
+    """What each user of T blocks feeds back for RBF/PU2RC: its best cell and its SINR there, (T, K) each.
+
+    Cell s * nt + m is set s, beam m (codebooks (T, S, nt, nt), beam m in
+    column m); the best cell maximizes |h^H w|^2 over the whole codebook.
+    Read as real 2nt-vectors, Re(h^H w) = h . w and Im(h^H w) = h . (-i w),
+    so two real matmuls against (T, 2nt, cells) operands score every (user,
+    cell). With power snr/nt on each beam, the SINR's interference is the
+    rest of the user's gain on its set, an orthonormal basis: ||h||^2 less
+    the best gain.
+    """
+    n_trials, sets, nt, _ = codebooks.shape
+    w = np.empty((n_trials, nt, 2, sets, nt))  # w[t, x, :, s, m]: re, im of entry x of beam (s, m)
+    w[:, :, 0] = codebooks.real.transpose(0, 2, 1, 3)
+    w[:, :, 1] = codebooks.imag.transpose(0, 2, 1, 3)
+    w_rot = np.empty_like(w)  # -i w = im - i re
+    w_rot[:, :, 0] = w[:, :, 1]
+    np.negative(w[:, :, 0], out=w_rot[:, :, 1])
+    hv = np.ascontiguousarray(h).view(np.float64)
+    p = hv @ w.reshape(n_trials, 2 * nt, -1)
+    p *= p
+    im = hv @ w_rot.reshape(n_trials, 2 * nt, -1)
+    p += np.multiply(im, im, out=im)  # (T, K, cells)
+    # The scores are a one-set chunk's largest arrays: one lives through the argmax and none
+    # through the SINR's (T, K) temporaries, so RBF's chunk stays below a PU2RC B=12 trial.
+    del im
+    best = np.argmax(p, axis=2)
+    gain = np.take_along_axis(p, best[:, :, None], axis=2)[:, :, 0]
+    del p
+    return best, _sinr(gain, _sq_norms(h), snr / nt)
+
+
 def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndarray,
                     snr: float, nt: int) -> Blocks:
     """RBF/PU2RC for T coherence blocks: channels (T, K, nt), codebooks (T, S, nt, nt).
 
     Set s, beam m of trial t is codebooks[t, s][:, m]. Each user feeds back
     the (set, beam) that maximizes |h_est^H w|^2 over the whole codebook and
-    its SINR there, with power snr/nt on every beam of the set. Each (set,
-    beam) serves its user with the largest fed-back SINR, if that is > 0
-    (lowest index on ties); the set with the largest sum of log2(1 + SINR)
-    transmits all of its beams, and its rates are realized on h_delayed.
-    Served beams come first, in beam order; idle beams still interfere.
+    its SINR there, with power snr/nt on every beam of the set
+    (_orthoset_feedback). Each (set, beam) serves its user with the largest
+    fed-back SINR, if that is > 0 (lowest index on ties); the set with the
+    largest sum of log2(1 + SINR) transmits all of its beams, and its rates
+    are realized on h_delayed. Served beams come first, in beam order; idle
+    beams still interfere.
     """
     n_trials, n_users, _ = h_est.shape
     cells = codebooks.shape[1] * nt  # (set, beam) pairs per trial
-    beams = np.swapaxes(codebooks, 2, 3).reshape(n_trials, cells, nt)  # beam rows
-    p = np.abs(h_est.conj() @ np.swapaxes(beams, 1, 2)) ** 2  # (T, K, cells)
-    best = np.argmax(p, axis=2)  # quantization rule: max |h^H w|^2
-    trials, users = np.arange(n_trials), np.arange(n_users)
+    best, fb = _orthoset_feedback(h_est, codebooks, snr)
+    trials = np.arange(n_trials)
     t = trials[:, None]
-    p_set = p.reshape(n_trials, n_users, -1, nt)[t, users, best // nt]  # (T, K, nt): the user's set
-    p_best = p[t, users, best]
-    fb = _sinr(p_best, p_set.sum(axis=2), snr / nt)
 
     # Per (set, beam): the largest fed-back SINR, then the lowest user index that reaches it.
     cell = best + cells * t
@@ -327,7 +355,7 @@ def orthoset_blocks(h_est: np.ndarray, h_delayed: np.ndarray, codebooks: np.ndar
     tx_user = sched_user.reshape(n_trials, -1, nt)[trials, s_star]  # (T, nt); n_users: no user
     on = tx_user < n_users
     beam = np.argsort(~on, axis=1, kind="stable")  # served beams first, in beam order
-    w = beams[t, s_star[:, None] * nt + beam]  # (T, nt, nt): the set's beam rows
+    w = np.swapaxes(codebooks[trials, s_star], 1, 2)[t, beam]  # (T, nt, nt): the set's beam rows
     return _transmit(h_delayed, np.take_along_axis(tx_user, beam, axis=1), on.sum(axis=1), w,
                      snr / nt, sets=s_star)
 

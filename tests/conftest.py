@@ -182,6 +182,44 @@ def quantize_to_orthosets(h, codebook) -> tuple[int, int, float]:
     return int(s), int(m), float(1.0 - cos2[s, m])
 
 
+def oracle_orthoset_block(h_est, h_delayed, codebook, snr: float) -> dict:
+    """RBF/PU2RC on one block in complex arithmetic, scheduling user by user.
+
+    Channels (K, nt), codebook (S, nt, nt) with beam m of set s in column m,
+    cell s * nt + m. Each user feeds back its cell argmax |h^H w|^2 and the
+    SINR there with power snr/nt per beam, the sum of its other gains on
+    that set as interference. A cell serves its largest fed-back SINR if > 0, the lowest
+    user on ties; the set with the largest sum of log2(1 + SINR) transmits,
+    served beams first in beam order, and rates are realized on h_delayed.
+    Returns the fed-back cells and SINRs (K,), the set, the served users in
+    beam order and their realized rates.
+    """
+    n_sets, nt, _ = codebook.shape
+    power = snr / nt
+    gains = np.abs(h_est.conj() @ codebook) ** 2  # (S, K, nt): gains[s, k, m] = |h_k^H w_sm|^2
+    cells = np.argmax(np.swapaxes(gains, 0, 1).reshape(len(h_est), -1), axis=1)
+    fb = np.empty(len(h_est))
+    for k, c in enumerate(cells):
+        own, total = gains[c // nt, k, c % nt], gains[c // nt, k].sum()
+        fb[k] = power * own / (1.0 + power * (total - own))
+    winner = {}
+    for k, c in enumerate(cells):
+        if fb[k] > 0.0 and (c not in winner or fb[k] > fb[winner[c]]):
+            winner[c] = k
+    scores = [sum(math.log2(1.0 + fb[winner[c]]) for c in range(s * nt, (s + 1) * nt) if c in winner)
+              for s in range(n_sets)]
+    s = int(np.argmax(scores))
+    order = sorted(range(nt), key=lambda m: s * nt + m not in winner)  # served beams first
+    served = [winner[s * nt + m] for m in order if s * nt + m in winner]
+    # p[j, i] = |h_j^H w_i|^2 for served user j and beam i, its rows padded to nt with user 0
+    # as the engine pads them, so that both run one BLAS kernel and agree bit for bit
+    rows = h_delayed[served + [0] * (nt - len(served))]
+    p = (np.abs(rows.conj() @ codebook[s][:, order]) ** 2)[:len(served)]
+    own = np.diagonal(p)
+    rates = np.log2(1.0 + power * own / (1.0 + power * (p.sum(axis=1) - own)))
+    return dict(cells=cells, fb=fb, set=s, served=served, rates=rates)
+
+
 def zf_realized_sinr(h_true, own_bf, other_bfs, snr: float, n: int) -> float:
     """Post-selection SINR under equal power SNR/n with residual interference."""
     s = snr / n

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bopt_scaling_report, phi_from_training_delay, rbf_matching_budget, subf_bopt,
@@ -197,6 +197,23 @@ class TestBitOptimizers:
         assert lo <= fp.b <= hi
         best = _zf_rates(snr, nt, tfb, np.linspace(lo, hi, 200)).max()
         assert _zf_rates(snr, nt, tfb, fp.b) >= best * (1.0 - BOPT_RTOL)
+
+    # Budgets up to 1e300 and every SNR a config accepts (up to 3000 dB). There every root lies
+    # below about 1024 (nt - 1) bits, where the bisection's final width (1e-13 B) moves the
+    # residual by under 4e-11, so its residual test ends the search: an interior B is a root
+    # to 1e-10. When the bisection stopped after 200 halvings, 1e100 gave B = 1.56e39.
+    @given(snr_db=st.floats(-3000.0, 3000.0), nt=st.integers(2, 8), log_tfb=st.floats(0.0, 300.0))
+    @example(snr_db=10.0, nt=4, log_tfb=100.0)
+    @settings(max_examples=300, deadline=None)
+    def test_interior_b_is_a_root_at_any_budget(self, snr_db, nt, log_tfb):
+        snr, tfb = 10.0 ** (snr_db / 10.0), 10.0**log_tfb
+        if not math.log2(nt) < tfb / nt:
+            with pytest.raises(ValueError, match="tfb too small"):
+                A.zf_bopt_fixed_point(snr, nt, tfb)
+            return
+        fp = A.zf_bopt_fixed_point(snr, nt, tfb)
+        assert fp.at_boundary == (fp.b in (math.log2(nt), tfb / nt))
+        assert fp.at_boundary or abs(fp.residual) <= 1e-10, fp
 
     def test_infeasible_regime_is_raised_by_name(self):
         with pytest.raises(A.InfeasibleRegimeError, match="must be >= e"):

@@ -450,7 +450,7 @@ _FAULT_PROBE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from fbsim.montecarlo import ExperimentConfig, run_point
-for scheme, b in [("zf", 4), ("rbf", 2), ("subf", 5), ("pu2rc", 4)]:
+for scheme, b in [("zf", 4), ("rbf", 2), ("subf", 5), ("pu2rc", 4), ("pu2rc", 10)]:
     cfg = ExperimentConfig(scheme=scheme, nt=4, snr_db=10.0, tfb=300, trials=100, seed=3)
     run_point(cfg, b)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -471,7 +471,7 @@ class TestWarmChunksKeepTheHeapMapped:
         out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, src], capture_output=True,
                              text=True, check=True).stdout
         per_trial = {f"{scheme} B={b}": float(f) for scheme, b, f in map(str.split, out.splitlines())}
-        assert len(per_trial) == 4 and all(f <= 0.1 for f in per_trial.values()), per_trial
+        assert len(per_trial) == 5 and all(f <= 0.1 for f in per_trial.values()), per_trial
 
 
 class TestSchemesThroughEngine:

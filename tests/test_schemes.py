@@ -12,13 +12,15 @@ from conftest import (
     complex_gaussian,
     estimated_plan_rate,
     oracle_draw_block,
+    oracle_orthoset_block,
     oracle_zf_block,
     quantize_to_orthosets,
     zf_realized_sinr,
 )
 from fbsim import schemes
 from fbsim.channel import ChannelRealization, draw_block, draw_blocks
-from fbsim.numerics import RngStream, SingularSetError, haar_orthonormal_sets, zf_directions
+from fbsim.numerics import (RngStream, SingularSetError, haar_orthonormal_sets, haar_orthonormal_stack,
+                            zf_directions)
 from fbsim.quantization import (
     QUANTIZER_KINDS,
     build_orthosets_codebook,
@@ -485,6 +487,49 @@ class TestBatchedZfAgainstPerTrialOracle:
         # codeword up to phase and a CQI level, so greedy meets exact ties that the engine's
         # and the oracle's rounding would otherwise break differently.
         self._check(0, 50, (30, 2), 10.0, "scalar", 3, "norm2", "greedy", 3)
+
+
+class TestOrthosetAgainstComplexOracle:
+    """orthoset_blocks on (T, K, nt) stacks against conftest's complex-arithmetic oracle, trial by
+    trial: the engine scores |h^H w|^2 on real views and takes a set's total gain as ||h||^2."""
+
+    @staticmethod
+    def _check(h_est, h_delayed, codebooks, snr):
+        cells, fb = schemes._orthoset_feedback(h_est, codebooks, snr)
+        out = orthoset_blocks(h_est, h_delayed, codebooks, snr, codebooks.shape[2])
+        for t in range(len(h_est)):
+            want = oracle_orthoset_block(h_est[t], h_delayed[t], codebooks[t], snr)
+            np.testing.assert_array_equal(cells[t], want["cells"])
+            np.testing.assert_allclose(fb[t], want["fb"], rtol=1e-12, atol=0.0)
+            n = out.counts[t]
+            assert (out.sets[t], list(out.selected[t, :n])) == (want["set"], want["served"]), t
+            np.testing.assert_array_equal(out.realized_rates[t, :n], want["rates"])
+        return cells, fb, out
+
+    # rbf's one set at the benchmark's 0 and 10 dB, and PU2RC up to B = 12, each with the chunk
+    # run_point gives it at nt 4, T_fb 300 (capped at 20 trials); training error and delay make
+    # h_delayed differ from h_est
+    @pytest.mark.parametrize("bits,snr_db", [(2, 0.0), (2, 10.0), (6, 10.0), (10, 10.0), (12, 0.0)])
+    def test_matches_the_oracle_on_random_stacks(self, bits, snr_db):
+        nt, users = 4, 300 // bits
+        trials = min(20, max(1, 16384 // (users * 2**bits // nt)))
+        rngs = [RngStream(80 + bits, t).generator() for t in range(trials)]
+        block = draw_blocks(rngs, users, nt, 0.1, 0.9)
+        codebooks = haar_orthonormal_stack(rngs, nt, 2**bits // nt)
+        self._check(block.h_est, block.h_delayed, codebooks, 10.0 ** (snr_db / 10.0))
+
+    def test_identical_users_in_one_cell_go_to_the_lower_index(self):
+        # users 5 and 17 both sit on set 2, beam 1, with gains far above everyone else's: an
+        # exact tie in their fed-back SINRs, which the lower index wins
+        nt, users = 4, 30
+        rng = RngStream(85).generator()
+        h = 0.1 * draw_blocks([rng], users, nt).h_est
+        codebooks = haar_orthonormal_stack([rng], nt, 16)
+        h[0, 5] = h[0, 17] = 10.0 * codebooks[0, 2][:, 1]
+        cells, fb, out = self._check(h, h, codebooks, 10.0)
+        assert cells[0, 5] == cells[0, 17] == 2 * nt + 1 and fb[0, 5] == fb[0, 17]
+        assert out.sets[0] == 2 and 5 in out.selected[0, :out.counts[0]]
+        assert 17 not in out.selected[0, :out.counts[0]]
 
 
 class TestOrthosetSchemes:
