@@ -10,7 +10,7 @@ import numpy as np
 
 from .channel import draw_block, draw_blocks
 from .numerics import RngStream, haar_orthonormal_stack, rng_streams
-from .quantization import EXPLICIT_RVQ_MAX_BITS, QUANTIZER_KINDS, orthoset_count
+from .quantization import EXPLICIT_RVQ_MAX_ENTRIES, QUANTIZER_KINDS, orthoset_count
 from .schemes import (
     SELECTIONS,
     ZF_CQI_KINDS,
@@ -28,7 +28,8 @@ SCHEMES = ("zf", "rbf", "pu2rc", "subf")
 # run_point stacks trials into chunks of about this many rows, counted by
 # ExperimentConfig.trial_rows. A row weighs about 70-140 bytes at a chunk's
 # traced peak in every scheme, so a chunk peaks at 1-2 MiB, below what one
-# PU2RC B=12 trial needs (2.32 MiB on NumPy 2.4).
+# PU2RC B=12 trial needs (2.32 MiB on NumPy 2.4); explicit RVQ adds its scan
+# group's buffers, about 0.7 MiB at nt 4.
 CHUNK_ROWS = 16384
 
 
@@ -109,9 +110,9 @@ class ExperimentConfig:
         if not self.relaxed_user_grid and self.tfb % per_user != 0:
             return f"B={b} (+{self.cqi_bits or 0} CQI bits) does not divide tfb={self.tfb}"
         explicit = self.scheme in ("zf", "subf") and self.quantizer == "rvq_explicit"
-        if explicit and b > EXPLICIT_RVQ_MAX_BITS:
-            return (f"rvq_explicit is capped at B={EXPLICIT_RVQ_MAX_BITS}; "
-                    "use rvq_statistical for larger codebooks")
+        if explicit and self.nt > EXPLICIT_RVQ_MAX_ENTRIES >> b:  # 2^B*nt past the bound
+            return (f"rvq_explicit is capped at 2^B*nt = {EXPLICIT_RVQ_MAX_ENTRIES} codebook entries, "
+                    f"got 2^{b}*{self.nt}; use rvq_statistical for larger codebooks")
         if self.scheme == "pu2rc":
             try:
                 orthoset_count(b, self.nt)  # whole orthonormal sets of nt beams

@@ -10,12 +10,16 @@ from .numerics import complex_normals, complex_pairs, haar_orthonormal_sets
 
 QUANTIZER_KINDS = ("rvq_explicit", "rvq_statistical", "scalar", "idealized", "perfect")
 
-# b_problem refuses zf/subf 2^B codeword scans above this; use the statistical fast path.
-EXPLICIT_RVQ_MAX_BITS = 24
+# b_problem refuses zf/subf explicit scans of more than this many codebook entries
+# (2^B codewords of nt) per row; use the statistical fast path. At the bound one
+# row's scan holds 1.1-1.8 MiB (2.75x its 2^B*2nt-double draw buffer at nt 4),
+# less than the one trial of a PU2RC B=12 chunk.
+EXPLICIT_RVQ_MAX_ENTRIES = 2**15
 
-# Explicit RVQ scans the codebooks of this many codewords' worth of rows (at
-# least one row) per call, which bounds its working set.
-CODEWORDS_PER_SCAN = 1024
+# Explicit RVQ scans up to this many codewords' worth of rows per call. A scan
+# group is at least one row, so from 2^B = CODEWORDS_PER_SCAN it is one whole row,
+# whose size only EXPLICIT_RVQ_MAX_ENTRIES bounds.
+CODEWORDS_PER_SCAN = 4096
 
 
 class DegeneratePivotError(ValueError):
@@ -75,21 +79,18 @@ def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple
     return _place_at_angle(h, complex_normals(rngs, n_users, nt), sin2), sin2
 
 
-def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit RVQ: each row scans a fresh 2^B isotropic codebook for the closest codeword.
+def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, n_users: int) -> np.ndarray:
+    """The raw draws (rows, 2, 1, nt) of each conjugated unit row's closest codeword in a fresh 2^B codebook.
 
-    The rows of the stack, trial by trial, are scanned in groups of up to
+    The rows, trial by trial, are scanned in groups of up to
     CODEWORDS_PER_SCAN // 2^B rows (at least one); each row's codebook is
     drawn from its trial's stream, in row order. Codewords are scored
-    straight from the real draws, |c.u|^2 / ||c||^2; each row's winner is
-    the argmax of that score, and only the winner is normalized and has its
-    error taken.
+    straight from the real draws, |c.u|^2 / ||c||^2, and each row's winner
+    is the argmax of that score. The scan's buffers are freed on return.
     """
-    n_trials, n_users, nt = h.shape
-    n_rows = n_trials * n_users
+    n_rows, nt = u.shape
     n_codes = 2**bits
     group = max(1, CODEWORDS_PER_SCAN // n_codes)
-    u = _unit_rows(h).conj().reshape(n_rows, nt)
     # c.u = (a + ib).(p + iq) / sqrt(2): z[:, 0] @ [p, q] + z[:, 1] @ [-q, p] gives [Re, Im]
     w = np.stack((np.stack((u.real, u.imag), -1), np.stack((-u.imag, u.real), -1)), 1)
     ones, ones2 = np.ones(nt), np.ones(2)
@@ -99,8 +100,7 @@ def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, 
     parts = np.empty((g, 2, n_codes, 2))
     score = np.empty((g, n_codes))
     norm2 = np.empty((g, n_codes))
-    dirs = np.empty((n_rows, nt), dtype=complex)
-    sin2 = np.empty(n_rows)
+    best = np.empty((n_rows, 2, 1, nt))
     for lo in range(0, n_rows, group):
         hi = min(lo + group, n_rows)
         n = hi - lo
@@ -113,10 +113,21 @@ def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, 
         s = np.matmul(re_im, ones2, out=score[:n])
         np.square(zr, out=z2[:n])
         s /= np.matmul(np.add(z2[:n, 0], z2[:n, 1], out=z2[:n, 0]), ones, out=norm2[:n])
-        winners = _unit_rows(complex_pairs(zr[np.arange(n), :, np.argmax(s, axis=1), None]))
-        dirs[lo:hi] = winners[:, 0]
-        sin2[lo:hi] = 1.0 - np.abs(np.einsum("gcn,gn->gc", winners, u[lo:hi]))[:, 0] ** 2
-    return dirs.reshape(h.shape), sin2.reshape(n_trials, n_users)
+        best[lo:hi, :, 0] = zr[np.arange(n), :, np.argmax(s, axis=1)]
+    return best
+
+
+def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit RVQ: each row scans a fresh 2^B isotropic codebook for the closest codeword.
+
+    Only the winners are normalized and have their errors taken, all rows
+    of the stack at once.
+    """
+    n_trials, n_users, nt = h.shape
+    u = _unit_rows(h).conj().reshape(n_trials * n_users, nt)
+    winners = _unit_rows(complex_pairs(_rvq_winning_draws(u, bits, rngs, n_users)))
+    sin2 = 1.0 - np.abs(np.einsum("gcn,gn->gc", winners, u))[:, 0] ** 2
+    return winners.reshape(h.shape), sin2.reshape(n_trials, n_users)
 
 
 def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:

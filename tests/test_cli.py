@@ -336,9 +336,11 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("body,message", [
         ("scheme = zf\nnt = 4\nb_values = 10 33\n", "B=33 (+0 CQI bits) does not divide tfb=300"),
         ("scheme = pu2rc\nnt = 3\nb_values = 4\n", "2^B=16 is not divisible by nt=3"),
-        ("scheme = zf\nnt = 4\nquantizer = rvq_explicit\nb_values = 6 25\n",
-         "rvq_explicit is capped at B=24"),
-    ], ids=["zf_past_budget", "pu2rc_partial_set", "explicit_rvq_past_cap"])
+        ("scheme = zf\nnt = 4\nquantizer = rvq_explicit\nb_values = 6 15\n",
+         "rvq_explicit is capped at 2^B*nt = 32768 codebook entries, got 2^15*4; use rvq_statistical"),
+        ("scheme = subf\nnt = 2\nquantizer = rvq_explicit\nb_values = 6 15\n",
+         "rvq_explicit is capped at 2^B*nt = 32768 codebook entries, got 2^15*2; use rvq_statistical"),
+    ], ids=["zf_past_budget", "pu2rc_partial_set", "explicit_rvq_past_cap", "explicit_rvq_past_cap_nt2"])
     def test_infeasible_b_value_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                               body, message):
         def no_trials(*args, **kwargs):
@@ -351,15 +353,19 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    # A trial at B = 25 with an explicit scan would allocate several GiB: no case runs one.
+    # An explicit scan past 2^B*nt = 2^15 entries holds more than a PU2RC B=12 trial, and several
+    # GiB at B = 25: no case runs one.
     @pytest.mark.parametrize("scheme,nt,quantizer,b,refused", [
         ("zf", 4, "rvq_explicit", 25, True),
         ("subf", 4, "rvq_explicit", 25, True),
+        ("zf", 4, "rvq_explicit", 15, True),
+        ("subf", 4, "rvq_explicit", 15, True),
         ("pu2rc", 3, "rvq_statistical", 10, True),
         ("zf", 4, "orthosets", 10, True),
         ("rbf", 4, "rvq_explicit", 25, False),
         ("pu2rc", 4, "rvq_explicit", 25, False),
-    ], ids=["zf_explicit_past_cap", "subf_explicit_past_cap", "pu2rc_partial_set", "orthosets",
+    ], ids=["zf_explicit_past_cap", "subf_explicit_past_cap", "zf_explicit_b15", "subf_explicit_b15",
+            "pu2rc_partial_set", "orthosets",
             "rbf_ignores_explicit_cap", "pu2rc_ignores_explicit_cap"])
     def test_what_a_trial_cannot_run_on_is_refused_at_construction(self, tmp_path, monkeypatch,
                                                                    scheme, nt, quantizer, b, refused):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_draw_block
+from conftest import complex_gaussian, oracle_draw_block
 from fbsim import montecarlo
 from fbsim.montecarlo import (
     SCHEMES,
@@ -24,7 +24,7 @@ from fbsim.montecarlo import (
     sweep_b,
 )
 from fbsim.numerics import RngStream, rng_streams
-from fbsim.quantization import EXPLICIT_RVQ_MAX_BITS, QUANTIZER_KINDS
+from fbsim.quantization import EXPLICIT_RVQ_MAX_ENTRIES, QUANTIZER_KINDS, quantize_directions
 from fbsim.schemes import SELECTIONS, ZF_CQI_KINDS
 
 
@@ -114,10 +114,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="2\\^B=16 is not divisible by nt=3"):
             _cfg(scheme="pu2rc", nt=3, tfb=300, b_values=(4,))
 
+    # B = 15 (2^15 * 4 entries) is the first divisor of T_fb 300 past the bound at nt 4
+    @pytest.mark.parametrize("b", [15, 25])
     @pytest.mark.parametrize("scheme", ["zf", "subf"])
-    def test_explicit_rvq_past_its_cap_rejected_at_construction(self, scheme):
-        with pytest.raises(FeedbackBudgetError, match="rvq_explicit is capped at B=24"):
-            _cfg(scheme=scheme, quantizer="rvq_explicit", tfb=300, b_values=(6, 25))
+    def test_explicit_rvq_past_its_cap_rejected_at_construction(self, scheme, b):
+        with pytest.raises(FeedbackBudgetError, match=rf"rvq_explicit is capped at 2\^B\*nt = 32768 codebook "
+                                                      rf"entries, got 2\^{b}\*4; use rvq_statistical"):
+            _cfg(scheme=scheme, quantizer="rvq_explicit", tfb=300, b_values=(6, b))
 
     def test_rbf_ignores_the_explicit_rvq_cap(self):
         cfg = _cfg(scheme="rbf", quantizer="rvq_explicit", tfb=300, b_values=(6, 25))
@@ -155,12 +158,19 @@ class TestFeasibleGrid:
         assert got == [2, 3, 4, 5, 6]  # 2^b divisible by 4 for all b >= 2
 
     @pytest.mark.parametrize("scheme,grid", [
-        ("zf", [2, 3, 4, 5, 6, 10, 12, 15, 20]),
-        ("subf", [2, 3, 4, 5, 6, 10, 12, 15, 20]),
+        ("zf", [2, 3, 4, 5, 6, 10, 12]),
+        ("subf", [2, 3, 4, 5, 6, 10, 12]),
         ("rbf", [2, 3, 4, 5, 6, 10, 12, 15, 20, 25, 30, 50, 60, 75]),
     ])
     def test_explicit_rvq_cap_bounds_the_grid(self, scheme, grid):
         assert feasible_b_values(_cfg(scheme=scheme, quantizer="rvq_explicit", tfb=300)) == grid
+
+    # every B up to T_fb / nt, less those whose 2^B * nt codebook entries pass 2^15
+    @pytest.mark.parametrize("scheme,nt,top", [("zf", 2, 14), ("zf", 3, 13), ("subf", 4, 13), ("zf", 8, 12),
+                                               ("zf", 1, 15), ("rbf", 4, 30)])
+    def test_explicit_rvq_cap_scales_with_nt(self, scheme, nt, top):
+        cfg = _cfg(scheme=scheme, nt=nt, quantizer="rvq_explicit", tfb=120, relaxed_user_grid=True)
+        assert feasible_b_values(cfg) == list(range(max(1, math.ceil(math.log2(nt))), top + 1))
 
     def test_cqi_bits_change_grid(self):
         got = feasible_b_values(_cfg(tfb=300, cqi_bits=4))
@@ -194,7 +204,7 @@ class TestFeasibleGrid:
         for b in range(math.ceil(math.log2(nt)), cfg.tfb // nt + 1):
             explicit = quantizer == "rvq_explicit" and scheme in ("zf", "subf")
             runs = (cfg.tfb % (b + (cqi_bits or 0)) == 0  # B + CQI bits divide the budget
-                    and not (explicit and b > EXPLICIT_RVQ_MAX_BITS)  # the explicit scan's cap
+                    and not (explicit and 2**b * nt > EXPLICIT_RVQ_MAX_ENTRIES)  # the explicit scan's cap
                     and not (scheme == "pu2rc" and 2**b % nt))  # whole orthonormal sets of nt beams
             assert (b in grid) == runs
             if not runs:
@@ -429,18 +439,38 @@ def _chunk_peak(cfg, b, trials):
 class TestChunkMemory:
     """At the default chunk rule, each scheme's largest chunk on a benchmark
     point (nt 4, T_fb 300, 100 trials) needs no more memory than the one
-    trial a PU2RC B=12 chunk holds. The bound is measured in the same run,
-    so no NumPy version's byte counts are written into the test."""
+    trial a PU2RC B=12 chunk holds, and neither does one explicit-RVQ row's
+    scan at the largest B the config accepts. The bound is measured in the
+    same run, so no NumPy version's byte counts are written into the test."""
 
     def test_chunk_peaks_stay_within_one_pu2rc_b12_trial(self):
         point = dict(nt=4, tfb=300, trials=100)
         bound = _chunk_peak(_cfg(scheme="pu2rc", **point), 12, 1)
         peaks = {}
+        # the benchmark's explicit-RVQ points, behind simplified ZF with CQI bits and impaired CSI
+        explicit = dict(quantizer="rvq_explicit", selection="simplified", cqi_bits=4, beta=1.0, r=0.95)
         for name, b, kw in [("zf_greedy", 4, dict(scheme="zf")), ("subf", 5, dict(scheme="subf", snr_db=0.0)),
-                            ("rbf", 2, dict(scheme="rbf", snr_db=0.0)), ("pu2rc", 6, dict(scheme="pu2rc"))]:
+                            ("rbf", 2, dict(scheme="rbf", snr_db=0.0)), ("pu2rc", 6, dict(scheme="pu2rc")),
+                            ("zf_rvq_explicit", 6, explicit), ("zf_rvq_explicit", 11, explicit)]:
             cfg = _cfg(**point, **kw)
             trials = min(cfg.trials, montecarlo.CHUNK_ROWS // cfg.trial_rows(b))
             peaks[f"{name} B={b} ({trials} trials)"] = _chunk_peak(cfg, b, trials)
+        assert all(peak <= bound for peak in peaks.values()), (bound, peaks)
+
+    def test_one_explicit_row_at_the_cap_stays_within_one_pu2rc_b12_trial(self):
+        bound = _chunk_peak(_cfg(scheme="pu2rc", nt=4, tfb=300, trials=100), 12, 1)
+        peaks = {}
+        for nt in (2, 4, 8):
+            b = max(feasible_b_values(_cfg(nt=nt, quantizer="rvq_explicit", tfb=120, relaxed_user_grid=True)))
+            assert 2**b * nt == EXPLICIT_RVQ_MAX_ENTRIES
+            h = complex_gaussian(RngStream(60, nt).generator(), (1, 1, nt))
+            quantize_directions(h, "rvq_explicit", b, [RngStream(61).generator()])
+            tracemalloc.start()
+            try:
+                quantize_directions(h, "rvq_explicit", b, [RngStream(61).generator()])
+                peaks[f"nt {nt} B={b}"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert all(peak <= bound for peak in peaks.values()), (bound, peaks)
 
 

@@ -138,7 +138,7 @@ class TestComplexGaussian:
             z = rng.standard_normal((2, 4, 4))
         elif layout == "channel_stack":
             z = rng.standard_normal((5, 3, 2, 7, 4))  # (T, draws, 2, K, nt)
-        else:  # explicit RVQ's winning codewords of a scan group, (g, 2, 1, nt)
+        else:  # explicit RVQ's winning codewords of a stack, (rows, 2, 1, nt)
             codes = rng.standard_normal((6, 2, 16, 4))
             z = codes[np.arange(6), :, rng.integers(0, 16, 6), None]
         want = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)

@@ -339,7 +339,8 @@ class TestDispatcher:
 
 
 # (kind, bits, nt, K): 5 trials of K = 37 rows leave a short last explicit-RVQ
-# scan group (256 rows per group at B=2, 16 at B=6, 4 at B=8; groups span trials).
+# scan group (64 rows per group at B=6, 16 at B=8, 2 at B=11; groups span trials,
+# and at B=2 one group of 1024 rows holds all of them).
 STACK_CASES = [("perfect", 0, 4, 7), ("rvq_statistical", 10, 4, 37), ("rvq_statistical", 3, 2, 5),
                ("idealized", 8, 3, 37), ("rvq_explicit", 2, 4, 37), ("rvq_explicit", 6, 4, 37),
                ("rvq_explicit", 8, 2, 37), ("rvq_explicit", 11, 4, 6), ("rvq_explicit", 4, 1, 37),
@@ -377,7 +378,7 @@ class TestStackedAgainstPerRowOracles:
     def test_stream_continues_after_the_last_row(self):
         h = complex_gaussian(RngStream(42).generator(), (2, 9, 4))
         rngs = [RngStream(43, t).generator() for t in range(2)]
-        quantize_directions(h, "rvq_explicit", 7, rngs)  # 8 rows per scan group
+        quantize_directions(h, "rvq_explicit", 7, rngs)  # 32 rows per scan group: one spans both trials
         for t, rng in enumerate(rngs):
             ref = RngStream(43, t).generator()
             oracle_quantize_directions(h[t], "rvq_explicit", 7, ref)
@@ -400,20 +401,22 @@ class TestStackedAgainstPerRowOracles:
 
 
 class _ReplayedDraws:
-    """A stream whose standard_normal hands out prepared draws in order."""
+    """A stream whose standard_normal hands out prepared draws in order and
+    notes the shape of each call's output."""
 
     def __init__(self, draws):
-        self.draws, self.pos = np.ravel(draws), 0
+        self.draws, self.pos, self.shapes = np.ravel(draws), 0, []
 
     def standard_normal(self, size=None, out=None):
         out = np.empty(size) if out is None else out
+        self.shapes.append(out.shape)
         out[...] = self.draws[self.pos : self.pos + out.size].reshape(out.shape)
         self.pos += out.size
         return out
 
 
 def _scan_sizes(monkeypatch):
-    """Codebook sizes the explicit scan normalizes, one per scan group."""
+    """Codebook sizes the explicit scan normalizes, one per complex_pairs call."""
     sizes = []
 
     def recording(z):
@@ -431,8 +434,8 @@ class TestExplicitScan:
     @pytest.mark.parametrize("nt", [2, 3, 4])
     @pytest.mark.parametrize("bits", [2, 6, 8, 11])
     def test_winner_scan_equals_full_scan(self, bits, nt, monkeypatch):
-        # 7 x 37 rows end on a 3-row group at B = 2, 6 and 8; groups span trials
-        trials, users = (7, 37) if bits < 11 else (2, 5)
+        # 13 x 79 rows end on a 3-row group at B = 2, 6 and 8; groups span trials
+        trials, users = (13, 79) if bits < 11 else (2, 5)
         h = complex_gaussian(RngStream(50, nt).generator(), (trials, users, nt))
         sizes = _scan_sizes(monkeypatch)
         rngs = [RngStream(51, t).generator() for t in range(trials)]
@@ -467,9 +470,11 @@ class TestExplicitScan:
 
     def test_sixteen_bits_scans_one_row_at_a_time(self, monkeypatch):
         h = complex_gaussian(RngStream(54).generator(), (1, 2, 4))
+        draws = _ReplayedDraws(RngStream(55).generator().standard_normal((2, 2, 2**16, 4)))
         sizes = _scan_sizes(monkeypatch)
-        dirs, sin2 = quantize_directions(h, "rvq_explicit", 16, [RngStream(55).generator()])
-        assert sizes == [1, 1]
+        dirs, sin2 = quantize_directions(h, "rvq_explicit", 16, [draws])
+        assert draws.shapes == [(1, 2, 2**16, 4)] * 2  # one row's codebook per scan group
+        assert sizes == [1]  # the winners alone
         want_dirs, want_sin2 = oracle_quantize_directions(h[0], "rvq_explicit", 16,
                                                           RngStream(55).generator())
         np.testing.assert_array_equal(dirs[0], want_dirs)
