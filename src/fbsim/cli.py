@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import re
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from . import analytic
 from .montecarlo import (
@@ -125,7 +126,7 @@ B_GRID_10_30 = (10, 12, 15, 20, 25, 30)
 # this range: it holds the peak, and very small B is costly and never optimal.
 BOPT_B_RANGE = (4, 40)
 
-OverlayFn = Callable[[ExperimentConfig, int], float]
+OverlayFn = Callable[[float, int, int, int], float]
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ class Curve:
     """One simulated series of a preset.
 
     `fields` are ExperimentConfig fields over ZF_BASE. An overlay (legend
-    label, f(cfg, B)) is an analytic series drawn at the curve's points; its
-    values fill the `extra` column of the curve's rows.
+    label, f(snr, nt, tfb, B)) is an analytic series drawn at the curve's
+    points; its values fill the `extra` column of the curve's rows.
     """
 
     label: str
@@ -161,16 +162,8 @@ class Preset:
     overlays_last: bool = False
 
 
-def _penalty(cfg, b):
-    return analytic.zf_penalty_approx(cfg.snr, cfg.nt, cfg.tfb, b)
-
-
-def _subf_approx(cfg, b):
-    return analytic.subf_rate_approx(cfg.snr, cfg.nt, cfg.tfb, b)
-
-
-def _fixed_point_bopt(cfg, b):
-    return analytic.zf_bopt_fixed_point(cfg.snr, cfg.nt, cfg.tfb).b
+def _fixed_point_bopt(snr, nt, tfb, b):
+    return analytic.zf_bopt_fixed_point(snr, nt, tfb).b
 
 
 SWEEP_LABELS = ("bits per user B", "sum rate (bps/Hz)")
@@ -184,7 +177,8 @@ PRESETS = {
         Curve(f"ZF, Nt={nt}, {snr_db:g} dB", dict(nt=nt, snr_db=snr_db, b_values=ZF_B_GRID_300))
         for nt, snr_db in ((4, 10.0), (4, 5.0), (2, 10.0)))),
     "fig3_penalty": Preset(*SWEEP_LABELS, (
-        Curve("quantized CSI", dict(b_values=ZF_B_GRID_300), ("analytic penalty", _penalty)),
+        Curve("quantized CSI", dict(b_values=ZF_B_GRID_300),
+              ("analytic penalty", analytic.zf_penalty_approx)),
         Curve("perfect CSI, same users", dict(b_values=ZF_B_GRID_300, quantizer="perfect")),
     ), overlays_last=True),
     "fig4_bopt_vs_tfb": Preset("feedback budget T_fb (bits)", "optimal B (bits)", BOPT_CURVES,
@@ -213,13 +207,13 @@ PRESETS = {
         for quant in ("rvq_statistical", "scalar", "idealized"))),
     "fig11_subf": Preset("bits per user B", "rate (bps/Hz)", tuple(
         Curve(f"SUBF, {snr_db:g} dB", dict(scheme="subf", snr_db=snr_db, b_values=ZF_B_GRID_300),
-              (f"approximation, {snr_db:g} dB", _subf_approx))
+              (f"approximation, {snr_db:g} dB", analytic.subf_rate_approx))
         for snr_db in (0.0, 5.0))),
 }
 
 
 def _row(cfg: ExperimentConfig, est: RateEstimate, overlay_fn: OverlayFn | None) -> ResultRow:
-    extra = overlay_fn(cfg, est.b) if overlay_fn else None
+    extra = overlay_fn(cfg.snr, cfg.nt, cfg.tfb, est.b) if overlay_fn else None
     return ResultRow(cfg.scheme, cfg.nt, cfg.snr_db, cfg.tfb, est.b, est.users,
                      est.mean, est.std_error, est.trials, extra)
 
@@ -286,25 +280,26 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
+def boolean(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"must be one of {', '.join(states)}")
+    return states[raw.lower()]
 
 
-def _coerce(key: str, raw: str):
-    if key == "b_values":
-        return tuple(int(v) for v in raw.replace(",", " ").split())
-    if key in ("scheme", "quantizer", "cqi_kind", "selection"):
-        return raw
-    if key == "relaxed_user_grid":
-        states = configparser.ConfigParser.BOOLEAN_STATES
-        if raw.lower() not in states:
-            raise ConfigError(f"{key} must be one of {', '.join(states)}; got {raw!r}")
-        return states[raw.lower()]
-    if key in ("snr_db", "r", "beta"):
-        return float(raw)
-    return int(raw)
+def int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.replace(",", " ").split())
 
 
-def load_config(path: Path, overrides: dict[str, str]) -> ExperimentConfig:
+# INI entries and `fbsim run` options are parsed by the field's annotation; a
+# field annotated with a type missing here fails at import.
+_PARSERS = {str: str, int: int, float: float, int | None: int, float | None: float,
+            tuple[int, ...]: int_tuple, bool: boolean}
+_FIELD_PARSERS = {name: _PARSERS[t] for name, t in get_type_hints(ExperimentConfig).items()}
+
+
+def load_config(path: Path, overrides: dict) -> ExperimentConfig:
+    """The file's [experiment] section, with `overrides` (parsed field values) over it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
@@ -317,36 +312,27 @@ def load_config(path: Path, overrides: dict[str, str]) -> ExperimentConfig:
     values = {}
     for key, raw in parser.items("experiment"):
         key = key.replace("-", "_")
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"{path}: unknown key {key!r} in [experiment]")
-        values[key] = raw
-    values.update({k.replace("-", "_"): v for k, v in overrides.items()})
+        try:
+            values[key] = _FIELD_PARSERS[key](raw)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {key} = {raw!r}: {e}") from e
     try:
-        kwargs = {k: _coerce(k, v) for k, v in values.items()}
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**{**values, **overrides})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def run_config(path: Path, overrides: dict[str, str], out_dir: Path) -> tuple[Path, Path]:
+def run_config(path: Path, overrides: dict, out_dir: Path) -> tuple[Path, Path]:
     cfg = load_config(path, overrides)
     rows = _sweep_rows(cfg)
     series = [_series(f"{cfg.scheme}, Nt={cfg.nt}, {cfg.snr_db:g} dB", rows, "b", "mean_rate")]
     return _write(out_dir, Path(path).stem, rows, series, "bits per user B", "rate (bps/Hz)")
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, str]:
-    if len(pairs) % 2 != 0:
-        raise ConfigError("overrides must come in --key value pairs")
-    out = {}
-    for key, value in zip(pairs[0::2], pairs[1::2]):
-        if not key.startswith("--"):
-            raise ConfigError(f"expected an option starting with '--', got {key!r}")
-        out[key[2:]] = value
-    return out
-
-
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """fbsim's command line; a `run` namespace's `overrides` holds the fields given as options."""
     parser = argparse.ArgumentParser(prog="fbsim",
                                      description="feedback-budget sum rate simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -357,13 +343,23 @@ def main(argv: list[str] | None = None) -> int:
     p_preset.add_argument("--trials", type=int, default=2000)
     p_preset.add_argument("--out", type=Path, default=Path("results"))
 
-    p_run = sub.add_parser("run", help="run an experiment config file")
+    p_run = sub.add_parser("run", allow_abbrev=False, help="run an experiment config file",
+                           description="ExperimentConfig field options override the config file.")
+    p_run._negative_number_matcher = re.compile(r"-\.?\d")  # "-1e-5" is a value, not an option
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("results"))
-    p_run.add_argument("overrides", nargs=argparse.REMAINDER,
-                       help="--key value pairs overriding config entries")
+    for name, parse in _FIELD_PARSERS.items():
+        p_run.add_argument(*dict.fromkeys((f"--{name}", f"--{name.replace('_', '-')}")),
+                           dest=name, type=parse, default=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
+    if args.command == "run":
+        args.overrides = {k: v for k, v in vars(args).items() if k in _FIELD_PARSERS}
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     try:
         if args.command == "preset":
             names = args.names or sorted(PRESETS)
@@ -372,9 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in names:
                 print(*run_preset(name, args.seed, args.trials, args.out), sep="\n")
         else:
-            overrides = _parse_overrides(args.overrides)
-            out_dir = Path(overrides.pop("out", args.out))
-            print(*run_config(args.config, overrides, out_dir), sep="\n")
+            print(*run_config(args.config, args.overrides, args.out), sep="\n")
     except ValueError as e:  # ConfigError and FeedbackBudgetError are ValueErrors too
         print(f"fbsim: config error: {e}", file=sys.stderr)
         return 2

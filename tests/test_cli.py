@@ -15,7 +15,6 @@ from fbsim.cli import (
     ConfigError,
     ResultRow,
     Series,
-    _parse_overrides,
     load_config,
     main,
     run_preset,
@@ -159,12 +158,12 @@ relaxed_user_grid = true
 
     def test_overrides_win(self, tmp_path):
         p = self._write(tmp_path, "[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\n")
-        cfg = load_config(p, {"snr_db": "5", "b_values": "20"})
+        cfg = load_config(p, {"snr_db": 5.0, "b_values": (20,)})
         assert cfg.snr_db == 5.0 and cfg.b_values == (20,)
 
     def test_unknown_key(self, tmp_path):
         p = self._write(tmp_path, "[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 100\nbogus = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown key 'bogus'"):
             load_config(p, {})
 
     def test_missing_file_and_section(self, tmp_path):
@@ -222,7 +221,7 @@ class TestConfigRoundTrip:
     @given(cfg=valid_configs(), data=st.data())
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_written_config_loads_back_equal(self, tmp_path, cfg, data):
-        lines = ["[experiment]"]
+        lines, options = ["[experiment]"], []
         for f in fields(cfg):
             value = getattr(cfg, f.name)
             if value is None:
@@ -232,9 +231,16 @@ class TestConfigRoundTrip:
             elif isinstance(value, tuple):
                 value = " ".join(map(str, value))
             lines.append(f"{f.name} = {value}")
+            spelling = data.draw(st.sampled_from([f.name, f.name.replace("_", "-")]))
+            options += [f"--{spelling}", str(value)]
         p = tmp_path / "exp.ini"
         p.write_text("\n".join(lines) + "\n")
         assert load_config(p, {}) == cfg
+        # every field as a `fbsim run` option, over a file whose entries they all replace
+        minimal = tmp_path / "minimal.ini"
+        minimal.write_text("[experiment]\nscheme = zf\nnt = 1\nsnr_db = 0\ntfb = 1\n")
+        args = cli.parse_args(["run", str(minimal), *options])
+        assert load_config(args.config, args.overrides) == cfg
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -442,13 +448,40 @@ class TestMainExitCodes:
 
 
 class TestOverrideParsing:
-    def test_pairs(self):
-        assert _parse_overrides(["--snr_db", "5", "--tfb", "200"]) == {"snr_db": "5", "tfb": "200"}
+    def _ini(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = zf\nnt = 4\nsnr_db = 10\ntfb = 300\ntrials = 4\n")
+        return ini
 
-    def test_odd_count(self):
-        with pytest.raises(ConfigError):
-            _parse_overrides(["--snr_db"])
+    def test_pairs(self, tmp_path):
+        ini = self._ini(tmp_path)
+        argv = ["run", str(ini), "--out", str(tmp_path / "r"), "--snr_db", "5", "--tfb", "200",
+                "--b_values", "10"]
+        assert main(argv) == 0
+        rows = read_csv(tmp_path / "r" / "exp.csv")
+        assert [(r.snr_db, r.tfb, r.b) for r in rows] == [(5.0, 200, 10)]
 
-    def test_missing_dashes(self):
-        with pytest.raises(ConfigError):
-            _parse_overrides(["snr_db", "5"])
+    @pytest.mark.parametrize("overrides", [
+        ["--snr_db"], ["snr_db", "5"], ["--tf", "200"], ["--bogus", "1"],
+    ], ids=["odd_count", "missing_dashes", "abbreviation", "unknown_field"])
+    def test_malformed_is_exit_2_and_writes_nothing(self, tmp_path, capsys, overrides):
+        ini = self._ini(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(ini), "--out", str(tmp_path / "r"), *overrides])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert overrides[0] in err and str(ini) not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_hyphen_spelling_takes_a_negative_value(self, tmp_path):
+        ini = self._ini(tmp_path)
+        argv = ["run", str(ini), "--out", str(tmp_path / "r"), "--snr-db", "-5", "--b_values", "10"]
+        assert main(argv) == 0
+        assert [r.snr_db for r in read_csv(tmp_path / "r" / "exp.csv")] == [-5.0]
+
+    @pytest.mark.parametrize("out_first", [True, False], ids=["out_first", "out_last"])
+    def test_out_before_or_after_the_overrides(self, tmp_path, out_first):
+        ini = self._ini(tmp_path)
+        out, overrides = ["--out", str(tmp_path / "r")], ["--b_values", "10", "--seed", "3"]
+        assert main(["run", str(ini), *(out + overrides if out_first else overrides + out)]) == 0
+        assert [r.b for r in read_csv(tmp_path / "r" / "exp.csv")] == [10]
