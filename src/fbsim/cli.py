@@ -299,7 +299,10 @@ _FIELD_PARSERS = {name: _PARSERS[t] for name, t in get_type_hints(ExperimentConf
 
 
 def load_config(path: Path, overrides: dict) -> ExperimentConfig:
-    """The file's [experiment] section, with `overrides` (parsed field values) over it."""
+    """The file's [experiment] section, with `overrides` (parsed field values) over it.
+
+    A refusal of the merged values names the path, and the override options if any were given.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
@@ -321,7 +324,8 @@ def load_config(path: Path, overrides: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(**{**values, **overrides})
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from e
+        given = f" with {', '.join(f'--{k}' for k in overrides)}" if overrides else ""
+        raise ConfigError(f"{path}{given}: {e}") from e
 
 
 def run_config(path: Path, overrides: dict, out_dir: Path) -> tuple[Path, Path]:
@@ -345,7 +349,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     p_run = sub.add_parser("run", allow_abbrev=False, help="run an experiment config file",
                            description="ExperimentConfig field options override the config file.")
-    p_run._negative_number_matcher = re.compile(r"-\.?\d")  # "-1e-5" is a value, not an option
+    # "-1e-5", "-inf" and "-NaN" are values, not options
+    p_run._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf|infinity|nan)\Z", re.IGNORECASE)
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("results"))
     for name, parse in _FIELD_PARSERS.items():

@@ -20,7 +20,7 @@ class SingularSetError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Seeded, indexable random stream.
+    """Seeded, indexable random stream: the one-stream view of rng_streams.
 
     Equal (seed, stream_id) pairs always produce bit-identical draw sequences,
     which is what makes trial-parallel Monte Carlo runs order independent.
@@ -30,8 +30,7 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(ss)
+        return next(rng_streams(self.seed, self.stream_id, 1))
 
 
 # SeedSequence's hash (numpy.random.bit_generator); NEP 19 keeps its streams stable.
@@ -65,8 +64,8 @@ def stream_seed_words(seed: int, first: int, count: int) -> np.ndarray:
     """PCG64 seed words (count, 4) of the streams (seed, first + i), i < count, in one array pass.
 
     Row i equals SeedSequence(entropy=seed, spawn_key=(first + i,))
-    .generate_state(4, np.uint64), the words RngStream(seed, first + i)
-    seeds PCG64 with. That SeedSequence hashes the seed's 32-bit words (at
+    .generate_state(4, np.uint64), the words NumPy's default_rng seeds
+    PCG64 with from that SeedSequence. It hashes the seed's 32-bit words (at
     least 4), then the stream id's word (ids from 2^32 on have two and go
     through SeedSequence itself); the seed part is the same for every
     stream, so SeedSequence mixes it once. The hash multiplier advances with
@@ -103,7 +102,7 @@ class _SeedWords(ISeedSequence):
 def rng_streams(seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
     """Generators of the streams (seed, first), ..., (seed, first + count - 1).
 
-    Each draws bit for bit what RngStream(seed, first + i).generator() draws.
+    Each draws bit for bit what default_rng(SeedSequence(seed, spawn_key=(first + i,))) draws.
     The seed words of all `count` streams are hashed up front in one array
     pass; each generator is built when the iterator reaches it, so a caller
     that takes them a chunk at a time holds one chunk's generators.
@@ -192,7 +191,7 @@ def zf_directions(quantized_channels: np.ndarray) -> np.ndarray:
     from the SVD pseudo-inverse of the conjugated channel matrix. Raises
     SingularSetError if the rows are (numerically) dependent. The engine
     builds the same beams from its selection's inverse Gram matrix
-    (schemes._zf_beams); the tests hold it to this reference.
+    (schemes._zf_select); the tests hold it to this reference.
     """
     h = np.atleast_2d(np.asarray(quantized_channels))
     n, nt = h.shape

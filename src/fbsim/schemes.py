@@ -91,11 +91,12 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     improves. Simplified (greedy=False) gathers each trial's top min(nt, K)
     users in stable descending CQI order and scores only the next one until a
     prefix is dependent; it keeps the best prefix, the smaller one on ties.
-    Returns (selected, counts, served): trial t serves users
-    selected[t, :counts[t]], in selection order, and served[t] is that set's
-    A, zero-padded to (m, m). Steps that do not raise the count (a rejected
-    greedy candidate, a losing simplified prefix) still grow the working A,
-    so only the others copy it.
+    Returns (selected, counts, beams): trial t serves users
+    selected[t, :counts[t]], in selection order, with beams[t] (m, nt) row k
+    of A D_S, normalized, for that set's A and D_S; it is orthogonal to every
+    other served d_j. Rows past counts[t] are zero. Steps that do not raise
+    the count (a rejected greedy candidate, a losing simplified prefix) still
+    grow the working A, so only the others copy it to the served A.
     """
     steps, t = min(nt, dirs.shape[1]), np.arange(len(dirs))
     span = dirs.shape[1]  # step j scores the users not yet selected among the first j + span
@@ -141,23 +142,11 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
                 break
             cols[:, j] = (dirs_h @ dirs[t, c][:, :, None])[:, :, 0]  # G[c, k]
             taken[t, c] = True
+    v = served @ dirs[t[:, None], selected]  # A D_S; A's zero rows past the count give zero beams
+    norm = np.linalg.norm(v, axis=2, keepdims=True)
     if not greedy:
         selected = np.take_along_axis(order, selected, axis=1)
-    return selected, counts, served
-
-
-def _zf_beams(dirs: np.ndarray, selected: np.ndarray, served: np.ndarray) -> np.ndarray:
-    """ZF beams of each trial's selected set, zero-padded to (T, m, nt).
-
-    served[t] is the inverse Gram matrix A of trial t's served set D_S, zero
-    past its count (see _zf_select). Beam k is row k of A D_S, normalized,
-    which is orthogonal to every other served d_j; the zero rows of A give
-    zero beams.
-    """
-    d = dirs[np.arange(len(selected))[:, None], selected]  # D_S, (T, m, nt)
-    v = served @ d
-    norm = np.linalg.norm(v, axis=2, keepdims=True)
-    return v / np.where(norm > 0, norm, 1.0)
+    return selected, counts, v / np.where(norm > 0, norm, 1.0)
 
 
 def _sinr(own, total, power):
@@ -177,10 +166,10 @@ def _realized_rates(h: np.ndarray, beams: np.ndarray, power) -> np.ndarray:
 
 def _select_plan(dirs: np.ndarray, cqi: np.ndarray, nt: int, snr: float, cqi_kind: str,
                  greedy: bool) -> TransmissionPlan:
-    """_zf_select and _zf_beams on one block's directions (K, nt) and CQI (K,)."""
-    selected, counts, served = _zf_select(dirs[None], cqi[None], _cqi_scale(cqi_kind, snr, nt), nt, greedy)
+    """_zf_select on one block's directions (K, nt) and CQI (K,)."""
+    selected, counts, beams = _zf_select(dirs[None], cqi[None], _cqi_scale(cqi_kind, snr, nt), nt, greedy)
     n = counts[0]
-    return TransmissionPlan(selected[0, :n], _zf_beams(dirs[None], selected, served)[0, :n])
+    return TransmissionPlan(selected[0, :n], beams[0, :n])
 
 
 def zf_greedy_select(dirs: np.ndarray, cqi: np.ndarray, nt: int, snr: float,
@@ -259,9 +248,8 @@ def zf_blocks(
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
     dirs, cqi = _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits)
-    selected, counts, served = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt,
-                                          selection == "greedy")
-    return _transmit(h_delayed, selected, counts, _zf_beams(dirs, selected, served), snr / counts)
+    selected, counts, beams = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt, selection == "greedy")
+    return _transmit(h_delayed, selected, counts, beams, snr / counts)
 
 
 def zf_block(

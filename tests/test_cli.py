@@ -479,6 +479,43 @@ class TestOverrideParsing:
         assert main(argv) == 0
         assert [r.snr_db for r in read_csv(tmp_path / "r" / "exp.csv")] == [-5.0]
 
+    @pytest.mark.parametrize("value", ["-1e-5", "-.5"])
+    def test_negative_numbers_are_values(self, tmp_path, value):
+        ini = self._ini(tmp_path)
+        argv = ["run", str(ini), "--out", str(tmp_path / "r"), "--snr_db", value, "--b_values", "10"]
+        assert main(argv) == 0
+        assert [r.snr_db for r in read_csv(tmp_path / "r" / "exp.csv")] == [float(value)]
+
+    @pytest.mark.parametrize("option,value", [("--snr_db", "-inf"), ("--snr-db", "-NaN"),
+                                              ("--snr_db", "-Infinity")])
+    def test_non_finite_value_is_refused_by_the_config_not_taken_for_an_option(self, tmp_path, capsys,
+                                                                              option, value):
+        ini = self._ini(tmp_path)
+        assert main(["run", str(ini), "--out", str(tmp_path / "r"), option, value]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "expected one argument" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "-h"])
+        assert exit_info.value.code == 0
+        assert "usage: fbsim run" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("in_file,options,blamed", [
+        (True, [], ""),
+        (False, ["--snr_db", "3100"], " with --snr_db"),
+        (False, ["--snr-db", "3100", "--b_values", "10"], " with --snr_db, --b_values"),
+    ], ids=["file_alone", "one_option", "two_options"])
+    def test_refusal_names_the_overrides_only_when_given(self, tmp_path, capsys, in_file, options, blamed):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nscheme = zf\nnt = 4\ntfb = 300\ntrials = 4\n"
+                       f"snr_db = {3100 if in_file else 10}\n")
+        assert main(["run", str(ini), "--out", str(tmp_path / "r"), *options]) == 2
+        err = capsys.readouterr().err
+        assert f"fbsim: config error: {ini}{blamed}: snr_db must be finite" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("out_first", [True, False], ids=["out_first", "out_last"])
     def test_out_before_or_after_the_overrides(self, tmp_path, out_first):
         ini = self._ini(tmp_path)

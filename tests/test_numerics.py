@@ -74,23 +74,29 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
 
-def _seed_sequence_words(seed, stream_id):
-    return np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,)).generate_state(4, np.uint64)
+def _seed_sequence(seed, stream_id):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+
+
+def _assert_draws_equal(rng, oracle):
+    np.testing.assert_array_equal(rng.standard_normal(5), oracle.standard_normal(5))
+    np.testing.assert_array_equal(rng.random(3), oracle.random(3))
 
 
 def _assert_streams_match_seed_sequence(seed, first, count):
     words = stream_seed_words(seed, first, count)
     assert words.shape == (count, 4) and words.dtype == np.uint64
     for i, (w, rng) in enumerate(zip(words, rng_streams(seed, first, count))):
-        np.testing.assert_array_equal(w, _seed_sequence_words(seed, first + i))
-        oracle = RngStream(seed, first + i).generator()
-        np.testing.assert_array_equal(rng.standard_normal(5), oracle.standard_normal(5))
-        np.testing.assert_array_equal(rng.random(3), oracle.random(3))
+        ss = _seed_sequence(seed, first + i)
+        np.testing.assert_array_equal(w, ss.generate_state(4, np.uint64))
+        _assert_draws_equal(rng, np.random.default_rng(ss))
+        _assert_draws_equal(RngStream(seed, first + i).generator(), np.random.default_rng(ss))
 
 
 class TestRngStreams:
     """rng_streams hashes a chunk's seed words in one array pass; every
-    stream must be the one SeedSequence (RngStream.generator) gives."""
+    stream, and RngStream's one-stream view of it, must draw what NumPy's
+    own SeedSequence seeding gives."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("first", [0, 2**32 - 3, 2**40])  # the middle chunk crosses 2^32
@@ -104,11 +110,12 @@ class TestRngStreams:
     @given(st.integers(0, 2**96 - 1), st.integers(0, 2**40 - 1))
     @settings(max_examples=200, deadline=None)
     def test_any_seed_and_stream_id(self, seed, stream_id):
+        ss = _seed_sequence(seed, stream_id)
         np.testing.assert_array_equal(stream_seed_words(seed, stream_id, 1)[0],
-                                      _seed_sequence_words(seed, stream_id))
+                                      ss.generate_state(4, np.uint64))
         (rng,) = rng_streams(seed, stream_id, 1)
-        np.testing.assert_array_equal(rng.standard_normal(3),
-                                      RngStream(seed, stream_id).generator().standard_normal(3))
+        _assert_draws_equal(rng, np.random.default_rng(ss))
+        _assert_draws_equal(RngStream(seed, stream_id).generator(), np.random.default_rng(ss))
 
     def test_empty_and_negative(self):
         assert list(rng_streams(0, 0, 0)) == []
@@ -116,6 +123,9 @@ class TestRngStreams:
             stream_seed_words(-1, 0, 2)
         with pytest.raises(ValueError):
             stream_seed_words(0, -1, 2)
+        for seed, stream_id in ((-1, 0), (0, -1)):  # as SeedSequence refuses them
+            with pytest.raises(ValueError):
+                RngStream(seed, stream_id).generator()
 
 
 class TestComplexGaussian:

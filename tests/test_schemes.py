@@ -196,13 +196,13 @@ def _served_gram_inverse(dirs, selected, counts, m):
 
 class TestZfBeams:
     @pytest.mark.parametrize("greedy", [True, False])
-    def test_served_inverse_is_the_served_sets_own(self, greedy):
+    def test_beams_are_the_served_sets_own(self, greedy):
         # Low SNR stops greedy short of min(nt, K), and the best simplified prefix short of the
-        # last one tried. Steps after the served count grow the working A, which the served copy
-        # must not see. Continuous directions never meet the dependence rule, so simplified
+        # last one tried. Steps after the served count grow the working A, which the served
+        # beams must not see. Continuous directions never meet the dependence rule, so simplified
         # tries every prefix; coarse feedback (scalar directions at B = 2-3, 2-bit CQI) has
-        # exactly dependent users and exact CQI ties. A grows only by independent users, so
-        # every served diagonal entry is positive.
+        # exactly dependent users and exact CQI ties. Beam k is row k of the served set's
+        # inverse Gram matrix times D_S, normalized; rows past the count are zero.
         nt, users, trials = 4, 9, 50
         rng = RngStream(23).generator()
         dependent = {False: 0, True: 0}
@@ -217,14 +217,17 @@ class TestZfBeams:
                     cqi = rng.exponential(size=(trials, users))
                 grams = dirs @ np.swapaxes(dirs, 1, 2).conj()
                 dependent[coarse] += sum(_dependent(g, [0], k) for g in grams for k in range(1, users))
-                selected, counts, served = _zf_select(dirs, cqi, snr, nt, greedy)
+                selected, counts, beams = _zf_select(dirs, cqi, snr, nt, greedy)
                 assert np.any(counts < nt) and np.any(counts > 1)
                 on = np.arange(nt) < counts[:, None]
-                assert np.all(np.diagonal(served, axis1=1, axis2=2).real[on] > 0.0), (snr, coarse)
-                want = _served_gram_inverse(dirs, selected, counts, nt)
-                for t in range(trials):
-                    err = np.linalg.norm(served[t] - want[t])
-                    assert err <= 1e-12 * np.linalg.norm(want[t]), (snr, coarse, t)
+                np.testing.assert_allclose(np.linalg.norm(beams, axis=2)[on], 1.0, rtol=1e-12)
+                assert np.all(beams[~on] == 0.0), (snr, coarse)
+                inv = _served_gram_inverse(dirs, selected, counts, nt)
+                for t, n in enumerate(counts):
+                    v = inv[t, :n, :n] @ dirs[t, selected[t, :n]]
+                    want = v / np.linalg.norm(v, axis=1, keepdims=True)
+                    err = np.linalg.norm(beams[t, :n] - want)
+                    assert err <= 1e-12 * np.linalg.norm(want), (snr, coarse, t)
         assert dependent[True] > 0 == dependent[False]
 
 
