@@ -86,45 +86,29 @@ class FixedPointResult(NamedTuple):
     residual: float
 
 
-def _bisect_root(lo: float, hi: float, flo: float, snr: float, nt: int, tfb: float) -> float:
-    """The residual's root in [lo, hi], whose ends differ in sign; flo is the residual at lo.
+def _ln_g_slope(b: float, nt: int, tfb: float) -> float:
+    """d ln g/dB = (1 - 2/L)/B - ln2/(nt-1) with L = ln(tfb*nt/B); see zf_bopt_fixed_point."""
+    return (1.0 - 2.0 / math.log(tfb * nt / b)) / b - LN2 / (nt - 1)
 
-    Halves [lo, hi] until the residual at its midpoint is within 1e-10 of 0 or
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign.
+
+    Halves [lo, hi] until f at its midpoint is within 1e-10 of 0 or
     the interval is narrower than 1e-13 * max(1, hi), 450 to 900 ulps of hi.
     The width alone ends the loop: from the widest interval _b_interval
     allows (hi < 2^1024, lo >= 1) that takes under 1100 halvings.
     """
+    flo = f(lo)
     while True:
         mid = 0.5 * (lo + hi)
-        fmid = _bopt_residual(mid, snr, nt, tfb)
+        fmid = f(mid)
         if abs(fmid) <= 1e-10 or hi - lo < 1e-13 * max(1.0, hi):
             return mid
         if flo * fmid <= 0:
             hi = mid
         else:
             lo, flo = mid, fmid
-
-
-def _positive_residual(lo: float, hi: float, snr: float, nt: int, tfb: float) -> float | None:
-    """A B in [lo, hi] with a positive residual, by golden-section search for its maximum.
-
-    The residual must be unimodal on [lo, hi]. Returns None if the maximum is not positive.
-    """
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc, fd = _bopt_residual(c, snr, nt, tfb), _bopt_residual(d, snr, nt, tfb)
-    while hi - lo > 1e-12 * hi:
-        if max(fc, fd) > 0.0:
-            return c if fc > 0.0 else d
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - shrink * (hi - lo)
-            fc = _bopt_residual(c, snr, nt, tfb)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + shrink * (hi - lo)
-            fd = _bopt_residual(d, snr, nt, tfb)
-    return None
 
 
 def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
@@ -134,22 +118,27 @@ def zf_bopt_fixed_point(snr: float, nt: int, tfb: float) -> FixedPointResult:
     g(B) = B*2^(-B/(nt-1))*L^2 with L = ln(tfb*nt/B). d ln g/dB = (1 - 2/L)/B - ln2/(nt-1)
     falls while L > 2 and is negative once L <= 2, so g rises, then falls: the residual has
     at most one root on each side of its maximum. Ends of opposite sign hold one root,
-    found by bisection. Two negative ends hold two roots or none; a golden-section search
-    for a positive residual between them tells which, and splits them for bisection. Of the
-    roots and the two ends, the B with the largest zf_rate_approx is returned; at_boundary
-    says an end won, and residual is the residual at the B returned.
+    found by bisection. Two negative ends hold two roots or none: if the slope changes sign,
+    bisection finds its root, the residual's maximum, and a positive maximum splits the two
+    roots for bisection. Of the roots and the two ends, the B with the largest zf_rate_approx
+    is returned; at_boundary says an end won, and residual is the residual at the B returned.
     """
     _check(snr, nt)
     lo, hi = _b_interval(nt, tfb)
-    flo, fhi = _bopt_residual(lo, snr, nt, tfb), _bopt_residual(hi, snr, nt, tfb)
+
+    def residual(b: float) -> float:
+        return _bopt_residual(b, snr, nt, tfb)
+
+    flo, fhi = residual(lo), residual(hi)
     roots = []
     if flo * fhi <= 0:
-        roots.append(_bisect_root(lo, hi, flo, snr, nt, tfb))
-    elif flo < 0 and (peak := _positive_residual(lo, hi, snr, nt, tfb)) is not None:
-        roots += [_bisect_root(lo, peak, flo, snr, nt, tfb),
-                  _bisect_root(peak, hi, _bopt_residual(peak, snr, nt, tfb), snr, nt, tfb)]
+        roots.append(_bisect(residual, lo, hi))
+    elif flo < 0 and _ln_g_slope(lo, nt, tfb) > 0 > _ln_g_slope(hi, nt, tfb):
+        peak = _bisect(lambda b: _ln_g_slope(b, nt, tfb), lo, hi)
+        if residual(peak) > 0:
+            roots += [_bisect(residual, lo, peak), _bisect(residual, peak, hi)]
     b = max([*roots, lo, hi], key=lambda x: zf_rate_approx(snr, nt, tfb, x))
-    return FixedPointResult(b=b, at_boundary=b in (lo, hi), residual=_bopt_residual(b, snr, nt, tfb))
+    return FixedPointResult(b=b, at_boundary=b in (lo, hi), residual=residual(b))
 
 
 def zf_bopt_lambert(snr: float, nt: int, tfb: float) -> float:

@@ -301,7 +301,8 @@ _FIELD_PARSERS = {name: _PARSERS[t] for name, t in get_type_hints(ExperimentConf
 def load_config(path: Path, overrides: dict) -> ExperimentConfig:
     """The file's [experiment] section, with `overrides` (parsed field values) over it.
 
-    A refusal of the merged values names the path, and the override options if any were given.
+    A refusal of the merged values names the path, and each override option without which
+    the values are accepted or refused with another message.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -324,8 +325,19 @@ def load_config(path: Path, overrides: dict) -> ExperimentConfig:
     try:
         return ExperimentConfig(**{**values, **overrides})
     except (TypeError, ValueError) as e:
-        given = f" with {', '.join(f'--{k}' for k in overrides)}" if overrides else ""
+        blamed = [k for k in overrides
+                  if _refusal({**values, **{j: v for j, v in overrides.items() if j != k}}) != str(e)]
+        given = f" with {', '.join(f'--{k}' for k in blamed)}" if blamed else ""
         raise ConfigError(f"{path}{given}: {e}") from e
+
+
+def _refusal(values: dict) -> str | None:
+    """ExperimentConfig's refusal of `values`, or None if it accepts them."""
+    try:
+        ExperimentConfig(**values)
+    except (TypeError, ValueError) as e:
+        return str(e)
+    return None
 
 
 def run_config(path: Path, overrides: dict, out_dir: Path) -> tuple[Path, Path]:

@@ -367,12 +367,13 @@ def subf_blocks(h_est: np.ndarray, h_delayed: np.ndarray, quantizer: str, bits: 
     """Single-user beamforming for T blocks, channels (T, K, nt): each serves its best-SNR user.
 
     Block t quantizes its estimates with rngs[t] and beamforms along the
-    quantized direction whose reported SNR snr * |h_est^H d|^2 is largest;
-    the rate is realized on h_delayed.
+    quantized direction whose reported SNR snr * |h_est^H d|^2 is largest.
+    For a unit d that SNR is snr * ||h_est||^2 * (1 - sin^2), with the
+    quantizer's own error sin^2, so the user is picked from it without snr.
+    The rate is realized on h_delayed.
     """
-    dirs = quantize_directions(h_est, quantizer, bits, rngs)[0]
-    reported = snr * np.abs(np.sum(h_est.conj() * dirs, axis=2)) ** 2
-    k = np.argmax(reported, axis=1)[:, None]
+    dirs, sin2 = quantize_directions(h_est, quantizer, bits, rngs)
+    k = np.argmax(_sq_norms(h_est) * (1.0 - sin2), axis=1)[:, None]
     bf = np.take_along_axis(dirs, k[..., None], axis=1)
     return _transmit(h_delayed, k, np.ones(len(k), dtype=int), bf, snr)
 

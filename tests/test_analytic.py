@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (bopt_scaling_report, phi_from_training_delay, rbf_matching_budget, subf_bopt,
@@ -214,6 +214,21 @@ class TestBitOptimizers:
         fp = A.zf_bopt_fixed_point(snr, nt, tfb)
         assert fp.at_boundary == (fp.b in (math.log2(nt), tfb / nt))
         assert fp.at_boundary or abs(fp.residual) <= 1e-10, fp
+
+    # Two negative ends occur at low SNR; where d ln g/dB changes sign, its bisected root is
+    # the residual's maximum, which decides whether the residual has two roots or none.
+    @given(snr_db=st.floats(-10.0, 5.0), nt=st.integers(2, 8), tfb=st.integers(20, 2000))
+    @example(snr_db=1.0, nt=8, tfb=75)
+    @settings(max_examples=200, deadline=None)
+    def test_slope_root_is_the_residual_maximum(self, snr_db, nt, tfb):
+        snr, lo, hi = 10.0 ** (snr_db / 10.0), math.log2(nt), tfb / nt
+        assume(lo < hi)
+        residual = lambda b: A._bopt_residual(b, snr, nt, tfb)
+        assume(residual(lo) < 0 and residual(hi) < 0)
+        assume(A._ln_g_slope(lo, nt, tfb) > 0 > A._ln_g_slope(hi, nt, tfb))
+        peak = A._bisect(lambda b: A._ln_g_slope(b, nt, tfb), lo, hi)
+        assert lo < peak < hi
+        assert residual(peak) >= max(residual(b) for b in np.linspace(lo, hi, 200)) - 1e-12
 
     def test_infeasible_regime_is_raised_by_name(self):
         with pytest.raises(A.InfeasibleRegimeError, match="must be >= e"):

@@ -502,18 +502,24 @@ class TestOverrideParsing:
         assert exit_info.value.code == 0
         assert "usage: fbsim run" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("in_file,options,blamed", [
-        (True, [], ""),
-        (False, ["--snr_db", "3100"], " with --snr_db"),
-        (False, ["--snr-db", "3100", "--b_values", "10"], " with --snr_db, --b_values"),
-    ], ids=["file_alone", "one_option", "two_options"])
-    def test_refusal_names_the_overrides_only_when_given(self, tmp_path, capsys, in_file, options, blamed):
+    # an option is named when the values without it are accepted or refused otherwise
+    @pytest.mark.parametrize("in_file,options,blamed,reason", [
+        (True, [], "", "snr_db must be finite"),
+        (False, ["--snr_db", "3100"], " with --snr_db", "snr_db must be finite"),
+        (False, ["--snr-db", "3100", "--b_values", "10"], " with --snr_db", "snr_db must be finite"),
+        (True, ["--b_values", "10"], "", "snr_db must be finite"),
+        (False, ["--b_values", "7", "--snr_db", "5"], " with --b_values", "B=7 (+0 CQI bits) does not divide"),
+        (True, ["--scheme", "bogus"], " with --scheme", "unknown scheme 'bogus'"),
+    ], ids=["file_alone", "one_option", "two_options", "file_value", "one_of_two_options",
+            "option_over_a_bad_file"])
+    def test_refusal_names_the_overrides_only_when_given(self, tmp_path, capsys, in_file, options, blamed,
+                                                         reason):
         ini = tmp_path / "exp.ini"
         ini.write_text("[experiment]\nscheme = zf\nnt = 4\ntfb = 300\ntrials = 4\n"
                        f"snr_db = {3100 if in_file else 10}\n")
         assert main(["run", str(ini), "--out", str(tmp_path / "r"), *options]) == 2
         err = capsys.readouterr().err
-        assert f"fbsim: config error: {ini}{blamed}: snr_db must be finite" in err
+        assert f"fbsim: config error: {ini}{blamed}: {reason}" in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("out_first", [True, False], ids=["out_first", "out_last"])

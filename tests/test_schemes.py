@@ -616,6 +616,20 @@ class TestSubf:
         expect = math.log2(1.0 + 10.0 * abs(np.vdot(h_delayed[0], u)) ** 2)
         assert abs(out.sum_rates[0] - expect) < 1e-12
 
+    @pytest.mark.parametrize("kind", QUANTIZER_KINDS)
+    def test_serves_the_largest_reported_snr(self, kind):
+        # The served user and beam are the argmax of |h_est_k^H d_k|^2 over the quantized d_k.
+        n_blocks, n_users, nt, bits = 200, 10, 4, 3
+        h_est = complex_gaussian(RngStream(21).generator(), (n_blocks, n_users, nt))
+        h_delayed = complex_gaussian(RngStream(22).generator(), (n_blocks, n_users, nt))
+        rngs = lambda: [RngStream(23, t).generator() for t in range(n_blocks)]
+        out = schemes.subf_blocks(h_est, h_delayed, kind, bits, 10.0, rngs())
+        dirs = quantize_directions(h_est, kind, bits, rngs())[0]
+        want = np.argmax(np.abs(np.einsum("tki,tki->tk", h_est.conj(), dirs)) ** 2, axis=1)
+        assert np.array_equal(out.counts, np.ones(n_blocks, dtype=int))
+        assert np.array_equal(out.selected[:, 0], want)
+        assert np.array_equal(out.beamformers[:, 0], dirs[np.arange(n_blocks), want])
+
     def test_quantized_direction_lowers_rate_on_average(self):
         diffs = []
         for trial in range(200):
