@@ -65,28 +65,26 @@ def _place_at_angle(h: np.ndarray, g: np.ndarray, sin2: np.ndarray) -> np.ndarra
     return g
 
 
-def _quantize_statistical(h: np.ndarray, bits: int, rngs, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """RVQ by the distribution of its error (no codeword scan), the error scaled by `scale`.
-
-    Per trial: K uniforms for the errors, then the Gaussians that place each
-    direction.
-    """
-    n_trials, n_users, nt = h.shape
-    u = np.empty((n_trials, n_users))
+def _statistical_draws(rngs, n_users: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """What statistical RVQ draws per trial: K uniforms for the errors, then the Gaussians that place each direction."""
+    u = np.empty((len(rngs), n_users))
     for t, rng in enumerate(rngs):
         rng.random(out=u[t])
-    sin2 = rvq_sin2(u, bits, nt) * scale
-    return _place_at_angle(h, complex_normals(rngs, n_users, nt), sin2), sin2
+    return u, complex_normals(rngs, n_users, nt)
 
 
-def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, n_users: int) -> np.ndarray:
+def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, trial: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """The raw draws (rows, 2, 1, nt) of each conjugated unit row's closest codeword in a fresh 2^B codebook.
 
-    The rows, trial by trial, are scanned in groups of up to
-    CODEWORDS_PER_SCAN // 2^B rows (at least one); each row's codebook is
-    drawn from its trial's stream, in row order. Codewords are scored
-    straight from the real draws, |c.u|^2 / ||c||^2, and each row's winner
-    is the argmax of that score. The scan's buffers are freed on return.
+    Row i of u belongs to trial trial[i]; rows of a trial come in row order,
+    and skip[i] unread rows of its trial come right before row i. Each row's
+    codebook is drawn from its trial's stream in that order, an unread row's
+    too, but only the rows of u are scanned, in groups of up to
+    CODEWORDS_PER_SCAN // 2^B rows (at least one). An unread row's codebook
+    is drawn into the group's free slots and overwritten. Codewords are
+    scored straight from the real draws, |c.u|^2 / ||c||^2, and each row's
+    winner is the argmax of that score. The scan's buffers are freed on
+    return.
     """
     n_rows, nt = u.shape
     n_codes = 2**bits
@@ -96,38 +94,54 @@ def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, n_users: int) -> np.ndarr
     ones, ones2 = np.ones(nt), np.ones(2)
     g = min(group, n_rows)
     z = np.empty((g, 2, n_codes, nt))
-    z2 = np.empty_like(z)
-    parts = np.empty((g, 2, n_codes, 2))
+    spent = np.empty(g * n_codes * max(4, nt))  # the scores' parts, then ||c||^2's terms
+    parts = spent[: g * n_codes * 4].reshape(g, 2, n_codes, 2)
+    terms = spent[: g * n_codes * nt].reshape(g, n_codes, nt)
     score = np.empty((g, n_codes))
     norm2 = np.empty((g, n_codes))
     best = np.empty((n_rows, 2, 1, nt))
+    # one draw call per run of a trial's rows with no unread rows between them
+    starts = np.flatnonzero((skip > 0) | (np.diff(trial, prepend=-1) != 0))
     for lo in range(0, n_rows, group):
         hi = min(lo + group, n_rows)
         n = hi - lo
         zr = z[:n]
-        for t in range(lo // n_users, (hi - 1) // n_users + 1):
-            rngs[t].standard_normal(out=zr[max(lo, t * n_users) - lo : min(hi, (t + 1) * n_users) - lo])
+        cuts = np.union1d(lo, starts[(lo <= starts) & (starts < hi)])
+        for a, e in zip(cuts, np.append(cuts[1:], hi)):
+            rng = rngs[trial[a]]
+            for left in range(skip[a], 0, a - hi):  # the unread rows, into the free slots a..hi
+                rng.standard_normal(out=zr[a - lo : a - lo + min(left, hi - a)])
+            rng.standard_normal(out=zr[a - lo : e - lo])
         p = np.matmul(zr, w[lo:hi], out=parts[:n])
         re_im = np.add(p[:, 0], p[:, 1], out=p[:, 0])
         re_im *= re_im
         s = np.matmul(re_im, ones2, out=score[:n])
-        np.square(zr, out=z2[:n])
-        s /= np.matmul(np.add(z2[:n, 0], z2[:n, 1], out=z2[:n, 0]), ones, out=norm2[:n])
+        # ||c||^2 = sum of re^2 + im^2, the imaginary plane squared one antenna at a time
+        sq = np.square(zr[:, 0], out=terms[:n])
+        for x in range(nt):
+            sq[:, :, x] += np.square(zr[:, 1, :, x], out=norm2[:n])
+        s /= np.matmul(sq, ones, out=norm2[:n])
         best[lo:hi, :, 0] = zr[np.arange(n), :, np.argmax(s, axis=1)]
     return best
 
 
-def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit RVQ: each row scans a fresh 2^B isotropic codebook for the closest codeword.
+def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit RVQ: each read row scans a fresh 2^B isotropic codebook for the closest codeword.
 
-    Only the winners are normalized and have their errors taken, all rows
-    of the stack at once.
+    A trial draws the codebooks of its rows through its last read row. Only
+    the read rows are scanned, and only their winners are normalized and
+    have their errors taken, all rows of the stack at once.
     """
     n_trials, n_users, nt = h.shape
-    u = _unit_rows(h).conj().reshape(n_trials * n_users, nt)
-    winners = _unit_rows(complex_pairs(_rvq_winning_draws(u, bits, rngs, n_users)))
-    sin2 = 1.0 - np.abs(np.einsum("gcn,gn->gc", winners, u))[:, 0] ** 2
-    return winners.reshape(h.shape), sin2.reshape(n_trials, n_users)
+    flat = np.flatnonzero(rows)
+    trial, user = np.divmod(flat, n_users)
+    skip = np.where(np.diff(trial, prepend=-1) != 0, user, np.diff(user, prepend=-1) - 1)
+    u = _unit_rows(h.reshape(-1, nt)[flat]).conj()
+    winners = _unit_rows(complex_pairs(_rvq_winning_draws(u, bits, rngs, trial, skip)))
+    dirs, sin2 = np.zeros_like(h), np.zeros((n_trials, n_users))
+    dirs.reshape(-1, nt)[flat] = winners[:, 0]
+    sin2.reshape(-1)[flat] = 1.0 - np.abs(np.einsum("gcn,gn->gc", winners, u))[:, 0] ** 2
+    return dirs, sin2
 
 
 def scalar_bit_split(bits: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,17 +164,19 @@ def _uniform_midpoint(value: np.ndarray, lo: float, hi: float, bits: int | np.nd
     return lo + (idx + 0.5) * width
 
 
-def _quantize_scalar(h: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar quantization of relative phases and magnitude angles, row by row of h.
+def _check_pivots(h: np.ndarray, norms: np.ndarray) -> None:
+    if np.any(np.abs(h[..., :1]) < 1e-12 * norms):
+        raise DegeneratePivotError("first channel component is (near) zero")
+
+
+def _quantize_scalar(h: np.ndarray, bits: int, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar quantization of relative phases and magnitude angles, row by row of h (norms: ||h|| per row).
 
     Components are normalized by the first entry; the nt-1 relative phases are
     quantized uniformly on [-pi, pi] and the nt-1 angles arctan(|h_m|/|h_1|)
     uniformly on [0, pi/2], each at its cell midpoint.
     """
     nt = h.shape[-1]
-    norms = np.linalg.norm(h, axis=-1, keepdims=True)
-    if np.any(np.abs(h[..., :1]) < 1e-12 * norms):
-        raise DegeneratePivotError("first channel component is (near) zero")
     rel = h[..., 1:] / h[..., :1]
     phase_bits, mag_bits = scalar_bit_split(bits, nt)
     phases = _uniform_midpoint(np.angle(rel), -math.pi, math.pi, phase_bits)
@@ -202,25 +218,52 @@ def quantize_cqi(value: np.ndarray, bits: int, mean: float) -> np.ndarray:
     return 10.0 ** (_uniform_midpoint(db, lo_db, hi_db, bits) / 10.0)
 
 
-def quantize_directions(h: np.ndarray, kind: str, bits: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize every row of the T blocks h (T, K, nt) with B bits; returns (directions, sin2 errors).
+def quantize_directions(h: np.ndarray, kind: str, bits: int, rngs,
+                        rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize the rows of the T blocks h (T, K, nt) with B bits; returns (directions, sin2 errors).
 
     Block t draws from rngs[t] (None for the kinds that draw nothing), in the
     same order and amounts as when it is quantized alone. With one antenna
     a direction is a unit scalar, so every kind, like `perfect`, feeds back
     the exact direction with zero error and draws nothing.
+
+    `rows` (T, K), if given, marks the rows the caller reads; the others come
+    back as zero directions with zero error, and no arithmetic is done on
+    them. Statistical RVQ and `idealized` still make every row's draws.
+    Explicit RVQ draws a block's codebooks only through its last read row,
+    so the draws past it are not made: a caller that draws from `rngs`
+    afterwards must not pass `rows`. The scalar kind checks every row's
+    pivot.
     """
     if kind not in QUANTIZER_KINDS:
         raise ValueError(f"unknown quantizer kind {kind!r}; known: {QUANTIZER_KINDS}")
     h = np.ascontiguousarray(h)  # any layout quantizes bit for bit like its C-ordered copy
-    if kind == "perfect" or h.shape[-1] == 1:
-        return _unit_rows(h), np.zeros(h.shape[:2])
-    if kind == "rvq_statistical":
-        return _quantize_statistical(h, bits, rngs, 1.0)
-    if kind == "idealized":
-        # the RVQ error scaled down by (nt-1)/nt in expectation
-        nt = h.shape[-1]
-        return _quantize_statistical(h, bits, rngs, (nt - 1) / nt)
-    if kind == "rvq_explicit":
-        return _quantize_rvq_explicit(h, bits, rngs)
-    return _quantize_scalar(h, bits)
+    n_trials, n_users, nt = h.shape
+    exact = kind == "perfect" or nt == 1
+    if kind == "rvq_explicit" and not exact:
+        return _quantize_rvq_explicit(h, bits, rngs, np.ones((n_trials, n_users), bool) if rows is None else rows)
+    draws, norms = (), None
+    if kind in ("rvq_statistical", "idealized") and not exact:
+        draws = _statistical_draws(rngs, n_users, nt)
+    elif kind == "scalar" and not exact:
+        norms = np.linalg.norm(h, axis=-1, keepdims=True)
+        _check_pivots(h, norms)
+        draws = (norms,)
+    if rows is None:
+        return _quantize_rows(h, kind, bits, *draws)
+    dirs, sin2 = np.zeros_like(h), np.zeros((n_trials, n_users))
+    dirs[rows], sin2[rows] = _quantize_rows(h[rows], kind, bits, *(d[rows] for d in draws))
+    return dirs, sin2
+
+
+def _quantize_rows(h: np.ndarray, kind: str, bits: int, *draws) -> tuple[np.ndarray, np.ndarray]:
+    """quantize_directions' kernels on rows h (..., nt) with what quantize_directions drew or took for them."""
+    nt = h.shape[-1]
+    if kind == "perfect" or nt == 1:
+        return _unit_rows(h), np.zeros(h.shape[:-1])
+    if kind == "scalar":
+        return _quantize_scalar(h, bits, *draws)
+    u, g = draws
+    # idealized: the RVQ error scaled down by (nt-1)/nt in expectation
+    sin2 = rvq_sin2(u, bits, nt) * (1.0 if kind == "rvq_statistical" else (nt - 1) / nt)
+    return _place_at_angle(h, g, sin2), sin2

@@ -76,6 +76,11 @@ def _estimated_rates_batched(cols, cand_sets, inv, selected, g_diag, cqi, scale_
     return np.where(ok, rate, -np.inf), s, ab
 
 
+def _top_users(cqi: np.ndarray, nt: int) -> np.ndarray:
+    """Each trial's top min(nt, K) users by CQI (T, K), in stable descending order: ties go to the lower index."""
+    return np.argsort(-cqi, axis=1, kind="stable")[:, :nt]
+
+
 def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
                greedy: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ZF user selection on quantized channels for a stack of T trials.
@@ -101,7 +106,7 @@ def _zf_select(dirs: np.ndarray, cqi: np.ndarray, scale_num: float, nt: int,
     steps, t = min(nt, dirs.shape[1]), np.arange(len(dirs))
     span = dirs.shape[1]  # step j scores the users not yet selected among the first j + span
     if not greedy:  # the top `steps` users by CQI; step j scores user j
-        order = np.argsort(-cqi, axis=1, kind="stable")[:, :steps]
+        order = _top_users(cqi, nt)
         dirs, cqi, span = dirs[t[:, None], order], np.take_along_axis(cqi, order, axis=1), 1
     n_trials, n_users, _ = dirs.shape
     dirs_h, g_diag = np.conj(dirs, order="C"), _sq_norms(dirs)
@@ -212,20 +217,27 @@ def _transmit(h_delayed: np.ndarray, selected: np.ndarray, counts: np.ndarray, b
     return Blocks(selected, counts, np.where(on[..., None], beams, 0.0), rates, sets)
 
 
-def _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits):
+def _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits, greedy):
     """Quantized directions and CQI of T blocks' estimates (T, K, nt).
 
     Block t quantizes its directions with rngs[t]. With cqi_bits, the CQI is
     quantized around its mean: E[norm2 CQI] = nt, E[expected-SINR CQI] ~
-    (snr/nt)*E||h||^2 = snr.
+    (snr/nt)*E||h||^2 = snr. Norm2 CQI needs no direction, so it comes
+    first, and simplified selection (greedy=False) quantizes only the
+    directions of each trial's top min(nt, K) users by CQI, the only ones
+    it reads; the others are zero.
     """
-    dirs, sin2 = quantize_directions(h_est, quantizer, bits, rngs)
-    cqi = norms2 = _sq_norms(h_est)
+    norms2 = _sq_norms(h_est)
     if cqi_kind == "expected_sinr":
+        dirs, sin2 = quantize_directions(h_est, quantizer, bits, rngs)
         cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
-    if cqi_bits:
-        cqi = quantize_cqi(cqi, cqi_bits, nt if cqi_kind == "norm2" else snr)
-    return dirs, cqi
+        return dirs, quantize_cqi(cqi, cqi_bits, snr) if cqi_bits else cqi
+    cqi = quantize_cqi(norms2, cqi_bits, nt) if cqi_bits else norms2
+    rows = None
+    if not greedy:
+        rows = np.zeros(cqi.shape, dtype=bool)
+        np.put_along_axis(rows, _top_users(cqi, nt), True, axis=1)
+    return quantize_directions(h_est, quantizer, bits, rngs, rows)[0], cqi
 
 
 def zf_blocks(
@@ -247,8 +259,9 @@ def zf_blocks(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    dirs, cqi = _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits)
-    selected, counts, beams = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt, selection == "greedy")
+    greedy = selection == "greedy"
+    dirs, cqi = _zf_feedback(h_est, quantizer, bits, cqi_kind, snr, nt, rngs, cqi_bits, greedy)
+    selected, counts, beams = _zf_select(dirs, cqi, _cqi_scale(cqi_kind, snr, nt), nt, greedy)
     return _transmit(h_delayed, selected, counts, beams, snr / counts)
 
 
@@ -269,8 +282,9 @@ def zf_block(
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    dirs, cqi = _zf_feedback(realization.h_est[None], quantizer, bits, cqi_kind, snr, nt, [rng], cqi_bits)
-    select = zf_greedy_select if selection == "greedy" else zf_simplified_select
+    greedy = selection == "greedy"
+    dirs, cqi = _zf_feedback(realization.h_est[None], quantizer, bits, cqi_kind, snr, nt, [rng], cqi_bits, greedy)
+    select = zf_greedy_select if greedy else zf_simplified_select
     plan = select(dirs[0], cqi[0], nt, snr, cqi_kind)
     # zero-padded to zf_blocks' width min(nt, K), so both run the same kernel shapes and agree bit for bit
     n = len(plan.selected)

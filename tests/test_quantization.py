@@ -487,3 +487,39 @@ def test_bit_split_conserves_budget(bits, nt):
     p, m = scalar_bit_split(bits, nt)
     assert p.sum() + m.sum() == bits
     assert (p >= m).all()  # each phase slot is filled before its magnitude slot
+
+
+class TestReadRows:
+    """A `rows` mask: the read rows quantize as in an unmasked call, the others come back
+    zero, and explicit RVQ's stream ends after the codebook of each trial's last read row."""
+
+    @pytest.mark.parametrize("kind,bits", [("rvq_explicit", 2), ("rvq_explicit", 6), ("rvq_explicit", 11),
+                                           ("scalar", 3), ("scalar", 6), ("scalar", 16),
+                                           ("rvq_statistical", 8), ("idealized", 8), ("perfect", 0)])
+    def test_read_rows_equal_the_unmasked_rows(self, kind, bits):
+        trials, users, nt = 5, 9, 4
+        h = complex_gaussian(RngStream(80).generator(), (trials, users, nt))
+        rows = RngStream(81).generator().random((trials, users)) < 0.4
+        rows[0], rows[1] = False, True  # a trial with no read row, and one with every row read
+        rows[2, -1] = True
+        want = quantize_directions(h, kind, bits, [RngStream(82, t).generator() for t in range(trials)])
+        rngs = [RngStream(82, t).generator() for t in range(trials)]
+        got = quantize_directions(h, kind, bits, rngs, rows)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[rows], w[rows])
+            assert not g[~rows].any()
+        if kind == "rvq_explicit":
+            for t, rng in enumerate(rngs):
+                ref = RngStream(82, t).generator()
+                read = np.flatnonzero(rows[t])
+                if read.size:
+                    ref.standard_normal((read[-1] + 1, 2, 2**bits, nt))
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_degenerate_pivot_of_an_unread_row(self):
+        h = complex_gaussian(RngStream(83).generator(), (2, 3, 4))
+        h[1, 2, 0] = 0.0
+        rows = np.zeros((2, 3), dtype=bool)
+        rows[:, 0] = True
+        with pytest.raises(DegeneratePivotError):
+            quantize_directions(h, "scalar", 8, [None] * 2, rows)

@@ -638,3 +638,97 @@ class TestSubf:
             coarse = subf_block(real, "rvq_statistical", 2, 10.0, rng=RngStream(20, trial).generator())
             diffs.append(perfect.sum_rates[0] - coarse.sum_rates[0])
         assert np.mean(diffs) > 0.0
+
+
+# (kind, bits) of every quantizer kind, with explicit RVQ and scalar at a coarse, a middle and a fine B
+MASK_KINDS = [("rvq_explicit", 2), ("rvq_explicit", 6), ("rvq_explicit", 11), ("scalar", 3), ("scalar", 6),
+              ("scalar", 16), ("rvq_statistical", 8), ("idealized", 8), ("perfect", 0)]
+
+
+def _all_rows(monkeypatch):
+    """Make simplified ZF quantize every row, as it did before it passed a mask."""
+    monkeypatch.setattr(schemes, "quantize_directions",
+                        lambda h, kind, bits, rngs, rows=None: quantize_directions(h, kind, bits, rngs))
+
+
+class TestSimplifiedQuantizesOnlyItsTopUsers:
+    """Simplified ZF quantizes only each trial's top min(nt, K) users by CQI, and
+    serves the same users with the same beams and rates, bit for bit, as when
+    it quantizes every user."""
+
+    @pytest.mark.parametrize("users", [3, 9])  # K < nt and K >= nt at nt 4
+    @pytest.mark.parametrize("chan", [(0.0, 1.0), (0.1, 0.95)])  # perfect and impaired CSI
+    @pytest.mark.parametrize("cqi_bits", [None, 2])  # 2 CQI bits: ties at the top-nt boundary
+    @pytest.mark.parametrize("kind,bits", MASK_KINDS)
+    def test_same_blocks_as_quantizing_every_row(self, kind, bits, cqi_bits, chan, users, monkeypatch):
+        trials, nt, snr = 6, 4, 10.0
+
+        def run(fn):
+            rngs = [RngStream(70, t).generator() for t in range(trials)]
+            block = draw_blocks(rngs, users, nt, *chan)
+            return fn(block, rngs), rngs
+
+        def stacked(block, rngs):
+            return zf_blocks(block.h_est, block.h_delayed, kind, bits, "norm2", snr, nt, "simplified", rngs,
+                             cqi_bits)
+
+        def one_by_one(block, rngs):
+            return [zf_block(ChannelRealization(block.h[t], block.h_est[t], block.h_delayed[t]), kind, bits,
+                             "norm2", snr, nt, "simplified", rngs[t], cqi_bits) for t in range(trials)]
+
+        got, got_one = run(stacked)[0], run(one_by_one)[0]
+        with monkeypatch.context() as m:
+            _all_rows(m)
+            want, want_one = run(stacked)[0], run(one_by_one)[0]
+        if cqi_bits:
+            cqi = quantize_cqi(_sq_norms_of(run(lambda b, r: b.h_est)[0]), cqi_bits, nt)
+            assert any(len(set(row)) < users for row in cqi)  # the quantized CQI ties
+        for out, ref in [(got, want), *zip(got_one, want_one)]:
+            for field in ("selected", "counts", "beamformers", "realized_rates"):
+                np.testing.assert_array_equal(getattr(out, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("cqi_kind,selection", [("norm2", "greedy"), ("expected_sinr", "simplified")])
+    def test_greedy_and_expected_sinr_quantize_every_row(self, cqi_kind, selection, monkeypatch):
+        masks = []
+        monkeypatch.setattr(schemes, "quantize_directions",
+                            lambda h, kind, bits, rngs, rows=None: masks.append(rows) or
+                            quantize_directions(h, kind, bits, rngs, rows))
+        rngs = [RngStream(71, t).generator() for t in range(3)]
+        block = draw_blocks(rngs, 9, 4)
+        zf_blocks(block.h_est, block.h_delayed, "rvq_statistical", 6, cqi_kind, 10.0, 4, selection, rngs)
+        assert masks == [None]
+
+
+def _sq_norms_of(h):
+    return np.sum(np.abs(h) ** 2, axis=-1)
+
+
+def _one_user_block(h, snr, nt):
+    """Greedy ZF with perfect feedback on one block of channel rows h (K, nt)."""
+    h = np.asarray(h, dtype=complex)[None]
+    return zf_blocks(h, h, "perfect", 0, "norm2", snr, nt, "greedy", [None])
+
+
+class TestGreedyRulesDecideWhatUsersSee:
+    """The two greedy rules, on hand-built blocks: a near-tie within TIE_RTOL goes to the
+    lower index and nothing wider does; a user only nearly dependent on the selected ones
+    is served, and one dependent within DEPENDENT_RTOL is not."""
+
+    def test_a_rate_better_by_a_billionth_wins_over_a_lower_index(self):
+        # user 0 is served first; users 1 and 2 are both orthogonal to it, and user 2's CQI
+        # is larger by 5e-9, which raises the pair's estimated rate by about 1e-9 relative
+        h = [[math.sqrt(2.0), 0.0], [0.0, 1.0], [0.0, math.sqrt(1.0 + 5e-9)]]
+        out = _one_user_block(h, 10.0, 2)
+        rates = [math.log2(1.0 + 5.0 * 2.0) + math.log2(1.0 + 5.0 * g) for g in (1.0, 1.0 + 5e-9)]
+        assert 5e-10 < (rates[1] - rates[0]) / rates[0] < 2e-9
+        assert list(out.selected[0]) == [0, 2]
+        np.testing.assert_allclose(out.sum_rates[0], rates[1], rtol=1e-14)
+
+    @pytest.mark.parametrize("sin2,served", [(1e-8, 2), (1e-12, 1)])
+    def test_a_nearly_dependent_user_is_served_down_to_the_rule(self, sin2, served):
+        # at a linear SNR of 1e30 adding user 1 raises the estimated rate at both angles,
+        # so only the dependence rule can refuse it
+        h = [[math.sqrt(2.0), 0.0], [math.sqrt(1.0 - sin2), math.sqrt(sin2)]]
+        out = _one_user_block(h, 1e30, 2)
+        assert out.counts[0] == served
+        assert list(out.selected[0, :served]) == [0, 1][:served]
