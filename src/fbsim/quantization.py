@@ -164,11 +164,6 @@ def _uniform_midpoint(value: np.ndarray, lo: float, hi: float, bits: int | np.nd
     return lo + (idx + 0.5) * width
 
 
-def _check_pivots(h: np.ndarray, norms: np.ndarray) -> None:
-    if np.any(np.abs(h[..., :1]) < 1e-12 * norms):
-        raise DegeneratePivotError("first channel component is (near) zero")
-
-
 def _quantize_scalar(h: np.ndarray, bits: int, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scalar quantization of relative phases and magnitude angles, row by row of h (norms: ||h|| per row).
 
@@ -242,12 +237,13 @@ def quantize_directions(h: np.ndarray, kind: str, bits: int, rngs,
     exact = kind == "perfect" or nt == 1
     if kind == "rvq_explicit" and not exact:
         return _quantize_rvq_explicit(h, bits, rngs, np.ones((n_trials, n_users), bool) if rows is None else rows)
-    draws, norms = (), None
+    draws = ()
     if kind in ("rvq_statistical", "idealized") and not exact:
         draws = _statistical_draws(rngs, n_users, nt)
     elif kind == "scalar" and not exact:
         norms = np.linalg.norm(h, axis=-1, keepdims=True)
-        _check_pivots(h, norms)
+        if np.any(np.abs(h[..., :1]) < 1e-12 * norms):  # every row's pivot, read or not
+            raise DegeneratePivotError("first channel component is (near) zero")
         draws = (norms,)
     if rows is None:
         return _quantize_rows(h, kind, bits, *draws)
