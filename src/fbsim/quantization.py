@@ -73,18 +73,16 @@ def _statistical_draws(rngs, n_users: int, nt: int) -> tuple[np.ndarray, np.ndar
     return u, complex_normals(rngs, n_users, nt)
 
 
-def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, trial: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, trial: np.ndarray) -> np.ndarray:
     """The raw draws (rows, 2, 1, nt) of each conjugated unit row's closest codeword in a fresh 2^B codebook.
 
-    Row i of u belongs to trial trial[i]; rows of a trial come in row order,
-    and skip[i] unread rows of its trial come right before row i. Each row's
-    codebook is drawn from its trial's stream in that order, an unread row's
-    too, but only the rows of u are scanned, in groups of up to
-    CODEWORDS_PER_SCAN // 2^B rows (at least one). An unread row's codebook
-    is drawn into the group's free slots and overwritten. Codewords are
-    scored straight from the real draws, |c.u|^2 / ||c||^2, and each row's
-    winner is the argmax of that score. The scan's buffers are freed on
-    return.
+    Row i of u belongs to trial trial[i], and a trial's rows come together.
+    Each row's codebook is drawn from its trial's stream in row order, one
+    codebook per row. Rows are scanned in groups of up to
+    CODEWORDS_PER_SCAN // 2^B rows (at least one), with one draw call per
+    run of a trial's rows in a group. Codewords are scored straight from the
+    real draws, |c.u|^2 / ||c||^2, and each row's winner is the argmax of
+    that score. The scan's buffers are freed on return.
     """
     n_rows, nt = u.shape
     n_codes = 2**bits
@@ -100,18 +98,13 @@ def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, trial: np.ndarray, skip: 
     score = np.empty((g, n_codes))
     norm2 = np.empty((g, n_codes))
     best = np.empty((n_rows, 2, 1, nt))
-    # one draw call per run of a trial's rows with no unread rows between them
-    starts = np.flatnonzero((skip > 0) | (np.diff(trial, prepend=-1) != 0))
     for lo in range(0, n_rows, group):
         hi = min(lo + group, n_rows)
         n = hi - lo
         zr = z[:n]
-        cuts = np.union1d(lo, starts[(lo <= starts) & (starts < hi)])
-        for a, e in zip(cuts, np.append(cuts[1:], hi)):
-            rng = rngs[trial[a]]
-            for left in range(skip[a], 0, a - hi):  # the unread rows, into the free slots a..hi
-                rng.standard_normal(out=zr[a - lo : a - lo + min(left, hi - a)])
-            rng.standard_normal(out=zr[a - lo : e - lo])
+        cuts = np.flatnonzero(np.diff(trial[lo:hi], prepend=-1))  # where each trial's run starts
+        for a, e in zip(cuts, [*cuts[1:], n]):
+            rngs[trial[lo + a]].standard_normal(out=zr[a:e])
         p = np.matmul(zr, w[lo:hi], out=parts[:n])
         re_im = np.add(p[:, 0], p[:, 1], out=p[:, 0])
         re_im *= re_im
@@ -128,16 +121,14 @@ def _rvq_winning_draws(u: np.ndarray, bits: int, rngs, trial: np.ndarray, skip: 
 def _quantize_rvq_explicit(h: np.ndarray, bits: int, rngs, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Explicit RVQ: each read row scans a fresh 2^B isotropic codebook for the closest codeword.
 
-    A trial draws the codebooks of its rows through its last read row. Only
-    the read rows are scanned, and only their winners are normalized and
-    have their errors taken, all rows of the stack at once.
+    A trial draws one codebook per read row, in row order, and nothing for
+    its unread rows. Only the read rows' winners are normalized and have
+    their errors taken, all rows of the stack at once.
     """
     n_trials, n_users, nt = h.shape
     flat = np.flatnonzero(rows)
-    trial, user = np.divmod(flat, n_users)
-    skip = np.where(np.diff(trial, prepend=-1) != 0, user, np.diff(user, prepend=-1) - 1)
     u = _unit_rows(h.reshape(-1, nt)[flat]).conj()
-    winners = _unit_rows(complex_pairs(_rvq_winning_draws(u, bits, rngs, trial, skip)))
+    winners = _unit_rows(complex_pairs(_rvq_winning_draws(u, bits, rngs, flat // n_users)))
     dirs, sin2 = np.zeros_like(h), np.zeros((n_trials, n_users))
     dirs.reshape(-1, nt)[flat] = winners[:, 0]
     sin2.reshape(-1)[flat] = 1.0 - np.abs(np.einsum("gcn,gn->gc", winners, u))[:, 0] ** 2
@@ -225,10 +216,10 @@ def quantize_directions(h: np.ndarray, kind: str, bits: int, rngs,
     `rows` (T, K), if given, marks the rows the caller reads; the others come
     back as zero directions with zero error, and no arithmetic is done on
     them. Statistical RVQ and `idealized` still make every row's draws.
-    Explicit RVQ draws a block's codebooks only through its last read row,
-    so the draws past it are not made: a caller that draws from `rngs`
-    afterwards must not pass `rows`. The scalar kind checks every row's
-    pivot.
+    Explicit RVQ draws one codebook per read row, in row order, and none for
+    an unread row, so a block's read rows quantize as its read rows alone
+    would, unmasked; a caller that draws from `rngs` afterwards must not
+    pass `rows`. The scalar kind checks every row's pivot.
     """
     if kind not in QUANTIZER_KINDS:
         raise ValueError(f"unknown quantizer kind {kind!r}; known: {QUANTIZER_KINDS}")

@@ -553,19 +553,27 @@ def oracle_zf_block(realization, quantizer, bits, cqi_kind, snr, nt, selection, 
     """One ZF block the per-trial way.
 
     Returns (users, sum rate) under the engine's rules, whether a rule changed
-    a step, and (users, sum rate) of the bare path.
+    a step, and (users, sum rate) of the bare path. Under simplified selection
+    with norm2 CQI, explicit RVQ draws codebooks only for the top min(nt, K)
+    users by CQI, the ones selection reads, in row order.
     """
     h_est = realization.h_est
-    dirs, sin2 = oracle_quantize_directions(h_est, quantizer, bits, rng)
     norms2 = np.linalg.norm(h_est, axis=1) ** 2
+
+    def feedback(cqi, mean):
+        return np.array([oracle_quantize_cqi(v, cqi_bits, mean) for v in cqi]) if cqi_bits else cqi
+
     if cqi_kind == "norm2":
-        cqi, scale_num = norms2, snr
+        cqi, scale_num = feedback(norms2, nt), snr
+        read = np.arange(len(h_est))
+        if selection == "simplified" and quantizer == "rvq_explicit":
+            read = np.sort(np.argsort(-cqi, kind="stable")[:nt])
+        dirs = np.zeros_like(h_est)
+        dirs[read] = oracle_quantize_directions(h_est[read], quantizer, bits, rng)[0]
     else:
-        cqi = norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2)
+        dirs, sin2 = oracle_quantize_directions(h_est, quantizer, bits, rng)
+        cqi = feedback(norms2 * (1.0 - sin2) / (nt / snr + norms2 * sin2), snr)
         scale_num = float(nt)
-    if cqi_bits:
-        mean = nt if cqi_kind == "norm2" else snr
-        cqi = np.array([oracle_quantize_cqi(v, cqi_bits, mean) for v in cqi])
     if selection == "greedy":
         ruled_set, ruled = oracle_greedy(dirs, cqi, scale_num, nt)
         bare_set = bare_greedy(dirs, cqi, scale_num, nt)

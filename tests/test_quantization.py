@@ -491,7 +491,8 @@ def test_bit_split_conserves_budget(bits, nt):
 
 class TestReadRows:
     """A `rows` mask: the read rows quantize as in an unmasked call, the others come back
-    zero, and explicit RVQ's stream ends after the codebook of each trial's last read row."""
+    zero. Explicit RVQ draws one codebook per read row, in row order, so its read rows
+    equal an unmasked call of the read rows alone, and its stream ends after their codebooks."""
 
     @pytest.mark.parametrize("kind,bits", [("rvq_explicit", 2), ("rvq_explicit", 6), ("rvq_explicit", 11),
                                            ("scalar", 3), ("scalar", 6), ("scalar", 16),
@@ -502,19 +503,38 @@ class TestReadRows:
         rows = RngStream(81).generator().random((trials, users)) < 0.4
         rows[0], rows[1] = False, True  # a trial with no read row, and one with every row read
         rows[2, -1] = True
-        want = quantize_directions(h, kind, bits, [RngStream(82, t).generator() for t in range(trials)])
         rngs = [RngStream(82, t).generator() for t in range(trials)]
         got = quantize_directions(h, kind, bits, rngs, rows)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g[rows], w[rows])
+        for g in got:
             assert not g[~rows].any()
-        if kind == "rvq_explicit":
-            for t, rng in enumerate(rngs):
-                ref = RngStream(82, t).generator()
-                read = np.flatnonzero(rows[t])
-                if read.size:
-                    ref.standard_normal((read[-1] + 1, 2, 2**bits, nt))
-                assert rng.bit_generator.state == ref.bit_generator.state
+        if kind != "rvq_explicit":
+            want = quantize_directions(h, kind, bits, [RngStream(82, t).generator() for t in range(trials)])
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g[rows], w[rows])
+            return
+        for t, rng in enumerate(rngs):
+            read = np.flatnonzero(rows[t])
+            want = quantize_directions(h[t, read][None], kind, bits, [RngStream(82, t).generator()])
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g[t, read], w[0])
+            ref = RngStream(82, t).generator()
+            ref.standard_normal((read.size, 2, 2**bits, nt))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bits", [2, 6, 11])
+    def test_an_unmasked_explicit_call_draws_every_rows_codebook(self, bits):
+        trials, users, nt = 3, 9, 4
+        h = complex_gaussian(RngStream(84).generator(), (trials, users, nt))
+        rngs = [RngStream(85, t).generator() for t in range(trials)]
+        got = quantize_directions(h, "rvq_explicit", bits, rngs)
+        want = quantize_directions(h, "rvq_explicit", bits, [RngStream(85, t).generator() for t in range(trials)],
+                                   np.ones((trials, users), dtype=bool))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        for t, rng in enumerate(rngs):
+            ref = RngStream(85, t).generator()
+            ref.standard_normal((users, 2, 2**bits, nt))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_degenerate_pivot_of_an_unread_row(self):
         h = complex_gaussian(RngStream(83).generator(), (2, 3, 4))

@@ -651,10 +651,24 @@ def _all_rows(monkeypatch):
                         lambda h, kind, bits, rngs, rows=None: quantize_directions(h, kind, bits, rngs))
 
 
+def _read_rows_alone(monkeypatch):
+    """Make simplified ZF quantize each trial's read rows as an unmasked stack of their own, on
+    the trial's stream: explicit RVQ's rule of one codebook per read row, in row order."""
+    def alone(h, kind, bits, rngs, rows):
+        dirs, sin2 = np.zeros_like(h), np.zeros(h.shape[:2])
+        for t, rng in enumerate(rngs):
+            read = np.flatnonzero(rows[t])
+            (dirs[t, read],), (sin2[t, read],) = quantize_directions(h[t, read][None], kind, bits, [rng])
+        return dirs, sin2
+
+    monkeypatch.setattr(schemes, "quantize_directions", alone)
+
+
 class TestSimplifiedQuantizesOnlyItsTopUsers:
     """Simplified ZF quantizes only each trial's top min(nt, K) users by CQI, and
     serves the same users with the same beams and rates, bit for bit, as when
-    it quantizes every user."""
+    it quantizes every user; explicit RVQ, which draws codebooks only for the
+    read users, as when it quantizes those users alone."""
 
     @pytest.mark.parametrize("users", [3, 9])  # K < nt and K >= nt at nt 4
     @pytest.mark.parametrize("chan", [(0.0, 1.0), (0.1, 0.95)])  # perfect and impaired CSI
@@ -678,7 +692,7 @@ class TestSimplifiedQuantizesOnlyItsTopUsers:
 
         got, got_one = run(stacked)[0], run(one_by_one)[0]
         with monkeypatch.context() as m:
-            _all_rows(m)
+            (_read_rows_alone if kind == "rvq_explicit" else _all_rows)(m)
             want, want_one = run(stacked)[0], run(one_by_one)[0]
         if cqi_bits:
             cqi = quantize_cqi(_sq_norms_of(run(lambda b, r: b.h_est)[0]), cqi_bits, nt)
